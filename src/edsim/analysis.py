@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import stats
-from .domain import validate_config
+from .domain import ConfigError, parse_config_file, validate_config
 from .metrics import SchemaError, read_doctors, read_nurses, read_runs
 
 NORMALITY_ALPHA = 0.05
@@ -55,14 +55,14 @@ def load_experiment(path: str) -> ExperimentData:
 
     echo_path = os.path.join(path, "config.echo")
     if os.path.isfile(echo_path):
-        raw = {}
-        with open(echo_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line and "=" in line:
-                    k, v = line.split("=", 1)
-                    raw[k.strip()] = v.strip()
-        cfg = validate_config(raw)
+        try:
+            raw = parse_config_file(echo_path)
+            # Echoes written before the unused mcDraws key was removed still
+            # carry it; dropping it keeps those experiments loadable.
+            raw.pop("mcDraws", None)
+            cfg = validate_config(raw)
+        except ConfigError as exc:
+            raise SchemaError(f"{echo_path}: {exc}") from exc
         roster = (cfg.doctors, cfg.nurses)
     else:
         # Fall back to the configured part of the observed roster.

@@ -21,15 +21,6 @@ ABOVE_BASE_RANGES = {
 
 
 @dataclass(frozen=True)
-class DurationSample:
-    """One sampled execution time plus bookkeeping about how it was drawn."""
-
-    seconds: float
-    drew_bonus: bool
-    draws: int
-
-
-@dataclass(frozen=True)
 class TaskOutcome:
     success: bool
     time_damage: float
@@ -71,8 +62,8 @@ def get_task_duration(
     true_level: int,
     cfg: SimConfig,
     rng: Rng,
-) -> DurationSample:
-    """Sample how long a nurse takes on a task of the given true difficulty.
+) -> float:
+    """Sample how long, in seconds, a nurse takes on a task of the given true difficulty.
 
     High performers hit the base duration with probability
     `highPerformerGoodChance`.  Low performers always overrun, unless they are
@@ -81,18 +72,10 @@ def get_task_duration(
     be set for a low-performing nurse.
     """
     if quality is NurseQuality.LOW:
-        if training_active:
-            bonus = training_bonus_chance(observed_tasks, cfg)
-            roll = rng.uniform_unit()
-            if roll <= bonus:
-                return DurationSample(base_duration_for_level(true_level), drew_bonus=True, draws=1)
-            return DurationSample(random_duration_above_base(true_level, rng), drew_bonus=False, draws=2)
-        return DurationSample(random_duration_above_base(true_level, rng), drew_bonus=False, draws=1)
-
-    roll = rng.uniform_unit()
-    if roll <= cfg.high_performer_good_chance:
-        return DurationSample(base_duration_for_level(true_level), drew_bonus=False, draws=1)
-    return DurationSample(random_duration_above_base(true_level, rng), drew_bonus=False, draws=2)
+        hit = training_active and rng.uniform_unit() <= training_bonus_chance(observed_tasks, cfg)
+    else:
+        hit = rng.uniform_unit() <= cfg.high_performer_good_chance
+    return base_duration_for_level(true_level) if hit else random_duration_above_base(true_level, rng)
 
 
 def judge_outcome(actual: float, requested_level: int, cfg: SimConfig) -> TaskOutcome:

@@ -20,7 +20,7 @@ from .domain import (
     validate_config,
 )
 from .engine import make_run_record, render_trace, run_shift
-from .metrics import RunRecord, SchemaError, write_csvs
+from .metrics import RunRecord, SchemaError, runs_row, write_csvs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,14 +38,6 @@ COMBOS = {
 
 def _default_out_root() -> str:
     return os.environ.get("EDSIM_OUT", "out")
-
-
-def _runs_line(record: RunRecord) -> str:
-    m = record.metrics
-    return (
-        f"{record.run_id},{record.seed},{record.scenario},{record.policy},"
-        f"{record.shift_length:.6f},{m.patients_served},{m.time_damage:.6f},{m.delay:.6f}"
-    )
 
 
 def _manifest(name: str, seeds: list[int], runs: int) -> str:
@@ -95,7 +87,7 @@ def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[st
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(_runs_line(record))
+    print(runs_row(record))
     return EXIT_OK
 
 
@@ -174,6 +166,9 @@ def cmd_analyze(
     mc_seed: int,
     out: Optional[str],
 ) -> int:
+    if mc_draws < 1:
+        print("config error: --mc-draws must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
     wanted = None if metrics == "all" else [m.strip() for m in metrics.split(",") if m.strip()]
     try:
         rows = compare_experiments(dir_a, dir_b, wanted, mc_draws=mc_draws, mc_seed=mc_seed)

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
 from enum import Enum
+from typing import Any, Callable, NamedTuple, Optional
 
 LEVELS = (1, 2, 3, 4, 5)
 LEVEL_MIN, LEVEL_MAX = 1, 5
@@ -58,73 +59,66 @@ def validate_level(value: int, key: str = "difficulty level") -> int:
     return value
 
 
-# Defaults for every configurable knob. Shift length and the restricted-acceptance
-# threshold are calibrated so that the trainer phase spans a meaningful fraction of
-# the shift and a self-classified low performer retires from easy tasks after a
-# couple of failures; see README for the calibration notes.
-DEFAULTS: dict[str, object] = {
-    "seed": 0,
-    "scenario": Scenario.BASELINE,
-    "policy": Policy.CA_TRUST,
-    "shiftLength": 1000.0,
-    "doctors": ((1, EvaluationStyle.CORRECT), (2, EvaluationStyle.CORRECT), (3, EvaluationStyle.CORRECT)),
-    "nurses": ((1, NurseQuality.LOW), (2, NurseQuality.HIGH)),
-    "bedCount": 9,
-    "bedsPerDoctor": 3,
-    "examDuration": 10.0,
-    "travelTime": 5.0,
-    "prepTime": 5.0,
-    "initialSpawnInterval": 1.0,
-    "tasksPerPatient": 1,
-    "trueLevelDistribution": (0.2, 0.2, 0.2, 0.2, 0.2),
-    "trustInit": 0.5,
-    "trustLearningRate": 0.3,
-    "acceptThreshold": 0.5,
-    "restrictedAcceptThreshold": 0.4,
-    "reliabilityThreshold": 0.4,
-    "easyLevelCap": 2,
-    "trainerBonusPerTask": 0.1,
-    "trainerExitBonus": 0.9,
-    "highPerformerGoodChance": 0.90,
-    "utilityFailurePenalty": True,
-    "mcDraws": 10000,
-}
-
 # Self-assessed reliability starts from a clean slate: a fresh provider has no
 # evidence against itself, and threshold crossing then needs a run of failures
 # (1.0 -> 0.7 -> 0.49 -> 0.343 with the default learning rate).
 RELIABILITY_INIT = 1.0
 
 
+def _key(name: str, kind: str, default: Any, tokens: Optional[type[Enum]] = None) -> Any:
+    """Declare one config key: its external name, value kind and default.
+
+    `tokens` is the enum whose values spell an `enum` or `roster` entry.
+    """
+    return field(default=default, metadata={"key": name, "kind": kind, "tokens": tokens})
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Validated, immutable bundle of every simulation knob."""
+    """Validated, immutable bundle of every simulation knob.
 
-    seed: int
-    scenario: Scenario
-    policy: Policy
-    shift_length: float
-    doctors: tuple[tuple[int, EvaluationStyle], ...]
-    nurses: tuple[tuple[int, NurseQuality], ...]
-    bed_count: int
-    beds_per_doctor: int
-    exam_duration: float
-    travel_time: float
-    prep_time: float
-    initial_spawn_interval: float
-    tasks_per_patient: int
-    true_level_distribution: tuple[float, ...]
-    trust_init: float
-    trust_learning_rate: float
-    accept_threshold: float
-    restricted_accept_threshold: float
-    reliability_threshold: float
-    easy_level_cap: int
-    trainer_bonus_per_task: float
-    trainer_exit_bonus: float
-    high_performer_good_chance: float
-    utility_failure_penalty: bool
-    mc_draws: int
+    Each field declares one key of the flat config format, in echo order.
+    Shift length and the restricted-acceptance threshold are calibrated so
+    that the trainer phase spans a meaningful fraction of the shift and a
+    self-classified low performer retires from easy tasks after a couple of
+    failures; see README for the calibration notes.
+    """
+
+    seed: int = _key("seed", "int", 0)
+    scenario: Scenario = _key("scenario", "enum", Scenario.BASELINE, Scenario)
+    policy: Policy = _key("policy", "enum", Policy.CA_TRUST, Policy)
+    shift_length: float = _key("shiftLength", "seconds", 1000.0)
+    doctors: tuple[tuple[int, EvaluationStyle], ...] = _key(
+        "doctors",
+        "roster",
+        ((1, EvaluationStyle.CORRECT), (2, EvaluationStyle.CORRECT), (3, EvaluationStyle.CORRECT)),
+        EvaluationStyle,
+    )
+    nurses: tuple[tuple[int, NurseQuality], ...] = _key(
+        "nurses", "roster", ((1, NurseQuality.LOW), (2, NurseQuality.HIGH)), NurseQuality
+    )
+    bed_count: int = _key("bedCount", "int", 9)
+    beds_per_doctor: int = _key("bedsPerDoctor", "int", 3)
+    exam_duration: float = _key("examDuration", "seconds", 10.0)
+    travel_time: float = _key("travelTime", "seconds", 5.0)
+    prep_time: float = _key("prepTime", "seconds", 5.0)
+    initial_spawn_interval: float = _key("initialSpawnInterval", "seconds", 1.0)
+    tasks_per_patient: int = _key("tasksPerPatient", "int", 1)
+    true_level_distribution: tuple[float, ...] = _key("trueLevelDistribution", "distribution", (0.2,) * 5)
+    trust_init: float = _key("trustInit", "fraction", 0.5)
+    trust_learning_rate: float = _key("trustLearningRate", "fraction", 0.3)
+    accept_threshold: float = _key("acceptThreshold", "fraction", 0.5)
+    restricted_accept_threshold: float = _key("restrictedAcceptThreshold", "fraction", 0.4)
+    reliability_threshold: float = _key("reliabilityThreshold", "fraction", 0.4)
+    easy_level_cap: int = _key("easyLevelCap", "int", 2)
+    trainer_bonus_per_task: float = _key("trainerBonusPerTask", "fraction", 0.1)
+    trainer_exit_bonus: float = _key("trainerExitBonus", "fraction", 0.9)
+    high_performer_good_chance: float = _key("highPerformerGoodChance", "fraction", 0.90)
+    utility_failure_penalty: bool = _key("utilityFailurePenalty", "bool", True)
+
+
+# External key name -> SimConfig field, in declaration order.
+_CONFIG_KEYS: dict[str, Field] = {f.metadata["key"]: f for f in fields(SimConfig)}
 
 
 class Rng:
@@ -162,59 +156,71 @@ def sample_true_level(rng: Rng, dist: tuple[float, ...]) -> int:
 
 _U64_MAX = 2**64 - 1
 
-_INT_KEYS = {"bedCount", "bedsPerDoctor", "tasksPerPatient", "easyLevelCap", "mcDraws"}
-_TIME_KEYS = {"shiftLength", "examDuration", "travelTime", "prepTime", "initialSpawnInterval"}
-_FRACTION_KEYS = {
-    "trustInit",
-    "trustLearningRate",
-    "acceptThreshold",
-    "restrictedAcceptThreshold",
-    "reliabilityThreshold",
-    "trainerBonusPerTask",
-    "trainerExitBonus",
-    "highPerformerGoodChance",
-}
-
-_STYLE_TOKENS = {s.value: s for s in EvaluationStyle}
-_QUALITY_TOKENS = {q.value: q for q in NurseQuality}
 _TRUE_TOKENS = {"true", "on", "yes", "1"}
 _FALSE_TOKENS = {"false", "off", "no", "0"}
 
 
-def _parse_bool(token: str, key: str) -> bool:
-    t = token.strip().lower()
+def _parse_int(raw: str, key: str, tokens) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise RangeError(f"{key} must be an integer, got {raw!r}", key) from None
+
+
+def _parse_seconds(raw: str, key: str, tokens) -> float:
+    try:
+        t = float(raw)
+    except ValueError:
+        raise RangeError(f"{key} must be a number of seconds, got {raw!r}", key) from None
+    if t < 0.0:
+        raise RangeError(f"{key} must be >= 0, got {t}", key)
+    return t
+
+
+def _parse_fraction(raw: str, key: str, tokens) -> float:
+    try:
+        f = float(raw)
+    except ValueError:
+        raise RangeError(f"{key} must be a fraction, got {raw!r}", key) from None
+    if not 0.0 <= f <= 1.0:
+        raise RangeError(f"{key} must lie in [0, 1], got {f}", key)
+    return f
+
+
+def _parse_bool(raw: str, key: str, tokens) -> bool:
+    t = raw.strip().lower()
     if t in _TRUE_TOKENS:
         return True
     if t in _FALSE_TOKENS:
         return False
-    raise RangeError(f"{key} must be a boolean (on/off), got {token!r}", key)
+    raise RangeError(f"{key} must be a boolean (on/off), got {raw!r}", key)
 
 
-def _parse_roster(raw, key: str, tokens: dict):
-    """Normalize a roster given as '1:correct, 2:over' text or (id, kind) pairs."""
-    if isinstance(raw, str):
-        pairs = []
-        for chunk in raw.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if ":" not in chunk:
-                raise RangeError(f"{key} entries must look like 'id:kind', got {chunk!r}", key)
-            ident, kind = chunk.split(":", 1)
-            pairs.append((ident.strip(), kind.strip()))
-    else:
-        pairs = list(raw)
+def _parse_enum(raw: str, key: str, tokens: type[Enum]):
+    try:
+        return tokens(raw.strip().lower())
+    except ValueError:
+        raise RangeError(f"{key} must be one of {[m.value for m in tokens]}, got {raw!r}", key) from None
+
+
+def _parse_roster(raw: str, key: str, tokens: type[Enum]):
+    """Normalize a roster given as '1:correct, 2:over' text."""
+    by_value = {m.value: m for m in tokens}
     roster = []
-    for ident, kind in pairs:
+    for chunk in raw.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if ":" not in chunk:
+            raise RangeError(f"{key} entries must look like 'id:kind', got {chunk!r}", key)
+        ident, kind = (part.strip() for part in chunk.split(":", 1))
         try:
             ident = int(ident)
-        except (TypeError, ValueError):
+        except ValueError:
             raise RangeError(f"{key} ids must be integers, got {ident!r}", key) from None
-        if isinstance(kind, str):
-            if kind.lower() not in tokens:
-                raise RangeError(f"{key} has unknown kind {kind!r} (expected one of {sorted(tokens)})", key)
-            kind = tokens[kind.lower()]
-        roster.append((ident, kind))
+        if kind.lower() not in by_value:
+            raise RangeError(f"{key} has unknown kind {kind!r} (expected one of {sorted(by_value)})", key)
+        roster.append((ident, by_value[kind.lower()]))
     if not roster:
         raise RangeError(f"{key} must list at least one agent", key)
     ids = [i for i, _ in roster]
@@ -225,14 +231,10 @@ def _parse_roster(raw, key: str, tokens: dict):
     return tuple(sorted(roster))
 
 
-def _parse_distribution(raw, key: str) -> tuple[float, ...]:
-    if isinstance(raw, str):
-        parts = [p for p in (s.strip() for s in raw.split(",")) if p]
-    else:
-        parts = list(raw)
+def _parse_distribution(raw: str, key: str, tokens) -> tuple[float, ...]:
     try:
-        dist = tuple(float(p) for p in parts)
-    except (TypeError, ValueError):
+        dist = tuple(float(p) for p in raw.split(",") if p.strip())
+    except ValueError:
         raise RangeError(f"{key} must be five probabilities", key) from None
     if len(dist) != len(LEVELS):
         raise RangeError(f"{key} must have exactly {len(LEVELS)} entries, got {len(dist)}", key)
@@ -243,133 +245,62 @@ def _parse_distribution(raw, key: str) -> tuple[float, ...]:
     return dist
 
 
+class _Kind(NamedTuple):
+    parse: Callable[[str, str, Any], Any]  # (config text, key, tokens) -> normalized value
+    render: Callable[[Any], str]  # normalized value -> config file text
+
+
+_KINDS = {
+    "int": _Kind(_parse_int, str),
+    "seconds": _Kind(_parse_seconds, repr),
+    "fraction": _Kind(_parse_fraction, repr),
+    "bool": _Kind(_parse_bool, lambda v: "on" if v else "off"),
+    "enum": _Kind(_parse_enum, lambda v: v.value),
+    "roster": _Kind(_parse_roster, lambda v: ", ".join(f"{i}:{k.value}" for i, k in v)),
+    "distribution": _Kind(_parse_distribution, lambda v: ", ".join(repr(p) for p in v)),
+}
+
+
 def validate_config(raw: dict | None = None) -> SimConfig:
     """Fill defaults into a config-shaped mapping and check every invariant.
 
-    `raw` maps the external key names (as used in config files) to values that
-    may still be strings; an empty mapping yields the case-study default setup.
+    `raw` maps the external key names (as used in config files) to their text;
+    other values are parsed from their str().  An empty mapping yields the
+    case-study default setup.  Keys are parsed in declaration order, so the
+    first bad key is the one reported.
     """
     raw = dict(raw or {})
-    unknown = set(raw) - set(DEFAULTS)
+    unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         key = sorted(unknown)[0]
         raise ConfigError(f"unknown config key {key!r}", key)
 
-    merged = dict(DEFAULTS)
-    merged.update({k: v for k, v in raw.items() if v is not None})
-
-    out: dict[str, object] = {}
-
-    v = merged["seed"]
-    try:
-        seed = int(v)
-    except (TypeError, ValueError):
-        raise RangeError(f"seed must be an integer, got {v!r}", "seed") from None
-    if not 0 <= seed <= _U64_MAX:
-        raise RangeError(f"seed must fit in 64 unsigned bits, got {seed}", "seed")
-    out["seed"] = seed
-
-    v = merged["scenario"]
-    if isinstance(v, str):
-        try:
-            v = Scenario(v.strip().lower())
-        except ValueError:
-            raise RangeError(f"scenario must be one of {[s.value for s in Scenario]}, got {v!r}", "scenario") from None
-    out["scenario"] = v
-
-    v = merged["policy"]
-    if isinstance(v, str):
-        try:
-            v = Policy(v.strip().lower())
-        except ValueError:
-            raise RangeError(f"policy must be one of {[p.value for p in Policy]}, got {v!r}", "policy") from None
-    out["policy"] = v
+    out: dict[str, Any] = {}
+    for key, f in _CONFIG_KEYS.items():
+        value = raw.get(key)
+        parse = _KINDS[f.metadata["kind"]].parse
+        out[key] = f.default if value is None else parse(str(value), key, f.metadata["tokens"])
 
     if out["policy"] is Policy.FIFO and out["scenario"] is not Scenario.BASELINE:
         raise InvalidCombination(
-            "the FIFO policy is only meaningful in the baseline scenario "
-            f"(got scenario={out['scenario'].value})",  # type: ignore[union-attr]
+            f"the FIFO policy is only meaningful in the baseline scenario (got scenario={out['scenario'].value})",
             "policy",
         )
-
-    for key in _TIME_KEYS:
-        v = merged[key]
-        try:
-            t = float(v)
-        except (TypeError, ValueError):
-            raise RangeError(f"{key} must be a number of seconds, got {v!r}", key) from None
-        if t < 0.0:
-            raise RangeError(f"{key} must be >= 0, got {t}", key)
-        out[key] = t
-
-    for key in _INT_KEYS:
-        v = merged[key]
-        try:
-            n = int(v)
-        except (TypeError, ValueError):
-            raise RangeError(f"{key} must be an integer, got {v!r}", key) from None
-        out[key] = n
-
-    for key in _FRACTION_KEYS:
-        v = merged[key]
-        try:
-            f = float(v)
-        except (TypeError, ValueError):
-            raise RangeError(f"{key} must be a fraction, got {v!r}", key) from None
-        if not 0.0 <= f <= 1.0:
-            raise RangeError(f"{key} must lie in [0, 1], got {f}", key)
-        out[key] = f
-
-    v = merged["utilityFailurePenalty"]
-    out["utilityFailurePenalty"] = _parse_bool(v, "utilityFailurePenalty") if isinstance(v, str) else bool(v)
-
-    out["doctors"] = _parse_roster(merged["doctors"], "doctors", _STYLE_TOKENS)
-    out["nurses"] = _parse_roster(merged["nurses"], "nurses", _QUALITY_TOKENS)
-    out["trueLevelDistribution"] = _parse_distribution(merged["trueLevelDistribution"], "trueLevelDistribution")
-
-    if out["tasksPerPatient"] < 1:  # type: ignore[operator]
-        raise RangeError("tasksPerPatient must be >= 1", "tasksPerPatient")
-    if out["bedsPerDoctor"] < 1:  # type: ignore[operator]
-        raise RangeError("bedsPerDoctor must be >= 1", "bedsPerDoctor")
-    if out["mcDraws"] < 1:  # type: ignore[operator]
-        raise RangeError("mcDraws must be >= 1", "mcDraws")
-    validate_level(out["easyLevelCap"], "easyLevelCap")  # type: ignore[arg-type]
-
-    expected_beds = out["bedsPerDoctor"] * len(out["doctors"])  # type: ignore[operator, arg-type]
+    if not 0 <= out["seed"] <= _U64_MAX:
+        raise RangeError(f"seed must fit in 64 unsigned bits, got {out['seed']}", "seed")
+    for key in ("tasksPerPatient", "bedsPerDoctor"):
+        if out[key] < 1:
+            raise RangeError(f"{key} must be >= 1", key)
+    validate_level(out["easyLevelCap"], "easyLevelCap")
+    expected_beds = out["bedsPerDoctor"] * len(out["doctors"])
     if out["bedCount"] != expected_beds:
         raise TopologyError(
             f"bedCount must equal bedsPerDoctor x number of doctors "
-            f"({out['bedsPerDoctor']} x {len(out['doctors'])} = {expected_beds}), got {out['bedCount']}",  # type: ignore[arg-type]
+            f"({out['bedsPerDoctor']} x {len(out['doctors'])} = {expected_beds}), got {out['bedCount']}",
             "bedCount",
         )
 
-    return SimConfig(
-        seed=out["seed"],  # type: ignore[arg-type]
-        scenario=out["scenario"],  # type: ignore[arg-type]
-        policy=out["policy"],  # type: ignore[arg-type]
-        shift_length=out["shiftLength"],  # type: ignore[arg-type]
-        doctors=out["doctors"],  # type: ignore[arg-type]
-        nurses=out["nurses"],  # type: ignore[arg-type]
-        bed_count=out["bedCount"],  # type: ignore[arg-type]
-        beds_per_doctor=out["bedsPerDoctor"],  # type: ignore[arg-type]
-        exam_duration=out["examDuration"],  # type: ignore[arg-type]
-        travel_time=out["travelTime"],  # type: ignore[arg-type]
-        prep_time=out["prepTime"],  # type: ignore[arg-type]
-        initial_spawn_interval=out["initialSpawnInterval"],  # type: ignore[arg-type]
-        tasks_per_patient=out["tasksPerPatient"],  # type: ignore[arg-type]
-        true_level_distribution=out["trueLevelDistribution"],  # type: ignore[arg-type]
-        trust_init=out["trustInit"],  # type: ignore[arg-type]
-        trust_learning_rate=out["trustLearningRate"],  # type: ignore[arg-type]
-        accept_threshold=out["acceptThreshold"],  # type: ignore[arg-type]
-        restricted_accept_threshold=out["restrictedAcceptThreshold"],  # type: ignore[arg-type]
-        reliability_threshold=out["reliabilityThreshold"],  # type: ignore[arg-type]
-        easy_level_cap=out["easyLevelCap"],  # type: ignore[arg-type]
-        trainer_bonus_per_task=out["trainerBonusPerTask"],  # type: ignore[arg-type]
-        trainer_exit_bonus=out["trainerExitBonus"],  # type: ignore[arg-type]
-        high_performer_good_chance=out["highPerformerGoodChance"],  # type: ignore[arg-type]
-        utility_failure_penalty=out["utilityFailurePenalty"],  # type: ignore[arg-type]
-        mc_draws=out["mcDraws"],  # type: ignore[arg-type]
-    )
+    return SimConfig(**{f.name: out[key] for key, f in _CONFIG_KEYS.items()})
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -399,31 +330,6 @@ def load_config(path: str, overrides: dict | None = None) -> SimConfig:
 
 def config_echo(cfg: SimConfig) -> str:
     """Render a normalized config in the flat file format (round-trips via load)."""
-    lines = [
-        f"seed = {cfg.seed}",
-        f"scenario = {cfg.scenario.value}",
-        f"policy = {cfg.policy.value}",
-        f"shiftLength = {cfg.shift_length!r}",
-        "doctors = " + ", ".join(f"{i}:{s.value}" for i, s in cfg.doctors),
-        "nurses = " + ", ".join(f"{i}:{q.value}" for i, q in cfg.nurses),
-        f"bedCount = {cfg.bed_count}",
-        f"bedsPerDoctor = {cfg.beds_per_doctor}",
-        f"examDuration = {cfg.exam_duration!r}",
-        f"travelTime = {cfg.travel_time!r}",
-        f"prepTime = {cfg.prep_time!r}",
-        f"initialSpawnInterval = {cfg.initial_spawn_interval!r}",
-        f"tasksPerPatient = {cfg.tasks_per_patient}",
-        "trueLevelDistribution = " + ", ".join(repr(p) for p in cfg.true_level_distribution),
-        f"trustInit = {cfg.trust_init!r}",
-        f"trustLearningRate = {cfg.trust_learning_rate!r}",
-        f"acceptThreshold = {cfg.accept_threshold!r}",
-        f"restrictedAcceptThreshold = {cfg.restricted_accept_threshold!r}",
-        f"reliabilityThreshold = {cfg.reliability_threshold!r}",
-        f"easyLevelCap = {cfg.easy_level_cap}",
-        f"trainerBonusPerTask = {cfg.trainer_bonus_per_task!r}",
-        f"trainerExitBonus = {cfg.trainer_exit_bonus!r}",
-        f"highPerformerGoodChance = {cfg.high_performer_good_chance!r}",
-        f"utilityFailurePenalty = {'on' if cfg.utility_failure_penalty else 'off'}",
-        f"mcDraws = {cfg.mc_draws}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key} = {_KINDS[f.metadata['kind']].render(getattr(cfg, f.name))}\n" for key, f in _CONFIG_KEYS.items()
+    )

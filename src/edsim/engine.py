@@ -20,7 +20,7 @@ from .behavior import (
     judge_outcome,
 )
 from .domain import NurseQuality, Policy, Rng, Scenario, SimConfig, sample_true_level
-from .metrics import RunRecord, ShiftMetrics, accrue_delay, record_task_completion
+from .metrics import DoctorTotals, NurseTotals, RunRecord, ShiftMetrics, accrue_delay, record_task_completion
 from .policy import (
     Reason,
     ScenarioSignal,
@@ -146,7 +146,7 @@ class _ShiftSim:
         for idx, (doctor_id, style) in enumerate(cfg.doctors):
             beds = tuple(range(idx * cfg.beds_per_doctor + 1, (idx + 1) * cfg.beds_per_doctor + 1))
             self.doctors[doctor_id] = DoctorRuntime(id=doctor_id, style=style, beds=beds)
-            self.metrics.register_doctor(doctor_id)
+            self.metrics.doctors[doctor_id] = DoctorTotals()
         self._doctor_of_bed = {
             bed: doctor_id for doctor_id in doctor_ids for bed in self.doctors[doctor_id].beds
         }
@@ -156,7 +156,7 @@ class _ShiftSim:
             self.nurses[nurse_id] = NurseRuntime(
                 id=nurse_id, quality=quality, role=ROLE_REGULAR, trust=TrustState.fresh(cfg)
             )
-            self.metrics.register_nurse(nurse_id)
+            self.metrics.nurses[nurse_id] = NurseTotals()
 
         self.beds: dict[int, Optional[int]] = {bed: None for bed in self._doctor_of_bed}
         self.patients: dict[int, Patient] = {}
@@ -274,7 +274,7 @@ class _ShiftSim:
         request.status = RequestStatus.EXECUTING
         request.execution_start_at = self.now
         accrue_delay(self.metrics, request, self.cfg.shift_length)
-        sample = get_task_duration(
+        request.actual_duration = get_task_duration(
             nurse.quality,
             self._training_mode(nurse),
             nurse.observed_tasks,
@@ -282,11 +282,10 @@ class _ShiftSim:
             self.cfg,
             self.rng,
         )
-        request.actual_duration = sample.seconds
         # Observation credit requires the trainer to witness the execution from
         # its start; attach events later in time do not count this task.
         request_observed = nurse.trainer_attached
-        self._schedule(self.now + sample.seconds, TASK_COMPLETE, (nurse.id, request.id, int(request_observed)))
+        self._schedule(self.now + request.actual_duration, TASK_COMPLETE, (nurse.id, request.id, int(request_observed)))
         return str(nurse_id), str(request_id)
 
     def _spawn_replacement(self) -> None:
@@ -297,7 +296,7 @@ class _ShiftSim:
             role=ROLE_REPLACEMENT,
             trust=TrustState.fresh(self.cfg),
         )
-        self.metrics.register_nurse(new_id)
+        self.metrics.nurses[new_id] = NurseTotals()
         self._schedule(self.now, NURSE_DECIDE, (new_id, 0))
 
     def _handle_task_complete(self, nurse_id: int, request_id: int, observed: int) -> tuple[str, str]:
@@ -311,7 +310,7 @@ class _ShiftSim:
             nurse.trust, signal = update_trust(
                 nurse.trust, request.requested_level, request.outcome.success, self.cfg, self.now
             )
-            self.metrics.classified_low_at_by_nurse[nurse.id] = nurse.trust.classified_low_at
+            self.metrics.nurses[nurse.id].classified_low_at = nurse.trust.classified_low_at
             if signal is ScenarioSignal.SPAWN_REPLACEMENT:
                 self._spawn_replacement()
             elif signal is ScenarioSignal.ATTACH_TRAINER:
@@ -320,7 +319,7 @@ class _ShiftSim:
 
         if observed:
             nurse.observed_tasks += 1
-            self.metrics.observed_by_nurse[nurse.id] = nurse.observed_tasks
+            self.metrics.nurses[nurse.id].observed_tasks = nurse.observed_tasks
             if nurse.trainer_attached and trainer_should_exit(nurse.observed_tasks, self.cfg):
                 self._schedule(self.now, TRAINER_EXIT, (nurse.id,))
 
@@ -352,26 +351,21 @@ class _ShiftSim:
         for i, bed in enumerate(order):
             self._schedule(i * cfg.initial_spawn_interval, PATIENT_SPAWN, (bed,))
 
+        handlers = {
+            PATIENT_SPAWN: self._spawn_patient,
+            EXAM_COMPLETE: self._handle_exam_complete,
+            NURSE_DECIDE: self._handle_nurse_decide,
+            EXECUTION_START: self._handle_execution_start,
+            TASK_COMPLETE: self._handle_task_complete,
+            TRAINER_EXIT: self._handle_trainer_exit,
+        }
         while self._heap:
             time, seq, kind, args = heapq.heappop(self._heap)
             self.now = time
             if kind == SHIFT_END:
                 self.trace.append((time, seq, kind, "", ""))
                 break
-            if kind == PATIENT_SPAWN:
-                actor, obj = self._spawn_patient(*args)
-            elif kind == EXAM_COMPLETE:
-                actor, obj = self._handle_exam_complete(*args)
-            elif kind == NURSE_DECIDE:
-                actor, obj = self._handle_nurse_decide(*args)
-            elif kind == EXECUTION_START:
-                actor, obj = self._handle_execution_start(*args)
-            elif kind == TASK_COMPLETE:
-                actor, obj = self._handle_task_complete(*args)
-            elif kind == TRAINER_EXIT:
-                actor, obj = self._handle_trainer_exit(*args)
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown event kind {kind!r}")
+            actor, obj = handlers[kind](*args)
             self.trace.append((time, seq, kind, actor, obj))
 
         return self._finalize()

@@ -3,64 +3,54 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 
 class SchemaError(ValueError):
     """A CSV file or run record does not match the expected schema."""
 
 
-RUNS_HEADER = "run_id,seed,scenario,policy,shift_length_s,patients_served,total_time_damage_s,total_delay_s"
-DOCTORS_HEADER = "run_id,doctor_id,style,patients_served,time_damage_s,delay_s,eval_accuracy"
-NURSES_HEADER = (
-    "run_id,nurse_id,quality,role,tasks_success,tasks_failed,utility,"
-    "time_damage_s,observed_tasks,classified_low_at_s"
-)
+@dataclass
+class DoctorTotals:
+    """One doctor's share of a shift's metrics."""
+
+    served: int = 0
+    time_damage: float = 0.0
+    delay: float = 0.0
+    eval_hits: int = 0
+    eval_count: int = 0
+
+    @property
+    def eval_accuracy(self) -> Optional[float]:
+        """Share of completed requests whose requested level was the true level."""
+        return self.eval_hits / self.eval_count if self.eval_count else None
+
+
+@dataclass
+class NurseTotals:
+    """One nurse's share of a shift's metrics."""
+
+    tasks_success: int = 0
+    tasks_failed: int = 0
+    utility: int = 0
+    time_damage: float = 0.0
+    observed_tasks: int = 0
+    classified_low_at: Optional[float] = None
 
 
 @dataclass
 class ShiftMetrics:
-    """Running totals plus per-agent breakdowns for one shift."""
+    """Running totals plus one record per doctor and per nurse for one shift."""
 
     patients_served: int = 0
     time_damage: float = 0.0
     delay: float = 0.0
-    served_by_doctor: dict = field(default_factory=dict)
-    damage_by_doctor: dict = field(default_factory=dict)
-    delay_by_doctor: dict = field(default_factory=dict)
-    eval_hits_by_doctor: dict = field(default_factory=dict)
-    eval_counts_by_doctor: dict = field(default_factory=dict)
-    damage_by_nurse: dict = field(default_factory=dict)
-    success_by_nurse: dict = field(default_factory=dict)
-    failed_by_nurse: dict = field(default_factory=dict)
-    utility_by_nurse: dict = field(default_factory=dict)
-    observed_by_nurse: dict = field(default_factory=dict)
-    classified_low_at_by_nurse: dict = field(default_factory=dict)
-
-    def register_doctor(self, doctor_id: int) -> None:
-        self.served_by_doctor.setdefault(doctor_id, 0)
-        self.damage_by_doctor.setdefault(doctor_id, 0.0)
-        self.delay_by_doctor.setdefault(doctor_id, 0.0)
-        self.eval_hits_by_doctor.setdefault(doctor_id, 0)
-        self.eval_counts_by_doctor.setdefault(doctor_id, 0)
-
-    def register_nurse(self, nurse_id: int) -> None:
-        self.damage_by_nurse.setdefault(nurse_id, 0.0)
-        self.success_by_nurse.setdefault(nurse_id, 0)
-        self.failed_by_nurse.setdefault(nurse_id, 0)
-        self.utility_by_nurse.setdefault(nurse_id, 0)
-        self.observed_by_nurse.setdefault(nurse_id, 0)
-        self.classified_low_at_by_nurse.setdefault(nurse_id, None)
+    doctors: dict[int, DoctorTotals] = field(default_factory=dict)
+    nurses: dict[int, NurseTotals] = field(default_factory=dict)
 
     def mark_served(self, doctor_id: int) -> None:
         self.patients_served += 1
-        self.served_by_doctor[doctor_id] += 1
-
-    def eval_accuracy(self, doctor_id: int) -> Optional[float]:
-        count = self.eval_counts_by_doctor[doctor_id]
-        if count == 0:
-            return None
-        return self.eval_hits_by_doctor[doctor_id] / count
+        self.doctors[doctor_id].served += 1
 
 
 def accrue_delay(metrics: ShiftMetrics, request, shift_length: float) -> float:
@@ -74,26 +64,26 @@ def accrue_delay(metrics: ShiftMetrics, request, shift_length: float) -> float:
     else:
         waited = shift_length - request.issued_at
     metrics.delay += waited
-    metrics.delay_by_doctor[request.doctor] += waited
+    metrics.doctors[request.doctor].delay += waited
     return waited
 
 
 def record_task_completion(metrics: ShiftMetrics, request) -> None:
     """Fold one completed request's outcome into the shift metrics."""
     outcome = request.outcome
-    nurse = request.executed_by
-    doctor = request.doctor
+    nurse = metrics.nurses[request.executed_by]
+    doctor = metrics.doctors[request.doctor]
     metrics.time_damage += outcome.time_damage
-    metrics.damage_by_nurse[nurse] += outcome.time_damage
-    metrics.damage_by_doctor[doctor] += outcome.time_damage
+    nurse.time_damage += outcome.time_damage
+    doctor.time_damage += outcome.time_damage
     if outcome.success:
-        metrics.success_by_nurse[nurse] += 1
+        nurse.tasks_success += 1
     else:
-        metrics.failed_by_nurse[nurse] += 1
-    metrics.utility_by_nurse[nurse] += outcome.utility_delta
-    metrics.eval_counts_by_doctor[doctor] += 1
+        nurse.tasks_failed += 1
+    nurse.utility += outcome.utility_delta
+    doctor.eval_count += 1
     if request.requested_level == request.true_level:
-        metrics.eval_hits_by_doctor[doctor] += 1
+        doctor.eval_hits += 1
 
 
 @dataclass
@@ -110,74 +100,80 @@ class RunRecord:
     nurse_info: dict  # nurse id -> (quality token, role token)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+class _Cell(NamedTuple):
+    write: Callable[[Any], str]
+    read: Callable[[str], Any]
 
 
-def _runs_row(rec: RunRecord) -> str:
-    m = rec.metrics
-    return ",".join(
-        [
-            rec.run_id,
-            str(rec.seed),
-            rec.scenario,
-            rec.policy,
-            _fmt(rec.shift_length),
-            str(m.patients_served),
-            _fmt(m.time_damage),
-            _fmt(m.delay),
-        ]
-    )
+_STR = _Cell(str, str)
+_INT = _Cell(str, int)
+_REAL = _Cell("{:.6f}".format, float)  # six decimals keep the files byte-deterministic
+_OPT_REAL = _Cell(lambda v: "" if v is None else f"{v:.6f}", lambda c: None if c == "" else float(c))
 
 
-def _doctor_rows(rec: RunRecord) -> list[str]:
-    m = rec.metrics
-    rows = []
-    for doctor_id in sorted(rec.doctor_styles):
-        if doctor_id not in m.served_by_doctor:
-            raise SchemaError(f"run {rec.run_id}: no metrics for doctor {doctor_id}")
-        acc = m.eval_accuracy(doctor_id)
-        rows.append(
-            ",".join(
-                [
-                    rec.run_id,
-                    str(doctor_id),
-                    rec.doctor_styles[doctor_id],
-                    str(m.served_by_doctor[doctor_id]),
-                    _fmt(m.damage_by_doctor[doctor_id]),
-                    _fmt(m.delay_by_doctor[doctor_id]),
-                    "" if acc is None else _fmt(acc),
-                ]
-            )
-        )
-    return rows
+class Column(NamedTuple):
+    """One CSV column: header name, cell kind, and the value getter.
+
+    Every getter takes (record, agent id, totals); a runs row passes the
+    shift's own metrics as its totals and no agent id.
+    """
+
+    name: str
+    cell: _Cell
+    get: Callable[[RunRecord, Any, Any], Any]
 
 
-def _nurse_rows(rec: RunRecord) -> list[str]:
-    m = rec.metrics
-    rows = []
-    for nurse_id in sorted(rec.nurse_info):
-        if nurse_id not in m.success_by_nurse:
-            raise SchemaError(f"run {rec.run_id}: no metrics for nurse {nurse_id}")
-        quality, role = rec.nurse_info[nurse_id]
-        classified = m.classified_low_at_by_nurse[nurse_id]
-        rows.append(
-            ",".join(
-                [
-                    rec.run_id,
-                    str(nurse_id),
-                    quality,
-                    role,
-                    str(m.success_by_nurse[nurse_id]),
-                    str(m.failed_by_nurse[nurse_id]),
-                    str(m.utility_by_nurse[nurse_id]),
-                    _fmt(m.damage_by_nurse[nurse_id]),
-                    str(m.observed_by_nurse[nurse_id]),
-                    "" if classified is None else _fmt(classified),
-                ]
-            )
-        )
-    return rows
+_RUN_ID = Column("run_id", _STR, lambda rec, _, t: rec.run_id)
+
+RUNS_COLUMNS = (
+    _RUN_ID,
+    Column("seed", _INT, lambda rec, _, t: rec.seed),
+    Column("scenario", _STR, lambda rec, _, t: rec.scenario),
+    Column("policy", _STR, lambda rec, _, t: rec.policy),
+    Column("shift_length_s", _REAL, lambda rec, _, t: rec.shift_length),
+    Column("patients_served", _INT, lambda rec, _, t: t.patients_served),
+    Column("total_time_damage_s", _REAL, lambda rec, _, t: t.time_damage),
+    Column("total_delay_s", _REAL, lambda rec, _, t: t.delay),
+)
+DOCTORS_COLUMNS = (
+    _RUN_ID,
+    Column("doctor_id", _INT, lambda rec, i, t: i),
+    Column("style", _STR, lambda rec, i, t: rec.doctor_styles[i]),
+    Column("patients_served", _INT, lambda rec, i, t: t.served),
+    Column("time_damage_s", _REAL, lambda rec, i, t: t.time_damage),
+    Column("delay_s", _REAL, lambda rec, i, t: t.delay),
+    Column("eval_accuracy", _OPT_REAL, lambda rec, i, t: t.eval_accuracy),
+)
+NURSES_COLUMNS = (
+    _RUN_ID,
+    Column("nurse_id", _INT, lambda rec, i, t: i),
+    Column("quality", _STR, lambda rec, i, t: rec.nurse_info[i][0]),
+    Column("role", _STR, lambda rec, i, t: rec.nurse_info[i][1]),
+    Column("tasks_success", _INT, lambda rec, i, t: t.tasks_success),
+    Column("tasks_failed", _INT, lambda rec, i, t: t.tasks_failed),
+    Column("utility", _INT, lambda rec, i, t: t.utility),
+    Column("time_damage_s", _REAL, lambda rec, i, t: t.time_damage),
+    Column("observed_tasks", _INT, lambda rec, i, t: t.observed_tasks),
+    Column("classified_low_at_s", _OPT_REAL, lambda rec, i, t: t.classified_low_at),
+)
+
+
+def _header(columns: tuple[Column, ...]) -> str:
+    return ",".join(c.name for c in columns)
+
+
+RUNS_HEADER = _header(RUNS_COLUMNS)
+DOCTORS_HEADER = _header(DOCTORS_COLUMNS)
+NURSES_HEADER = _header(NURSES_COLUMNS)
+
+
+def _row(columns: tuple[Column, ...], rec: RunRecord, agent_id, totals) -> str:
+    return ",".join(c.cell.write(c.get(rec, agent_id, totals)) for c in columns)
+
+
+def runs_row(rec: RunRecord) -> str:
+    """The run's `runs.csv` line, without the newline."""
+    return _row(RUNS_COLUMNS, rec, None, rec.metrics)
 
 
 def write_csvs(records: list[RunRecord], out_dir: str) -> dict[str, str]:
@@ -188,18 +184,18 @@ def write_csvs(records: list[RunRecord], out_dir: str) -> dict[str, str]:
     """
     os.makedirs(out_dir, exist_ok=True)
     ordered = sorted(records, key=lambda r: r.run_id)
-    files = {
-        "runs": (RUNS_HEADER, [_runs_row(r) for r in ordered]),
-        "doctors": (DOCTORS_HEADER, [row for r in ordered for row in _doctor_rows(r)]),
-        "nurses": (NURSES_HEADER, [row for r in ordered for row in _nurse_rows(r)]),
+    tables = {
+        "runs": (RUNS_COLUMNS, [(r, None, r.metrics) for r in ordered]),
+        "doctors": (DOCTORS_COLUMNS, [(r, i, r.metrics.doctors[i]) for r in ordered for i in sorted(r.doctor_styles)]),
+        "nurses": (NURSES_COLUMNS, [(r, i, r.metrics.nurses[i]) for r in ordered for i in sorted(r.nurse_info)]),
     }
     paths = {}
-    for name, (header, rows) in files.items():
+    for name, (columns, rows) in tables.items():
         path = os.path.join(out_dir, f"{name}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
+            fh.write(_header(columns) + "\n")
             for row in rows:
-                fh.write(row + "\n")
+                fh.write(_row(columns, *row) + "\n")
         paths[name] = path
     return paths
 
@@ -219,56 +215,21 @@ def _split_csv(path: str, header: str) -> list[list[str]]:
     return rows
 
 
+def _read(path: str, columns: tuple[Column, ...]) -> list[dict]:
+    """Typed rows of one CSV file, each a dict keyed by header name."""
+    return [
+        {c.name: c.cell.read(cell) for c, cell in zip(columns, cells)}
+        for cells in _split_csv(path, _header(columns))
+    ]
+
+
 def read_runs(path: str) -> list[dict]:
-    rows = []
-    for c in _split_csv(path, RUNS_HEADER):
-        rows.append(
-            {
-                "run_id": c[0],
-                "seed": int(c[1]),
-                "scenario": c[2],
-                "policy": c[3],
-                "shift_length_s": float(c[4]),
-                "patients_served": int(c[5]),
-                "total_time_damage_s": float(c[6]),
-                "total_delay_s": float(c[7]),
-            }
-        )
-    return rows
+    return _read(path, RUNS_COLUMNS)
 
 
 def read_doctors(path: str) -> list[dict]:
-    rows = []
-    for c in _split_csv(path, DOCTORS_HEADER):
-        rows.append(
-            {
-                "run_id": c[0],
-                "doctor_id": int(c[1]),
-                "style": c[2],
-                "patients_served": int(c[3]),
-                "time_damage_s": float(c[4]),
-                "delay_s": float(c[5]),
-                "eval_accuracy": None if c[6] == "" else float(c[6]),
-            }
-        )
-    return rows
+    return _read(path, DOCTORS_COLUMNS)
 
 
 def read_nurses(path: str) -> list[dict]:
-    rows = []
-    for c in _split_csv(path, NURSES_HEADER):
-        rows.append(
-            {
-                "run_id": c[0],
-                "nurse_id": int(c[1]),
-                "quality": c[2],
-                "role": c[3],
-                "tasks_success": int(c[4]),
-                "tasks_failed": int(c[5]),
-                "utility": int(c[6]),
-                "time_damage_s": float(c[7]),
-                "observed_tasks": int(c[8]),
-                "classified_low_at_s": None if c[9] == "" else float(c[9]),
-            }
-        )
-    return rows
+    return _read(path, NURSES_COLUMNS)

@@ -43,7 +43,7 @@ def low_nurse(results, field):
     out = []
     for r in results:
         ids = _nurse_ids(r, "low")
-        out.append(sum(getattr(r.metrics, field)[i] for i in ids))
+        out.append(sum(getattr(r.metrics.nurses[i], field) for i in ids))
     return out
 
 
@@ -51,7 +51,7 @@ def high_nurse(results, field):
     out = []
     for r in results:
         ids = _nurse_ids(r, "high", original_only=True)
-        out.append(sum(getattr(r.metrics, field)[i] for i in ids))
+        out.append(sum(getattr(r.metrics.nurses[i], field) for i in ids))
     return out
 
 
@@ -80,7 +80,7 @@ def test_criterion_01_algorithm_tables():
 def test_criterion_02_zero_success_law(acceptance_grids):
     for base, grid in acceptance_grids.items():
         for combo in ("baseline-ca", "baseline-fifo", "replacement-ca"):
-            successes = low_nurse(grid[combo], "success_by_nurse")
+            successes = low_nurse(grid[combo], "tasks_success")
             assert successes == [0] * len(successes), f"{combo}@{base}: {successes}"
     print("ACCEPTANCE 02 PASS - low performer tasks_success == 0 in all 60 runs x 3 combos x 3 bases")
 
@@ -114,8 +114,8 @@ def test_criterion_05_delay_ordering(acceptance_grids):
 
 def test_criterion_06_low_performer_failures(acceptance_grids):
     for base, grid in acceptance_grids.items():
-        fifo = low_nurse(grid["baseline-fifo"], "failed_by_nurse")
-        ca = low_nurse(grid["baseline-ca"], "failed_by_nurse")
+        fifo = low_nurse(grid["baseline-fifo"], "tasks_failed")
+        ca = low_nurse(grid["baseline-ca"], "tasks_failed")
         assert statistics.mean(fifo) > statistics.mean(ca)
         p = wilcoxon_p(fifo, ca)
         assert p < 0.01, f"base {base}: p={p}"
@@ -136,12 +136,12 @@ def test_criterion_07_replacement_effects(acceptance_grids):
 
 def test_criterion_08_training_effects(acceptance_grids):
     for base, grid in acceptance_grids.items():
-        trainee_succ = low_nurse(grid["training-ca"], "success_by_nurse")
+        trainee_succ = low_nurse(grid["training-ca"], "tasks_success")
         share = sum(1 for v in trainee_succ if v > 0) / len(trainee_succ)
         assert share >= 0.90, f"base {base}: trainee succeeded in {share:.0%} of runs"
 
-        train_fail = low_nurse(grid["training-ca"], "failed_by_nurse")
-        base_fail = low_nurse(grid["baseline-ca"], "failed_by_nurse")
+        train_fail = low_nurse(grid["training-ca"], "tasks_failed")
+        base_fail = low_nurse(grid["baseline-ca"], "tasks_failed")
         assert statistics.mean(train_fail) > statistics.mean(base_fail)
         p1 = wilcoxon_p(train_fail, base_fail)
 
@@ -166,15 +166,15 @@ def test_criterion_09_replacement_vs_training(acceptance_grids):
                 assert statistics.mean(repl) < statistics.mean(train)
             p = wilcoxon_p(repl, train)
             assert p < 0.05, f"base {base}: p={p}"
-        train_succ = low_nurse(grid["training-ca"], "success_by_nurse")
-        repl_succ = low_nurse(grid["replacement-ca"], "success_by_nurse")
+        train_succ = low_nurse(grid["training-ca"], "tasks_success")
+        repl_succ = low_nurse(grid["replacement-ca"], "tasks_success")
         assert statistics.mean(train_succ) > statistics.mean(repl_succ) == 0.0
     print("ACCEPTANCE 09 PASS - replacement beats training on throughput/damage/delay; trainee succeeds more")
 
 
 def test_criterion_10_high_performer_stability(acceptance_grids):
     for base, grid in acceptance_grids.items():
-        groups = {combo: high_nurse(grid[combo], "failed_by_nurse") for combo in COMBOS}
+        groups = {combo: high_nurse(grid[combo], "tasks_failed") for combo in COMBOS}
         means = {combo: statistics.mean(v) for combo, v in groups.items()}
         pooled = [v for vs in groups.values() for v in vs]
         pooled_sd = statistics.stdev(pooled)
@@ -237,10 +237,10 @@ def test_criterion_13_conservation_suite(acceptance_grids):
                 audit, m = r.audit, r.metrics
                 assert audit["patients_spawned"] == audit["patients_served"] + audit["patients_in_system"]
                 assert audit["patients_in_system"] == audit["beds_occupied"]
-                assert m.patients_served == sum(m.served_by_doctor.values())
-                assert abs(m.time_damage - sum(m.damage_by_nurse.values())) < 1e-9
-                assert abs(m.time_damage - sum(m.damage_by_doctor.values())) < 1e-9
-                assert abs(m.delay - sum(m.delay_by_doctor.values())) < 1e-9
+                assert m.patients_served == sum(d.served for d in m.doctors.values())
+                assert abs(m.time_damage - sum(n.time_damage for n in m.nurses.values())) < 1e-9
+                assert abs(m.time_damage - sum(d.time_damage for d in m.doctors.values())) < 1e-9
+                assert abs(m.delay - sum(d.delay for d in m.doctors.values())) < 1e-9
                 starts = [o for _, _, k, _, o in r.trace if k == "execution_start"]
                 assert len(starts) == len(set(starts))
                 census = audit["requests"]

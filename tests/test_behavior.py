@@ -86,17 +86,16 @@ def test_training_bonus_chance():
 
 def test_high_performer_good_roll_hits_base():
     cfg = validate_config({})
-    sample = get_task_duration(NurseQuality.HIGH, False, 0, 3, cfg, ScriptedRng([0.5]))
-    assert sample.seconds == 40.0
-    assert not sample.drew_bonus
-    assert sample.draws == 1
+    rng = ScriptedRng([0.5])
+    assert get_task_duration(NurseQuality.HIGH, False, 0, 3, cfg, rng) == 40.0
+    assert rng.draw_count == 1
 
 
 def test_high_performer_bad_roll_overruns():
     cfg = validate_config({})
-    sample = get_task_duration(NurseQuality.HIGH, False, 0, 3, cfg, ScriptedRng([0.95, 0.5]))
-    assert sample.seconds == 45.0
-    assert sample.draws == 2
+    rng = ScriptedRng([0.95, 0.5])
+    assert get_task_duration(NurseQuality.HIGH, False, 0, 3, cfg, rng) == 45.0
+    assert rng.draw_count == 2
 
 
 def test_low_performer_always_overruns_untrained():
@@ -104,27 +103,24 @@ def test_low_performer_always_overruns_untrained():
     rng = Rng(17)
     for _ in range(2000):
         before = rng.draw_count
-        sample = get_task_duration(NurseQuality.LOW, False, 0, 5, cfg, rng)
-        assert 20.0 <= sample.seconds < 30.0
-        assert sample.draws == 1
+        seconds = get_task_duration(NurseQuality.LOW, False, 0, 5, cfg, rng)
+        assert 20.0 <= seconds < 30.0
         assert rng.draw_count - before == 1
 
 
 def test_trainee_with_saturated_bonus_hits_base():
     # clamp(10 * 0.1) = 1.0 forces the bonus branch regardless of the roll.
     cfg = validate_config({})
-    sample = get_task_duration(NurseQuality.LOW, True, 10, 1, cfg, ScriptedRng([0.3]))
-    assert sample.seconds == 60.0
-    assert sample.drew_bonus
-    assert sample.draws == 1
+    rng = ScriptedRng([0.3])
+    assert get_task_duration(NurseQuality.LOW, True, 10, 1, cfg, rng) == 60.0
+    assert rng.draw_count == 1  # the bonus roll alone: no overrun draw followed
 
 
 def test_trainee_missed_bonus_consumes_two_draws():
     cfg = validate_config({})
-    sample = get_task_duration(NurseQuality.LOW, True, 2, 4, cfg, ScriptedRng([0.9, 0.0]))
-    assert sample.seconds == 30.0
-    assert not sample.drew_bonus
-    assert sample.draws == 2
+    rng = ScriptedRng([0.9, 0.0])
+    assert get_task_duration(NurseQuality.LOW, True, 2, 4, cfg, rng) == 30.0
+    assert rng.draw_count == 2  # the missed bonus roll, then the overrun draw
 
 
 def test_high_performer_empirical_success_rate():
@@ -134,8 +130,8 @@ def test_high_performer_empirical_success_rate():
     trials = 100_000
     successes = 0
     for _ in range(trials):
-        sample = get_task_duration(NurseQuality.HIGH, False, 0, 3, cfg, rng)
-        if judge_outcome(sample.seconds, 3, cfg).success:
+        seconds = get_task_duration(NurseQuality.HIGH, False, 0, 3, cfg, rng)
+        if judge_outcome(seconds, 3, cfg).success:
             successes += 1
     assert abs(successes / trials - cfg.high_performer_good_chance) < 0.01
 
@@ -145,10 +141,11 @@ def test_trainee_success_monotone_in_observations():
     rates = []
     for observed in (0, 3, 6, 9):
         rng = Rng(500 + observed)
-        wins = sum(
-            get_task_duration(NurseQuality.LOW, True, observed, 2, cfg, rng).drew_bonus
-            for _ in range(20_000)
-        )
+        wins = 0
+        for _ in range(20_000):
+            before = rng.draw_count
+            get_task_duration(NurseQuality.LOW, True, observed, 2, cfg, rng)
+            wins += rng.draw_count - before == 1  # a bonus hit needs no overrun draw
         rates.append(wins / 20_000)
     assert rates == sorted(rates)
 

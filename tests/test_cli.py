@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import edsim
 from edsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 from edsim.metrics import read_runs
 
@@ -61,6 +64,23 @@ def test_run_bad_key_names_key(tmp_path, capsys):
     cfg = write_config(tmp_path / "bad.cfg", "trustLearningRate = 7\n")
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "trustLearningRate" in capsys.readouterr().err
+
+
+def test_run_reports_first_bad_key_whatever_the_hash_seed(tmp_path):
+    # Several keys are bad at once; the one reported must not depend on
+    # set iteration order, which varies with PYTHONHASHSEED.
+    cfg = write_config(tmp_path / "bad.cfg", "prepTime = -1\ntravelTime = -1\nexamDuration = -1\nshiftLength = -1\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(edsim.__file__)))
+    keys = set()
+    for hash_seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "edsim", "run", cfg, "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == EXIT_CONFIG
+        keys.add(done.stderr.split("(key: ", 1)[1].split(")", 1)[0])
+    assert keys == {"shiftLength"}
 
 
 def test_run_unreadable_config_exits_3(tmp_path):
@@ -151,6 +171,34 @@ def test_analyze_roster_mismatch_exits_5(tmp_path, capsys):
     code = main(["analyze", str(out_a / "baseline-ca"), str(out_b / "baseline-ca"), "--out", str(tmp_path / "x")])
     assert code == EXIT_SCHEMA
     assert "nurse 1" in capsys.readouterr().err
+
+
+def test_analyze_mc_draws_below_one_exits_2(tmp_path, capsys):
+    out = tmp_path / "exp"
+    main(["experiment", "--runs", "3", "--seed-base", "1", "--combo", "baseline-ca", "--out", str(out)])
+    exp = str(out / "baseline-ca")
+    assert main(["analyze", exp, exp, "--mc-draws", "0", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "--mc-draws" in capsys.readouterr().err
+
+
+def test_analyze_accepts_legacy_echo_with_mc_draws(tmp_path):
+    out = tmp_path / "exp"
+    main(["experiment", "--runs", "3", "--seed-base", "1", "--combo", "baseline-ca", "--out", str(out)])
+    echo = out / "baseline-ca" / "config.echo"
+    echo.write_text(echo.read_text(encoding="utf-8") + "mcDraws = 10000\n", encoding="utf-8")
+    exp = str(out / "baseline-ca")
+    assert main(["analyze", exp, exp, "--mc-draws", "200", "--out", str(tmp_path / "x")]) == EXIT_OK
+
+
+def test_analyze_malformed_echo_exits_5(tmp_path, capsys):
+    out = tmp_path / "exp"
+    main(["experiment", "--runs", "3", "--seed-base", "1", "--combo", "baseline-ca", "--out", str(out)])
+    echo = out / "baseline-ca" / "config.echo"
+    echo.write_text(echo.read_text(encoding="utf-8").replace("trustInit = 0.5", "trustInit = banana"), encoding="utf-8")
+    exp = str(out / "baseline-ca")
+    assert main(["analyze", exp, exp, "--out", str(tmp_path / "x")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert str(echo) in err and "trustInit" in err
 
 
 def test_analyze_missing_dir_exits_3(tmp_path):

@@ -72,9 +72,9 @@ def test_hand_traced_single_bed_timeline(monkeypatch):
     assert result.audit["patients_spawned"] == 3
     assert m.delay == pytest.approx(15.0)
     assert m.time_damage == 0.0
-    assert m.success_by_nurse[1] == 2
-    assert m.failed_by_nurse[1] == 0
-    assert m.utility_by_nurse[1] == 10
+    assert m.nurses[1].tasks_success == 2
+    assert m.nurses[1].tasks_failed == 0
+    assert m.nurses[1].utility == 10
     assert result.audit["requests"] == {"pending": 0, "claimed": 0, "executing": 1, "done": 2}
     # Draw order: one per spawn, one good roll per execution start.
     assert result.audit["rng_draws"] == 6
@@ -182,7 +182,7 @@ def test_replacement_spawns_on_third_failure():
     result = run_shift(cfg)
     assert result.nurse_info[2] == ("high", "replacement")
     completions = [t for t, _, k, a, _ in result.trace if k == "task_complete" and a == "1"]
-    classified_at = result.metrics.classified_low_at_by_nurse[1]
+    classified_at = result.metrics.nurses[1].classified_low_at
     # Reliability walks 1.0 -> 0.7 -> 0.49 -> 0.343: the third completion trips it.
     assert classified_at == completions[2]
     first_decide_n2 = min(t for t, _, k, a, _ in result.trace if k == "nurse_decide" and a == "2")
@@ -196,7 +196,7 @@ def test_replacement_nurse_starts_fresh_and_executes():
     assert repl_ids, "expected a replacement nurse with the case-study roster"
     nid = repl_ids[0]
     m = result.metrics
-    assert m.success_by_nurse[nid] + m.failed_by_nurse[nid] > 0
+    assert m.nurses[nid].tasks_success + m.nurses[nid].tasks_failed > 0
 
 
 def test_trainer_attaches_observes_nine_and_exits():
@@ -214,8 +214,8 @@ def test_trainer_attaches_observes_nine_and_exits():
     assert len(exits) == 1
     # Exit fires once the bonus chance reaches 0.9, i.e. the ninth observation,
     # and the observation count persists afterwards.
-    assert result.metrics.observed_by_nurse[1] == 9
-    classified_at = result.metrics.classified_low_at_by_nurse[1]
+    assert result.metrics.nurses[1].observed_tasks == 9
+    classified_at = result.metrics.nurses[1].classified_low_at
     assert classified_at is not None and classified_at < exits[0]
 
 
@@ -231,9 +231,9 @@ def test_classifying_completion_is_not_observed():
     )
     result = run_shift(cfg)
     completions = [t for t, _, k, a, _ in result.trace if k == "task_complete" and a == "1"]
-    classified_at = result.metrics.classified_low_at_by_nurse[1]
+    classified_at = result.metrics.nurses[1].classified_low_at
     observed_after = sum(1 for t in completions if t > classified_at)
-    assert result.metrics.observed_by_nurse[1] == min(observed_after, 9)
+    assert result.metrics.nurses[1].observed_tasks == min(observed_after, 9)
 
 
 @pytest.mark.parametrize("combo", list(COMBOS))
@@ -247,10 +247,10 @@ def test_conservation_and_consistency(combo, seed):
     assert audit["patients_in_system"] == audit["beds_occupied"]
     assert sum(audit["requests"].values()) == len(audit["executors"]) + audit["requests"]["pending"]
 
-    assert m.patients_served == sum(m.served_by_doctor.values())
-    assert m.time_damage == pytest.approx(sum(m.damage_by_doctor.values()))
-    assert m.time_damage == pytest.approx(sum(m.damage_by_nurse.values()))
-    assert m.delay == pytest.approx(sum(m.delay_by_doctor.values()))
+    assert m.patients_served == sum(d.served for d in m.doctors.values())
+    assert m.time_damage == pytest.approx(sum(d.time_damage for d in m.doctors.values()))
+    assert m.time_damage == pytest.approx(sum(n.time_damage for n in m.nurses.values()))
+    assert m.delay == pytest.approx(sum(d.delay for d in m.doctors.values()))
 
     # No request is executed twice and the clock never runs backwards.
     starts = [o for _, _, k, _, o in result.trace if k == "execution_start"]
@@ -262,7 +262,7 @@ def test_conservation_and_consistency(combo, seed):
 def test_correct_doctors_have_perfect_eval_accuracy():
     result = run_shift(make_config(seed=9))
     for doctor_id in (1, 2, 3):
-        acc = result.metrics.eval_accuracy(doctor_id)
+        acc = result.metrics.doctors[doctor_id].eval_accuracy
         if acc is not None:
             assert acc == 1.0
 

@@ -90,7 +90,6 @@ trainerBonusPerTask = 0.1
 trainerExitBonus = 0.9
 highPerformerGoodChance = 0.9
 utilityFailurePenalty = off
-mcDraws = 10000
 """
 
 

@@ -12,7 +12,8 @@ from edsim.metrics import (
     NURSES_HEADER,
     RUNS_HEADER,
     RunRecord,
-    SchemaError,
+    DoctorTotals,
+    NurseTotals,
     ShiftMetrics,
     accrue_delay,
     read_doctors,
@@ -35,12 +36,10 @@ class Req:
 
 
 def fresh_metrics(doctors=(1,), nurses=(1,)):
-    m = ShiftMetrics()
-    for d in doctors:
-        m.register_doctor(d)
-    for n in nurses:
-        m.register_nurse(n)
-    return m
+    return ShiftMetrics(
+        doctors={d: DoctorTotals() for d in doctors},
+        nurses={n: NurseTotals() for n in nurses},
+    )
 
 
 def test_accrue_delay_started_request():
@@ -48,7 +47,7 @@ def test_accrue_delay_started_request():
     waited = accrue_delay(m, Req(issued_at=10.0, execution_start_at=15.0), shift_length=3600.0)
     assert waited == 5.0
     assert m.delay == 5.0
-    assert m.delay_by_doctor[1] == 5.0
+    assert m.doctors[1].delay == 5.0
 
 
 def test_accrue_delay_never_started_truncates_at_horizon():
@@ -66,9 +65,9 @@ def test_record_success():
     m = fresh_metrics()
     req = Req(10.0, 15.0, outcome=TaskOutcome(True, 0.0, 3))
     record_task_completion(m, req)
-    assert m.success_by_nurse[1] == 1
-    assert m.failed_by_nurse[1] == 0
-    assert m.utility_by_nurse[1] == 3
+    assert m.nurses[1].tasks_success == 1
+    assert m.nurses[1].tasks_failed == 0
+    assert m.nurses[1].utility == 3
     assert m.time_damage == 0.0
 
 
@@ -77,9 +76,9 @@ def test_record_failure_damage_goes_everywhere():
     req = Req(10.0, 15.0, outcome=TaskOutcome(False, 7.3, -3))
     record_task_completion(m, req)
     assert m.time_damage == pytest.approx(7.3)
-    assert m.damage_by_nurse[1] == pytest.approx(7.3)
-    assert m.damage_by_doctor[1] == pytest.approx(7.3)
-    assert m.utility_by_nurse[1] == -3
+    assert m.nurses[1].time_damage == pytest.approx(7.3)
+    assert m.doctors[1].time_damage == pytest.approx(7.3)
+    assert m.nurses[1].utility == -3
 
 
 def test_totals_match_breakdowns_after_every_completion():
@@ -91,8 +90,8 @@ def test_totals_match_breakdowns_after_every_completion():
     ]
     for req in outcomes:
         record_task_completion(m, req)
-        assert m.time_damage == pytest.approx(sum(m.damage_by_nurse.values()))
-        assert m.time_damage == pytest.approx(sum(m.damage_by_doctor.values()))
+        assert m.time_damage == pytest.approx(sum(n.time_damage for n in m.nurses.values()))
+        assert m.time_damage == pytest.approx(sum(d.time_damage for d in m.doctors.values()))
 
 
 def test_eval_accuracy_correct_doctor_is_one():
@@ -100,7 +99,7 @@ def test_eval_accuracy_correct_doctor_is_one():
     for level in (1, 2, 3, 4, 5):
         req = Req(0.0, 1.0, requested_level=level, true_level=level, outcome=TaskOutcome(True, 0.0, level))
         record_task_completion(m, req)
-    assert m.eval_accuracy(1) == 1.0
+    assert m.doctors[1].eval_accuracy == 1.0
 
 
 @pytest.mark.parametrize(
@@ -116,12 +115,12 @@ def test_eval_accuracy_biased_doctor_converges(style, expected):
         requested = evaluate_performance_level(level, style)
         req = Req(0.0, 1.0, requested_level=requested, true_level=level, outcome=TaskOutcome(True, 0.0, 1))
         record_task_completion(m, req)
-    assert m.eval_accuracy(1) == pytest.approx(expected, abs=0.02)
+    assert m.doctors[1].eval_accuracy == pytest.approx(expected, abs=0.02)
 
 
 def test_eval_accuracy_without_completions_is_none():
     m = fresh_metrics()
-    assert m.eval_accuracy(1) is None
+    assert m.doctors[1].eval_accuracy is None
 
 
 def make_record(run_id="combo-00000007", seed=7, with_low_classified=True):
@@ -133,7 +132,7 @@ def make_record(run_id="combo-00000007", seed=7, with_low_classified=True):
     )
     accrue_delay(m, Req(10.0, 15.0), 100.0)
     if with_low_classified:
-        m.classified_low_at_by_nurse[1] = 42.5
+        m.nurses[1].classified_low_at = 42.5
     return RunRecord(
         run_id=run_id,
         seed=seed,
@@ -213,10 +212,3 @@ def test_never_classified_field_is_empty(tmp_path):
     write_csvs([make_record(with_low_classified=False)], str(tmp_path))
     lines = (tmp_path / "nurses.csv").read_text().splitlines()
     assert lines[1].endswith(",")  # empty classified_low_at_s cell
-
-
-def test_missing_agent_metrics_is_schema_error(tmp_path):
-    rec = make_record()
-    rec.nurse_info[3] = ("high", "replacement")  # metrics never registered nurse 3
-    with pytest.raises(SchemaError):
-        write_csvs([rec], str(tmp_path))

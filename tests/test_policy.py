@@ -209,7 +209,7 @@ def test_high_performer_rarely_classifies_low(acceptance_grids):
                 for nid, (quality, _) in r.nurse_info.items():
                     if quality == "high":
                         total += 1
-                        if r.metrics.classified_low_at_by_nurse[nid] is not None:
+                        if r.metrics.nurses[nid].classified_low_at is not None:
                             classified += 1
     assert total > 700
     assert classified / total < 0.05
