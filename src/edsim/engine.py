@@ -5,10 +5,20 @@ generator with a fixed draw order: one draw when a patient spawns (true
 difficulty) and the duration draws when a task execution starts.  Event
 processing is ordered by (time, insertion sequence), so identical configs and
 seeds replay identically.
+
+Pending requests wait in one FIFO queue per requested level.  Requests are
+issued in (issued_at, id) order, because the clock never goes back and ids only
+increase, so each queue stays sorted by the selectors' tie-break.  Eligibility
+and trust weight depend only on the requested level, so each level's best
+candidate is its queue's head, and a nurse decision hands the selector at most
+one head per level instead of every pending request.  The winner is therefore
+always a head and is claimed with `popleft`, which makes a decision cost
+O(levels) however many requests the shift has issued.
 """
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -19,7 +29,7 @@ from .behavior import (
     get_task_duration,
     judge_outcome,
 )
-from .domain import NurseQuality, Policy, Rng, Scenario, SimConfig, sample_true_level
+from .domain import LEVELS, NurseQuality, Policy, Rng, Scenario, SimConfig, sample_true_level
 from .metrics import DoctorTotals, NurseTotals, RunRecord, ShiftMetrics, accrue_delay, record_task_completion
 from .policy import (
     Reason,
@@ -97,6 +107,7 @@ class NurseRuntime:
     busy: bool = False
     trainer_attached: bool = False
     current_request: Optional[int] = None
+    decisions: dict = field(default_factory=lambda: {reason.value: 0 for reason in Reason})
 
 
 @dataclass
@@ -161,8 +172,11 @@ class _ShiftSim:
         self.beds: dict[int, Optional[int]] = {bed: None for bed in self._doctor_of_bed}
         self.patients: dict[int, Patient] = {}
         self.requests: dict[int, TaskRequest] = {}
+        # Pending requests by requested level (index level - 1), oldest first.
+        self._pending: tuple[deque, ...] = tuple(deque() for _ in LEVELS)
         self._next_patient_id = 1
         self._next_request_id = 1
+        self.stalled_at: Optional[float] = None
 
     # -- scheduling ---------------------------------------------------------
 
@@ -215,6 +229,7 @@ class _ShiftSim:
             )
             self._next_request_id += 1
             self.requests[request.id] = request
+            self._pending[requested - 1].append(request)
             patient.requests.append(request.id)
         self._broadcast()
         doctor.current_patient = None
@@ -228,11 +243,8 @@ class _ShiftSim:
             if not self.nurses[nurse_id].busy:
                 self._schedule(self.now, NURSE_DECIDE, (nurse_id, 0))
 
-    def _pending_requests(self) -> list[TaskRequest]:
-        return [r for r in self.requests.values() if r.status is RequestStatus.PENDING]
-
     def _select(self, nurse: NurseRuntime) -> SelectionDecision:
-        pending = self._pending_requests()
+        pending = [queue[0] for queue in self._pending if queue]
         if self.cfg.policy is Policy.FIFO:
             return select_request_fifo(pending)
         restricted = nurse.trust.classified_low_at is not None and not nurse.trainer_attached
@@ -246,10 +258,12 @@ class _ShiftSim:
         if nurse.busy:
             return str(nurse_id), ""
         decision = self._select(nurse)
+        nurse.decisions[decision.reason.value] += 1
         if decision.reason is not Reason.ACCEPTED:
             return str(nurse_id), ""
         request = decision.chosen
-        assert request.status is RequestStatus.PENDING
+        head = self._pending[request.requested_level - 1].popleft()
+        assert head is request and request.status is RequestStatus.PENDING
         request.status = RequestStatus.CLAIMED
         request.executed_by = nurse.id
         nurse.busy = True
@@ -361,8 +375,12 @@ class _ShiftSim:
         }
         while self._heap:
             time, seq, kind, args = heapq.heappop(self._heap)
-            self.now = time
+            last_event_at, self.now = self.now, time
             if kind == SHIFT_END:
+                # Stalled: nothing but the shift end was left to happen while
+                # requests still waited, so no nurse would ever claim them.
+                if not self._heap and any(self._pending):
+                    self.stalled_at = last_event_at
                 self.trace.append((time, seq, kind, "", ""))
                 break
             actor, obj = handlers[kind](*args)
@@ -388,6 +406,8 @@ class _ShiftSim:
                 r.id: r.executed_by for r in self.requests.values() if r.executed_by is not None
             },
             "rng_draws": self.rng.draw_count,
+            "decisions": {n.id: n.decisions for n in self.nurses.values()},
+            "stalled_at": self.stalled_at,
         }
         doctor_styles = {d.id: d.style.value for d in self.doctors.values()}
         nurse_info = {n.id: (n.quality.value, n.role) for n in self.nurses.values()}

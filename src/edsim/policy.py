@@ -48,7 +48,11 @@ class ScenarioSignal(Enum):
 
 
 def select_request_fifo(pending: Iterable) -> SelectionDecision:
-    """Take the earliest pending request; ties break on the smaller request id."""
+    """Take the earliest pending request; ties break on the smaller request id.
+
+    `pending` may be every pending request or only the oldest one of each
+    requested level: the earliest of those heads is the earliest of all.
+    """
     best = min(pending, key=lambda r: (r.issued_at, r.id), default=None)
     if best is None:
         return SelectionDecision(None, Reason.QUEUE_EMPTY)
@@ -62,12 +66,18 @@ def select_request_ca(
     pending: Iterable,
     cfg: SimConfig,
 ) -> SelectionDecision:
-    """Pick the pending request the nurse trusts herself most on, if any.
+    """Pick the pending request the nurse trusts itself most on, if any.
 
     While a trainer is attached every request is eligible.  A restricted
     (self-classified low) nurse only considers levels up to the easy cap and
-    only while her weight there clears the restricted threshold.  Otherwise a
+    only while its weight there clears the restricted threshold.  Otherwise a
     request is eligible when its level's weight clears the accept threshold.
+    Ties on weight break on the earlier issue time, then the smaller id.
+
+    `pending` may be every pending request or only the oldest one of each
+    requested level.  Eligibility and weight depend only on the level, so the
+    winner is always some level's oldest request, and the heads alone give the
+    same decision, including NONE_ELIGIBLE versus QUEUE_EMPTY.
     """
     pending = list(pending)
     if not pending:

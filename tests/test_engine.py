@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import edsim.engine as engine
-from edsim.engine import _ShiftSim, make_run_record, render_trace, run_shift
+from edsim.domain import LEVELS
+from edsim.engine import NURSE_DECIDE, RequestStatus, _ShiftSim, make_run_record, render_trace, run_shift
 from edsim.metrics import write_csvs
+from edsim.policy import select_request_ca, select_request_fifo
 
 from conftest import COMBOS, make_config
 
@@ -251,6 +255,7 @@ def test_conservation_and_consistency(combo, seed):
     assert m.time_damage == pytest.approx(sum(d.time_damage for d in m.doctors.values()))
     assert m.time_damage == pytest.approx(sum(n.time_damage for n in m.nurses.values()))
     assert m.delay == pytest.approx(sum(d.delay for d in m.doctors.values()))
+    assert sum(d["accepted"] for d in audit["decisions"].values()) == len(audit["executors"])
 
     # No request is executed twice and the clock never runs backwards.
     starts = [o for _, _, k, _, o in result.trace if k == "execution_start"]
@@ -281,3 +286,154 @@ def test_unstarted_requests_accrue_horizon_delay():
     # Request 1: issued 10, started 15 -> 5 s. Request 2: issued 20, never
     # started -> 30 - 20 = 10 s.
     assert result.metrics.delay == pytest.approx(15.0)
+
+
+STYLES = ("correct", "over", "under")
+# 40 doctors x 30 nurses, every third nurse low.  Over the default 1000 s the
+# backlog grows past 50 pending requests in every combo.
+LARGE_ROSTER = dict(
+    doctors=", ".join(f"{i}:{STYLES[i % 3]}" for i in range(1, 41)),
+    nurses=", ".join(f"{i}:{'low' if i % 3 == 0 else 'high'}" for i in range(1, 31)),
+    bedsPerDoctor=3,
+    bedCount=120,
+)
+STATES = {
+    "long-horizon": dict(shiftLength=20000),
+    "large-roster": LARGE_ROSTER,
+    "all-low": dict(nurses="1:low, 2:low, 3:low", shiftLength=20000),
+}
+
+
+@pytest.mark.parametrize("combo", list(COMBOS))
+def test_decisions_match_full_rescan(combo, monkeypatch):
+    # Each decision sees only the per-level queue heads; the selector must pick
+    # what it would pick from every pending request of the shift.
+    scenario, policy = COMBOS[combo]
+    sim = _ShiftSim(make_config(scenario=scenario, policy=policy, seed=3, **LARGE_ROSTER))
+    seen = Counter()
+
+    def all_pending():
+        pending = [r for r in sim.requests.values() if r.status is RequestStatus.PENDING]
+        seen["max_backlog"] = max(seen["max_backlog"], len(pending))
+        return pending
+
+    def same(pending, decision, full):
+        assert len(pending) <= len(LEVELS)
+        assert decision.reason is full.reason and decision.chosen is full.chosen
+        seen["decisions"] += 1
+        return decision
+
+    def fifo(pending):
+        return same(pending, select_request_fifo(pending), select_request_fifo(all_pending()))
+
+    def ca(trust, restricted, training_active, pending, cfg):
+        seen["restricted"] += restricted
+        seen["training"] += training_active
+        return same(
+            pending,
+            select_request_ca(trust, restricted, training_active, pending, cfg),
+            select_request_ca(trust, restricted, training_active, all_pending(), cfg),
+        )
+
+    monkeypatch.setattr(engine, "select_request_fifo", fifo)
+    monkeypatch.setattr(engine, "select_request_ca", ca)
+    result = sim.run()
+
+    assert seen["decisions"] == sum(sum(d.values()) for d in result.audit["decisions"].values())
+    assert seen["max_backlog"] > 10 * len(LEVELS)
+    if combo in ("baseline-ca", "replacement-ca"):
+        assert seen["restricted"] > 0
+    if combo == "training-ca":
+        assert seen["training"] > 0
+
+
+HANDLERS = (
+    "_spawn_patient",
+    "_handle_exam_complete",
+    "_handle_nurse_decide",
+    "_handle_execution_start",
+    "_handle_task_complete",
+    "_handle_trainer_exit",
+)
+
+
+@pytest.mark.parametrize("combo", list(COMBOS))
+@pytest.mark.parametrize("state", list(STATES))
+def test_invariants_hold_after_every_event(state, combo):
+    scenario, policy = COMBOS[combo]
+    sim = _ShiftSim(make_config(scenario=scenario, policy=policy, seed=3, **STATES[state]))
+    live = {}  # issued requests not yet done; a done request is never touched again
+    next_id = 1
+    started = []
+
+    def check():
+        nonlocal next_id
+        for rid in range(next_id, sim._next_request_id):
+            live[rid] = sim.requests[rid]
+        next_id = sim._next_request_id
+        pending = [[] for _ in LEVELS]
+        in_hand = {}
+        for rid, r in list(live.items()):  # in id order, which is issue order
+            if r.status is RequestStatus.PENDING:
+                pending[r.requested_level - 1].append(r)
+            elif r.status is RequestStatus.DONE:
+                del live[rid]
+            else:
+                in_hand[rid] = r.executed_by
+        # The per-level queues hold exactly the pending requests, oldest first.
+        assert [list(queue) for queue in sim._pending] == pending
+        # Each claimed or executing request is the current request of the
+        # nurse executing it.  A nurse without one is busy only while it
+        # prepares, that is while its post-prep decide is still scheduled.
+        preparing = {args[0] for _, _, kind, args in sim._heap if kind == NURSE_DECIDE and args[1]}
+        for nurse in sim.nurses.values():
+            if nurse.current_request is None:
+                assert nurse.busy == (nurse.id in preparing)
+            else:
+                assert nurse.busy and in_hand.pop(nurse.current_request) == nurse.id
+        assert not in_hand
+
+    def checked(handler):
+        def run(*args):
+            out = handler(*args)
+            check()
+            return out
+
+        return run
+
+    for name in HANDLERS:
+        setattr(sim, name, checked(getattr(sim, name)))
+    start = sim._handle_execution_start
+
+    def counted_start(nurse_id, request_id):
+        assert sim.requests[request_id].status is RequestStatus.CLAIMED
+        started.append(request_id)
+        return start(nurse_id, request_id)
+
+    sim._handle_execution_start = counted_start
+    result = sim.run()
+
+    # No request is executed twice.
+    assert len(started) == len(set(started))
+    assert len(started) == len(result.audit["executors"]) - result.audit["requests"]["claimed"]
+
+
+def test_decision_counts_show_trust_collapse():
+    result = run_shift(make_config(trustInit=0.1, acceptThreshold=0.5))
+    decisions = result.audit["decisions"]
+    assert set(decisions) == set(result.nurse_info)
+    for counts in decisions.values():
+        assert counts["accepted"] == 0
+        assert counts["none_eligible"] > 0
+
+
+def test_stall_is_recorded_when_no_nurse_accepts():
+    result = run_shift(make_config(trustInit=0.1, acceptThreshold=0.5))
+    # The last exam completes at 32 s; every nurse then declines every level
+    # for good and only the shift end is left.
+    assert result.audit["stalled_at"] == 32.0
+    assert result.audit["requests"]["pending"] == 9
+
+
+def test_fifo_run_does_not_stall():
+    assert run_shift(make_config(policy="fifo")).audit["stalled_at"] is None
