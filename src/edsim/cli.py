@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
+from contextlib import nullcontext
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .analysis import MetricUnknown, MissingFile, compare_experiments, comparisons_csv, metric_names, render_report
@@ -21,6 +22,9 @@ from .domain import (
 )
 from .engine import make_run_record, render_trace, run_shift
 from .metrics import RunRecord, SchemaError, runs_row, write_csvs
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,6 +95,22 @@ def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[st
     return EXIT_OK
 
 
+def _open_pool(parallel: int, runs: int):
+    """Context manager for the worker pool that maps `runs` jobs at `parallel`.
+
+    The pool has min(parallel, runs) workers, since a fork pool starts every
+    worker at its first submit; with one worker or fewer it is None and the
+    runs execute in this process.  The pool machinery is imported only here,
+    so serial commands never load it.
+    """
+    workers = min(parallel, runs)
+    if workers <= 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_experiment(
     base_raw: dict,
     combo: str,
@@ -98,8 +118,14 @@ def run_experiment(
     seed_base: int,
     out_dir: str,
     parallel: int = 1,
+    pool: Optional[Executor] = None,
 ) -> list[RunRecord]:
-    """Execute one scenario-policy combination for `runs` consecutive seeds."""
+    """Execute one scenario-policy combination for `runs` consecutive seeds.
+
+    The runs are mapped through `pool`, an open pool from `_open_pool(parallel,
+    runs)` that the caller may share across combos; without one, a pool for
+    this call alone is opened when `parallel` asks for more than one worker.
+    """
     scenario, policy = COMBOS[combo]
     seeds = [seed_base + i for i in range(runs)]
     jobs = []
@@ -109,11 +135,13 @@ def run_experiment(
         cfg = validate_config(raw)
         jobs.append((cfg, f"{combo}-{s:08d}"))
 
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            records = list(pool.map(_execute_run, jobs))
-    else:
-        records = [_execute_run(job) for job in jobs]
+    opened = _open_pool(parallel, runs) if pool is None else nullcontext(pool)
+    with opened as pool:
+        if pool is None:
+            records = [_execute_run(job) for job in jobs]
+        else:
+            chunksize = math.ceil(runs / (4 * min(parallel, runs)))
+            records = list(pool.map(_execute_run, jobs, chunksize=chunksize))
 
     _write_experiment_dir(out_dir, records, jobs[0][0], combo, seeds)
     return records
@@ -130,6 +158,9 @@ def cmd_experiment(
     if runs < 1:
         print("config error: --runs must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
+    if parallel < 1:
+        print("config error: --parallel must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         base_raw = parse_config_file(config_path) if config_path else {}
         # Validate the base config once up front so errors name their key.
@@ -144,17 +175,22 @@ def cmd_experiment(
 
     combos = list(COMBOS) if combo == "all" else [combo]
     out_root = out or os.path.join(_default_out_root(), "experiment")
-    for name in combos:
-        try:
-            records = run_experiment(base_raw, name, runs, seed_base, os.path.join(out_root, name), parallel)
-        except ConfigError as exc:
-            key = f" (key: {exc.key})" if getattr(exc, "key", "") else ""
-            print(f"config error{key}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except Exception as exc:  # noqa: BLE001 - a failed run aborts the combo
-            print(f"combo {name} aborted: {exc}", file=sys.stderr)
-            return EXIT_RUN_FAILED
-        print(f"{name}: {len(records)} runs -> {os.path.join(out_root, name)}")
+    # One pool serves every combo; combos run one after another, so no more
+    # than `runs` jobs are ever in flight.
+    with _open_pool(parallel, runs) as pool:
+        for name in combos:
+            try:
+                records = run_experiment(base_raw, name, runs, seed_base, os.path.join(out_root, name), parallel, pool)
+            except ConfigError as exc:
+                key = f" (key: {exc.key})" if getattr(exc, "key", "") else ""
+                print(f"config error{key}: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
+            except Exception as exc:  # noqa: BLE001 - a failed run aborts the command
+                if pool is not None:
+                    pool.shutdown(cancel_futures=True)
+                print(f"combo {name} aborted: {exc}", file=sys.stderr)
+                return EXIT_RUN_FAILED
+            print(f"{name}: {len(records)} runs -> {os.path.join(out_root, name)}")
     return EXIT_OK
 
 
@@ -214,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seed-base", type=int, default=1, help="run i uses seed seed-base + i")
     p_exp.add_argument("--combo", default="all", choices=[*COMBOS, "all"], help="which combo to run")
     p_exp.add_argument("--out", default=None, help="output root (one directory per combo)")
-    p_exp.add_argument("--parallel", type=int, default=1, help="process pool size")
+    p_exp.add_argument("--parallel", type=int, default=1, help="worker processes, at most one per run")
 
     p_an = sub.add_parser("analyze", help="compare two experiment directories")
     p_an.add_argument("dir_a")

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Optional, Sequence
 
-import numpy as np
-
 
 class StatsError(ValueError):
     pass
@@ -384,6 +382,8 @@ def chi_square_uniform_mc(counts: Sequence[int], draws: int = 10000, seed: int =
         raise EmptyCounts("need at least two categories with a positive total")
     if any(c < 0 for c in counts):
         raise EmptyCounts("counts must be non-negative")
+    import numpy as np  # deferred: only this test needs numpy, and importing it dominates CLI start-up
+
     expected = total / k
     observed = float(((np.asarray(counts, dtype=float) - expected) ** 2 / expected).sum())
     gen = np.random.default_rng(seed)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import sys
 import pytest
 
 import edsim
-from edsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
+from edsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUN_FAILED, EXIT_SCHEMA, main
 from edsim.metrics import read_runs
 
 
@@ -225,6 +227,121 @@ def test_experiment_run_failure_exits_4(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_execute_run", explode)
     code = main(["experiment", "--runs", "2", "--seed-base", "1", "--combo", "baseline-ca", "--out", str(tmp_path)])
     assert code == 4
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """Replace the process pool with an in-process fake; returns every fake built."""
+    import concurrent.futures
+
+    built = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.chunksizes = []
+            self.cancelled = False
+            built.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.shutdown()
+
+        def map(self, fn, jobs, chunksize=1):
+            self.chunksizes.append(chunksize)
+            return map(fn, jobs)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            self.cancelled = self.cancelled or cancel_futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return built
+
+
+def test_experiment_pool_is_bounded_by_runs(tmp_path, fake_pools):
+    args = ["experiment", "--runs", "3", "--combo", "baseline-ca", "--parallel", "500", "--out", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    assert [pool.max_workers for pool in fake_pools] == [3]
+
+
+@pytest.mark.parametrize("parallel", ["0", "-2"])
+def test_experiment_parallel_below_one_exits_2(tmp_path, capsys, fake_pools, parallel):
+    args = ["experiment", "--runs", "3", "--combo", "baseline-ca", "--parallel", parallel, "--out", str(tmp_path / "o")]
+    assert main(args) == EXIT_CONFIG
+    assert "config error: --parallel must be >= 1" in capsys.readouterr().err
+    assert fake_pools == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_experiment_shares_one_pool_across_combos(tmp_path, fake_pools):
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    args = ["experiment", "--runs", "13", "--seed-base", "4", "--combo", "all"]
+    assert main(args + ["--out", str(serial)]) == EXIT_OK
+    assert fake_pools == []
+    assert main(args + ["--out", str(parallel), "--parallel", "3"]) == EXIT_OK
+    assert [pool.max_workers for pool in fake_pools] == [3]
+    assert fake_pools[0].chunksizes == [2, 2, 2, 2]
+    assert tree_bytes(serial) == tree_bytes(parallel)
+
+
+def _explode(cfg):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_experiment_failed_run_exits_4_and_stops_workers(tmp_path, capsys, monkeypatch, parallel):
+    import edsim.cli as cli
+
+    if parallel != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched run_shift reaches the workers only when they are forked")
+    # Patched before the pool starts its workers, so forked workers raise too.
+    monkeypatch.setattr(cli, "run_shift", _explode)
+    args = ["experiment", "--runs", "4", "--combo", "all", "--parallel", parallel, "--out", str(tmp_path)]
+    assert main(args) == EXIT_RUN_FAILED
+    assert "combo baseline-ca aborted: boom" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_experiment_failed_run_cancels_queued_runs(tmp_path, monkeypatch, fake_pools):
+    import edsim.cli as cli
+
+    monkeypatch.setattr(cli, "run_shift", _explode)
+    args = ["experiment", "--runs", "4", "--combo", "all", "--parallel", "2", "--out", str(tmp_path)]
+    assert main(args) == EXIT_RUN_FAILED
+    assert len(fake_pools) == 1 and fake_pools[0].cancelled
+
+
+IMPORT_PROBE = """
+import json, sys
+loaded = lambda: [m for m in ("numpy", "concurrent.futures.process") if m in sys.modules]
+seen = {}
+import edsim.cli
+seen["import"] = loaded()
+out, cfg = sys.argv[1], sys.argv[2]
+edsim.cli.main(["run", cfg, "--trace", "--out", out + "/run"])
+seen["run"] = loaded()
+edsim.cli.main(["experiment", "--runs", "3", "--combo", "baseline-ca", "--out", out + "/exp"])
+seen["experiment"] = loaded()
+exp = out + "/exp/baseline-ca"
+edsim.cli.main(["analyze", exp, exp, "--mc-draws", "50", "--out", out + "/analysis"])
+seen["analyze"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_and_pool_are_loaded_only_where_used(tmp_path):
+    cfg = write_config(tmp_path / "shift.cfg", "shiftLength = 60\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(edsim.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path), cfg],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {"import": [], "run": [], "experiment": [], "analyze": ["numpy"]}
 
 
 def test_out_root_env_default(tmp_path, monkeypatch):
