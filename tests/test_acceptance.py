@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import statistics
+from pathlib import Path
 
 import numpy as np
 
@@ -213,7 +214,7 @@ def _tree_bytes(root):
     for dirpath, _, files in os.walk(root):
         for name in sorted(files):
             full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            out[os.path.relpath(full, root)] = Path(full).read_bytes()
     return out
 
 

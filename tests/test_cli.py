@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,7 @@ def tree_bytes(root):
     for dirpath, _, files in os.walk(root):
         for name in sorted(files):
             full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            out[os.path.relpath(full, root)] = Path(full).read_bytes()
     return out
 
 

@@ -3,12 +3,13 @@
 Criterion 12 only compares reruns of the same code, so a format drift that is
 consistent across reruns passes it.  These digests pin the bytes themselves:
 the runs/doctors/nurses CSV triplet of each (seed base, combo) grid cell, the
-event trace of one CA and one FIFO run, the `run` stdout line and manifest,
-and the normalized config echo.
+event trace of one CA and one FIFO run, the traces of a crowded roster under
+every combo, the `run` stdout line and manifest, and the normalized config echo.
 """
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,26 @@ TRACE_CONFIG = {
 TRACE_DIGESTS = {
     "ca": "66992ccc25de5257011ad7e6a9d8226bba42266071f43e1258956a230a46b9b9",
     "fifo": "882410eb5b24440f09c662193075c2183d11a97c9de48d96de77133330c17ba2",
+}
+
+# The crowded benchmark roster on a shorter horizon: 20 doctors, 15 nurses with
+# every third one low.  The backlog grows, low nurses classify themselves and
+# are restricted, replacements spawn and trainees attach, so these traces pin
+# the engine's decisions in states the small trace config never reaches.
+CROWDED_CONFIG = {
+    "doctors": ", ".join(f"{i}:correct" for i in range(1, 21)),
+    "nurses": ", ".join(f"{i}:{'low' if i % 3 == 0 else 'high'}" for i in range(1, 16)),
+    "bedsPerDoctor": 3,
+    "bedCount": 60,
+    "shiftLength": 3000,
+    "seed": 1,
+}
+# combo -> (trace digest, nurses classified low, replacements, trainees)
+CROWDED_TRACES = {
+    "baseline-ca": ("41ef24b3ebe11f8f56db0ac7bee4bd93cd8e6d1d29977d6b650d5f4406b07e8b", 6, 0, 0),
+    "baseline-fifo": ("1738adfe8ebe756ffc47684d44f52ac8ea730c6122f1ade78c0d507f3bca7782", 0, 0, 0),
+    "replacement-ca": ("f5c4226c05cd69096b79e612564be32779c4d82eabf6f008e91fee4222bae052", 5, 5, 0),
+    "training-ca": ("3531af5e4735c9208f1dfcd903777a37654a776e4bf452345c8d89b15cbd801d", 6, 0, 6),
 }
 
 RUN_STDOUT = "run-00000042,42,baseline,ca,1500.000000,15,83.398024,12481.709319"
@@ -104,7 +125,7 @@ def test_csv_triplet_digests(acceptance_grids, seed_base, tmp_path):
             make_run_record(r, f"{combo}-{r.config.seed:08d}") for r in acceptance_grids[seed_base][combo]
         ]
         paths = write_csvs(records, str(tmp_path / combo))
-        data = b"".join(open(paths[name], "rb").read() for name in ("runs", "doctors", "nurses"))
+        data = b"".join(Path(paths[name]).read_bytes() for name in ("runs", "doctors", "nurses"))
         assert _sha256(data) == CSV_DIGESTS[(seed_base, combo)], (seed_base, combo)
 
 
@@ -112,6 +133,17 @@ def test_csv_triplet_digests(acceptance_grids, seed_base, tmp_path):
 def test_trace_digest(policy):
     trace = render_trace(run_shift(make_config(policy=policy, **TRACE_CONFIG)))
     assert _sha256(trace.encode("utf-8")) == TRACE_DIGESTS[policy]
+
+
+@pytest.mark.parametrize("combo", sorted(CROWDED_TRACES))
+def test_crowded_trace_digest(combo):
+    scenario, policy = COMBOS[combo]
+    result = run_shift(make_config(scenario=scenario, policy=policy, **CROWDED_CONFIG))
+    digest, classified_low, replacements, trainees = CROWDED_TRACES[combo]
+    roles = [role for _, role in result.nurse_info.values()]
+    assert sum(n.classified_low_at is not None for n in result.metrics.nurses.values()) == classified_low
+    assert (roles.count("replacement"), roles.count("trainee")) == (replacements, trainees)
+    assert _sha256(render_trace(result).encode("utf-8")) == digest
 
 
 def test_run_stdout_and_manifest(tmp_path, capsys):
