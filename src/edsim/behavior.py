@@ -1,7 +1,7 @@
 """Doctor difficulty estimation, nurse task-duration sampling, and outcome judging."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domain import EvaluationStyle, NurseQuality, Rng, SimConfig
 
@@ -20,11 +20,15 @@ ABOVE_BASE_RANGES = {
 }
 
 
-@dataclass(frozen=True)
-class TaskOutcome:
+class TaskOutcome(NamedTuple):
     success: bool
     time_damage: float
     utility_delta: int
+
+
+# Enum's metaclass defines `__getattr__`, which puts every member lookup through
+# the class on a slow path; the duration draw runs once per task.
+_LOW = NurseQuality.LOW
 
 
 def evaluate_performance_level(true_level: int, style: EvaluationStyle) -> int:
@@ -71,7 +75,7 @@ def get_task_duration(
     a growing chance of hitting the base duration.  `training_active` may only
     be set for a low-performing nurse.
     """
-    if quality is NurseQuality.LOW:
+    if quality is _LOW:
         hit = training_active and rng.uniform_unit() <= training_bonus_chance(observed_tasks, cfg)
     else:
         hit = rng.uniform_unit() <= cfg.high_performer_good_chance
@@ -92,4 +96,4 @@ def judge_outcome(actual: float, requested_level: int, cfg: SimConfig) -> TaskOu
         delta = requested_level
     else:
         delta = -requested_level if cfg.utility_failure_penalty else 0
-    return TaskOutcome(success=success, time_damage=damage, utility_delta=delta)
+    return TaskOutcome(success, damage, delta)

@@ -9,7 +9,6 @@ from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .analysis import MetricUnknown, MissingFile, compare_experiments, comparisons_csv, metric_names, render_report
 from .domain import (
     ConfigError,
     Policy,
@@ -194,6 +193,17 @@ def cmd_experiment(
     return EXIT_OK
 
 
+def compare_experiments(*args, **kwargs):
+    """`analysis.compare_experiments`, imported on first use.
+
+    `run` and `experiment` never call it, so they load neither the analyzer
+    nor the statistics module behind it.
+    """
+    from .analysis import compare_experiments as compare
+
+    return compare(*args, **kwargs)
+
+
 def cmd_analyze(
     dir_a: str,
     dir_b: str,
@@ -202,6 +212,8 @@ def cmd_analyze(
     mc_seed: int,
     out: Optional[str],
 ) -> int:
+    from .analysis import MetricUnknown, MissingFile, comparisons_csv, render_report
+
     if mc_draws < 1:
         print("config error: --mc-draws must be >= 1", file=sys.stderr)
         return EXIT_CONFIG

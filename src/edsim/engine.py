@@ -14,10 +14,17 @@ candidate is its queue's head, and a nurse decision hands the selector at most
 one head per level instead of every pending request.  The winner is therefore
 always a head and is claimed with `popleft`, which makes a decision cost
 O(levels) however many requests the shift has issued.
+
+The event log keeps each event's actor and object as raw ids: ints, or "" where
+the event has none.  Every run records the log, but only `run --trace` prints
+it, and `experiment` throws it away with the result, so the handlers format
+nothing.  The ids become text once, in `render_trace`; `ShiftResult.trace`
+builds the string tuples on access for callers that read the log directly.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -62,7 +69,20 @@ class RequestStatus(Enum):
     DONE = "done"
 
 
-@dataclass
+# Enum's metaclass defines `__getattr__`, which puts every member lookup through
+# the class (`RequestStatus.DONE`) on a slow path; the handlers run once per
+# event, so they use these module constants.
+_PENDING = RequestStatus.PENDING
+_CLAIMED = RequestStatus.CLAIMED
+_EXECUTING = RequestStatus.EXECUTING
+_DONE = RequestStatus.DONE
+_ACCEPTED = Reason.ACCEPTED
+_LOW = NurseQuality.LOW
+_SPAWN_REPLACEMENT = ScenarioSignal.SPAWN_REPLACEMENT
+_ATTACH_TRAINER = ScenarioSignal.ATTACH_TRAINER
+
+
+@dataclass(slots=True)
 class TaskRequest:
     id: int
     patient: int
@@ -78,7 +98,7 @@ class TaskRequest:
     outcome: Optional[object] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Patient:
     id: int
     bed: int
@@ -89,7 +109,7 @@ class Patient:
     requests: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class DoctorRuntime:
     id: int
     style: object
@@ -97,7 +117,7 @@ class DoctorRuntime:
     current_patient: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class NurseRuntime:
     id: int
     quality: NurseQuality
@@ -107,7 +127,7 @@ class NurseRuntime:
     busy: bool = False
     trainer_attached: bool = False
     current_request: Optional[int] = None
-    decisions: dict = field(default_factory=lambda: {reason.value: 0 for reason in Reason})
+    decisions: dict = field(default_factory=lambda: dict.fromkeys(Reason, 0))
 
 
 @dataclass
@@ -116,15 +136,20 @@ class ShiftResult:
 
     config: SimConfig
     metrics: ShiftMetrics
-    trace: list
+    events: list  # (time, seq, kind, actor, object), actor and object as raw ids
     audit: dict
     doctor_styles: dict
     nurse_info: dict
 
+    @property
+    def trace(self) -> list:
+        """The event log as (time, seq, kind, actor, object) with ids as text."""
+        return [(t, seq, kind, str(actor), str(obj)) for t, seq, kind, actor, obj in self.events]
+
 
 def render_trace(result: ShiftResult) -> str:
     """Serialize the event log as `time,seq,kind,actor,object` lines."""
-    lines = [f"{t:.6f},{seq},{kind},{actor},{obj}" for t, seq, kind, actor, obj in result.trace]
+    lines = ["%.6f,%s,%s,%s,%s" % event for event in result.events]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -148,8 +173,10 @@ class _ShiftSim:
         self.rng = Rng(cfg.seed)
         self.now = 0.0
         self._heap: list = []
-        self._seq = 0
-        self.trace: list = []
+        self._seq = itertools.count()
+        self.events: list = []
+        self._fifo = cfg.policy is Policy.FIFO
+        self._training = cfg.scenario is Scenario.TRAINING and not self._fifo
 
         self.metrics = ShiftMetrics()
         self.doctors: dict[int, DoctorRuntime] = {}
@@ -181,12 +208,11 @@ class _ShiftSim:
     # -- scheduling ---------------------------------------------------------
 
     def _schedule(self, time: float, kind: str, args: tuple = ()) -> None:
-        heapq.heappush(self._heap, (time, self._seq, kind, args))
-        self._seq += 1
+        heapq.heappush(self._heap, (time, next(self._seq), kind, args))
 
     # -- event handlers -----------------------------------------------------
 
-    def _spawn_patient(self, bed: int) -> tuple[str, str]:
+    def _spawn_patient(self, bed: int) -> tuple:
         level = sample_true_level(self.rng, self.cfg.true_level_distribution)
         patient = Patient(id=self._next_patient_id, bed=bed, true_level=level, spawned_at=self.now)
         self._next_patient_id += 1
@@ -196,7 +222,7 @@ class _ShiftSim:
         doctor = self.doctors[self._doctor_of_bed[bed]]
         if doctor.current_patient is None:
             self._begin_exam(doctor, patient)
-        return str(patient.id), str(bed)
+        return patient.id, bed
 
     def _begin_exam(self, doctor: DoctorRuntime, patient: Patient) -> None:
         doctor.current_patient = patient.id
@@ -212,7 +238,7 @@ class _ShiftSim:
             return None
         return min(waiting, key=lambda p: (p.spawned_at, p.id))
 
-    def _handle_exam_complete(self, doctor_id: int, patient_id: int) -> tuple[str, str]:
+    def _handle_exam_complete(self, doctor_id: int, patient_id: int) -> tuple:
         doctor = self.doctors[doctor_id]
         patient = self.patients[patient_id]
         patient.exam_done_at = self.now
@@ -236,56 +262,53 @@ class _ShiftSim:
         nxt = self._next_unexamined(doctor)
         if nxt is not None:
             self._begin_exam(doctor, nxt)
-        return str(doctor_id), str(patient_id)
+        return doctor_id, patient_id
 
     def _broadcast(self) -> None:
-        for nurse_id in sorted(self.nurses):
-            if not self.nurses[nurse_id].busy:
-                self._schedule(self.now, NURSE_DECIDE, (nurse_id, 0))
+        # `self.nurses` is in ascending id order: the roster is sorted by id and
+        # a replacement takes the next id after the largest.
+        for nurse in self.nurses.values():
+            if not nurse.busy:
+                self._schedule(self.now, NURSE_DECIDE, (nurse.id, 0))
 
     def _select(self, nurse: NurseRuntime) -> SelectionDecision:
         pending = [queue[0] for queue in self._pending if queue]
-        if self.cfg.policy is Policy.FIFO:
+        if self._fifo:
             return select_request_fifo(pending)
         restricted = nurse.trust.classified_low_at is not None and not nurse.trainer_attached
         return select_request_ca(nurse.trust, restricted, nurse.trainer_attached, pending, self.cfg)
 
-    def _handle_nurse_decide(self, nurse_id: int, make_idle: int = 0) -> tuple[str, str]:
+    def _handle_nurse_decide(self, nurse_id: int, make_idle: int = 0) -> tuple:
         nurse = self.nurses[nurse_id]
         if make_idle:
             # Post-prep decide: the nurse returns to the waiting room first.
             nurse.busy = False
         if nurse.busy:
-            return str(nurse_id), ""
-        decision = self._select(nurse)
-        nurse.decisions[decision.reason.value] += 1
-        if decision.reason is not Reason.ACCEPTED:
-            return str(nurse_id), ""
-        request = decision.chosen
+            return nurse_id, ""
+        request, reason = self._select(nurse)
+        nurse.decisions[reason] += 1
+        if reason is not _ACCEPTED:
+            return nurse_id, ""
         head = self._pending[request.requested_level - 1].popleft()
-        assert head is request and request.status is RequestStatus.PENDING
-        request.status = RequestStatus.CLAIMED
+        assert head is request and request.status is _PENDING
+        request.status = _CLAIMED
         request.executed_by = nurse.id
         nurse.busy = True
         nurse.current_request = request.id
         self._schedule(self.now + self.cfg.travel_time, EXECUTION_START, (nurse.id, request.id))
-        return str(nurse_id), str(request.id)
+        return nurse_id, request.id
 
     def _training_mode(self, nurse: NurseRuntime) -> bool:
         # Mirrors the duration algorithm's dispatch: the training-time bonus
         # branch belongs to the low performer whenever the training scenario
         # runs under the trust policy; with zero observations it is inert, and
         # the accumulated bonus persists after the trainer leaves.
-        return (
-            nurse.quality is NurseQuality.LOW
-            and self.cfg.scenario is Scenario.TRAINING
-            and self.cfg.policy is Policy.CA_TRUST
-        )
+        return nurse.quality is _LOW and self._training
 
-    def _handle_execution_start(self, nurse_id: int, request_id: int) -> tuple[str, str]:
+    def _handle_execution_start(self, nurse_id: int, request_id: int) -> tuple:
         nurse = self.nurses[nurse_id]
         request = self.requests[request_id]
-        request.status = RequestStatus.EXECUTING
+        request.status = _EXECUTING
         request.execution_start_at = self.now
         accrue_delay(self.metrics, request, self.cfg.shift_length)
         request.actual_duration = get_task_duration(
@@ -300,7 +323,7 @@ class _ShiftSim:
         # its start; attach events later in time do not count this task.
         request_observed = nurse.trainer_attached
         self._schedule(self.now + request.actual_duration, TASK_COMPLETE, (nurse.id, request.id, int(request_observed)))
-        return str(nurse_id), str(request_id)
+        return nurse_id, request_id
 
     def _spawn_replacement(self) -> None:
         new_id = max(self.nurses) + 1
@@ -313,21 +336,21 @@ class _ShiftSim:
         self.metrics.nurses[new_id] = NurseTotals()
         self._schedule(self.now, NURSE_DECIDE, (new_id, 0))
 
-    def _handle_task_complete(self, nurse_id: int, request_id: int, observed: int) -> tuple[str, str]:
+    def _handle_task_complete(self, nurse_id: int, request_id: int, observed: int) -> tuple:
         nurse = self.nurses[nurse_id]
         request = self.requests[request_id]
-        request.status = RequestStatus.DONE
+        request.status = _DONE
         request.outcome = judge_outcome(request.actual_duration, request.requested_level, self.cfg)
         record_task_completion(self.metrics, request)
 
-        if self.cfg.policy is Policy.CA_TRUST:
+        if not self._fifo:
             nurse.trust, signal = update_trust(
                 nurse.trust, request.requested_level, request.outcome.success, self.cfg, self.now
             )
             self.metrics.nurses[nurse.id].classified_low_at = nurse.trust.classified_low_at
-            if signal is ScenarioSignal.SPAWN_REPLACEMENT:
+            if signal is _SPAWN_REPLACEMENT:
                 self._spawn_replacement()
-            elif signal is ScenarioSignal.ATTACH_TRAINER:
+            elif signal is _ATTACH_TRAINER:
                 nurse.trainer_attached = True
                 nurse.role = ROLE_TRAINEE
 
@@ -338,7 +361,7 @@ class _ShiftSim:
                 self._schedule(self.now, TRAINER_EXIT, (nurse.id,))
 
         patient = self.patients[request.patient]
-        if all(self.requests[rid].status is RequestStatus.DONE for rid in patient.requests):
+        if all(self.requests[rid].status is _DONE for rid in patient.requests):
             patient.served_at = self.now
             self.metrics.mark_served(request.doctor)
             self.beds[patient.bed] = None
@@ -346,11 +369,11 @@ class _ShiftSim:
 
         nurse.current_request = None
         self._schedule(self.now + self.cfg.prep_time, NURSE_DECIDE, (nurse.id, 1))
-        return str(nurse_id), str(request_id)
+        return nurse_id, request_id
 
-    def _handle_trainer_exit(self, nurse_id: int) -> tuple[str, str]:
+    def _handle_trainer_exit(self, nurse_id: int) -> tuple:
         self.nurses[nurse_id].trainer_attached = False
-        return str(nurse_id), ""
+        return nurse_id, ""
 
     # -- main loop ----------------------------------------------------------
 
@@ -373,18 +396,20 @@ class _ShiftSim:
             TASK_COMPLETE: self._handle_task_complete,
             TRAINER_EXIT: self._handle_trainer_exit,
         }
-        while self._heap:
-            time, seq, kind, args = heapq.heappop(self._heap)
+        heap = self._heap
+        log = self.events.append
+        while heap:
+            time, seq, kind, args = heapq.heappop(heap)
             last_event_at, self.now = self.now, time
             if kind == SHIFT_END:
                 # Stalled: nothing but the shift end was left to happen while
                 # requests still waited, so no nurse would ever claim them.
-                if not self._heap and any(self._pending):
+                if not heap and any(self._pending):
                     self.stalled_at = last_event_at
-                self.trace.append((time, seq, kind, "", ""))
+                log((time, seq, kind, "", ""))
                 break
             actor, obj = handlers[kind](*args)
-            self.trace.append((time, seq, kind, actor, obj))
+            log((time, seq, kind, actor, obj))
 
         return self._finalize()
 
@@ -406,7 +431,9 @@ class _ShiftSim:
                 r.id: r.executed_by for r in self.requests.values() if r.executed_by is not None
             },
             "rng_draws": self.rng.draw_count,
-            "decisions": {n.id: n.decisions for n in self.nurses.values()},
+            "decisions": {
+                n.id: {reason.value: count for reason, count in n.decisions.items()} for n in self.nurses.values()
+            },
             "stalled_at": self.stalled_at,
         }
         doctor_styles = {d.id: d.style.value for d in self.doctors.values()}
@@ -414,7 +441,7 @@ class _ShiftSim:
         return ShiftResult(
             config=self.cfg,
             metrics=self.metrics,
-            trace=self.trace,
+            events=self.events,
             audit=audit,
             doctor_styles=doctor_styles,
             nurse_info=nurse_info,

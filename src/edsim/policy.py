@@ -1,16 +1,14 @@
 """Nurse decision policies: FIFO selection and the trustee-side trust model."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .behavior import training_bonus_chance
 from .domain import LEVELS, RELIABILITY_INIT, Scenario, SimConfig
 
 
-@dataclass(frozen=True)
-class TrustState:
+class TrustState(NamedTuple):
     """Self-trust per requested level plus an overall reliability score.
 
     `classified_low_at` latches the simulation time of the one-time transition
@@ -23,7 +21,7 @@ class TrustState:
 
     @staticmethod
     def fresh(cfg: SimConfig) -> "TrustState":
-        return TrustState(weights=(cfg.trust_init,) * len(LEVELS), reliability=RELIABILITY_INIT)
+        return TrustState((cfg.trust_init,) * len(LEVELS), RELIABILITY_INIT)
 
     def weight(self, level: int) -> float:
         return self.weights[level - 1]
@@ -34,9 +32,13 @@ class Reason(Enum):
     NONE_ELIGIBLE = "none_eligible"
     QUEUE_EMPTY = "queue_empty"
 
+    # Enum compares members by identity, so the identity hash agrees with
+    # equality and skips Enum's Python-level `__hash__`; the engine counts
+    # every decision in a dict keyed by reason.
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class SelectionDecision:
+
+class SelectionDecision(NamedTuple):
     chosen: Optional[object]  # the winning request, or None
     reason: Reason
 
@@ -47,16 +49,27 @@ class ScenarioSignal(Enum):
     ATTACH_TRAINER = "attach_trainer"
 
 
+# Enum's metaclass defines `__getattr__`, which puts every member lookup through
+# the class (`Reason.ACCEPTED`) on a slow path; the selectors and `update_trust`
+# run once per decision or task, so they use these module constants.  A decline
+# carries no request, so its decision is shared.
+_ACCEPTED = Reason.ACCEPTED
+_QUEUE_EMPTY = SelectionDecision(None, Reason.QUEUE_EMPTY)
+_NONE_ELIGIBLE = SelectionDecision(None, Reason.NONE_ELIGIBLE)
+_NO_SIGNAL = ScenarioSignal.NONE
+
+
 def select_request_fifo(pending: Iterable) -> SelectionDecision:
     """Take the earliest pending request; ties break on the smaller request id.
 
     `pending` may be every pending request or only the oldest one of each
     requested level: the earliest of those heads is the earliest of all.
     """
-    best = min(pending, key=lambda r: (r.issued_at, r.id), default=None)
-    if best is None:
-        return SelectionDecision(None, Reason.QUEUE_EMPTY)
-    return SelectionDecision(best, Reason.ACCEPTED)
+    best = None
+    for r in pending:
+        if best is None or (r.issued_at, r.id) < (best.issued_at, best.id):
+            best = r
+    return _QUEUE_EMPTY if best is None else SelectionDecision(best, _ACCEPTED)
 
 
 def select_request_ca(
@@ -79,26 +92,24 @@ def select_request_ca(
     winner is always some level's oldest request, and the heads alone give the
     same decision, including NONE_ELIGIBLE versus QUEUE_EMPTY.
     """
-    pending = list(pending)
-    if not pending:
-        return SelectionDecision(None, Reason.QUEUE_EMPTY)
-
-    if training_active:
-        eligible = pending
-    elif restricted:
-        eligible = [
-            r
-            for r in pending
-            if r.requested_level <= cfg.easy_level_cap
-            and trust.weight(r.requested_level) >= cfg.restricted_accept_threshold
-        ]
+    weights = trust.weights
+    if restricted:
+        cap, threshold = cfg.easy_level_cap, cfg.restricted_accept_threshold
     else:
-        eligible = [r for r in pending if trust.weight(r.requested_level) >= cfg.accept_threshold]
-
-    if not eligible:
-        return SelectionDecision(None, Reason.NONE_ELIGIBLE)
-    best = min(eligible, key=lambda r: (-trust.weight(r.requested_level), r.issued_at, r.id))
-    return SelectionDecision(best, Reason.ACCEPTED)
+        cap, threshold = len(LEVELS), cfg.accept_threshold
+    seen = False
+    best, best_w = None, 0.0
+    for r in pending:
+        seen = True
+        level = r.requested_level
+        w = weights[level - 1]
+        if not training_active and (level > cap or w < threshold):
+            continue
+        if best is None or w > best_w or (w == best_w and (r.issued_at, r.id) < (best.issued_at, best.id)):
+            best, best_w = r, w
+    if best is not None:
+        return SelectionDecision(best, _ACCEPTED)
+    return _NONE_ELIGIBLE if seen else _QUEUE_EMPTY
 
 
 def update_trust(
@@ -117,13 +128,12 @@ def update_trust(
     """
     alpha = cfg.trust_learning_rate
     fb = 1.0 if success else 0.0
+    weights = trust.weights
     idx = requested_level - 1
-    weights = tuple(
-        (1.0 - alpha) * w + alpha * fb if i == idx else w for i, w in enumerate(trust.weights)
-    )
+    weights = weights[:idx] + ((1.0 - alpha) * weights[idx] + alpha * fb,) + weights[idx + 1 :]
     reliability = (1.0 - alpha) * trust.reliability + alpha * fb
 
-    signal = ScenarioSignal.NONE
+    signal = _NO_SIGNAL
     classified_at = trust.classified_low_at
     if reliability < cfg.reliability_threshold and classified_at is None:
         classified_at = now
@@ -132,7 +142,7 @@ def update_trust(
         elif cfg.scenario is Scenario.TRAINING:
             signal = ScenarioSignal.ATTACH_TRAINER
 
-    return replace(trust, weights=weights, reliability=reliability, classified_low_at=classified_at), signal
+    return TrustState(weights, reliability, classified_at), signal
 
 
 def trainer_should_exit(observed_tasks: int, cfg: SimConfig) -> bool:

@@ -317,7 +317,8 @@ def test_experiment_failed_run_cancels_queued_runs(tmp_path, monkeypatch, fake_p
 
 IMPORT_PROBE = """
 import json, sys
-loaded = lambda: [m for m in ("numpy", "concurrent.futures.process") if m in sys.modules]
+MODULES = ("numpy", "concurrent.futures.process", "edsim.analysis", "edsim.stats")
+loaded = lambda: [m for m in MODULES if m in sys.modules]
 seen = {}
 import edsim.cli
 seen["import"] = loaded()
@@ -342,7 +343,12 @@ def test_numpy_and_pool_are_loaded_only_where_used(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == {"import": [], "run": [], "experiment": [], "analyze": ["numpy"]}
+    assert seen == {
+        "import": [],
+        "run": [],
+        "experiment": [],
+        "analyze": ["numpy", "edsim.analysis", "edsim.stats"],
+    }
 
 
 def test_out_root_env_default(tmp_path, monkeypatch):

@@ -347,6 +347,31 @@ def test_decisions_match_full_rescan(combo, monkeypatch):
         assert seen["training"] > 0
 
 
+def test_broadcast_visits_idle_nurses_in_ascending_id_order():
+    # `_broadcast` walks `sim.nurses` in insertion order, which is ascending id
+    # order only because the roster is sorted and replacements take the next id.
+    sim = _ShiftSim(make_config(scenario="replacement", seed=3, **LARGE_ROSTER))
+    original = set(sim.nurses)
+    broadcast, schedule = sim._broadcast, sim._schedule
+    seen = Counter()
+
+    def recording_broadcast():
+        expected = sorted(n.id for n in sim.nurses.values() if not n.busy)
+        visited = []
+        sim._schedule = lambda time, kind, args=(): (visited.append(args[0]), schedule(time, kind, args))
+        try:
+            broadcast()
+        finally:
+            sim._schedule = schedule
+        assert visited == expected
+        seen["after_replacement"] += bool(set(visited) - original) and bool(set(visited) & original)
+
+    sim._broadcast = recording_broadcast
+    result = sim.run()
+    assert [role for _, role in result.nurse_info.values()].count("replacement") >= 2
+    assert seen["after_replacement"] > 0
+
+
 HANDLERS = (
     "_spawn_patient",
     "_handle_exam_complete",

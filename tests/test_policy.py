@@ -227,3 +227,111 @@ def test_reliability_needs_three_consecutive_failures_from_full_trust():
     recovered, _ = update_trust(trust, 1, True, CFG, 3.0)
     assert recovered.reliability == pytest.approx(0.643)
     assert recovered.classified_low_at is None
+
+
+# Reference copies of the selectors and the trust update as first written
+# (filter, then a keyed `min`; a per-call `dataclasses.replace`), kept to check
+# the single-pass rewrites against.
+def reference_fifo(pending):
+    best = min(pending, key=lambda r: (r.issued_at, r.id), default=None)
+    return (None, Reason.QUEUE_EMPTY) if best is None else (best, Reason.ACCEPTED)
+
+
+def reference_ca(trust, restricted, training_active, pending, cfg):
+    pending = list(pending)
+    if not pending:
+        return None, Reason.QUEUE_EMPTY
+    if training_active:
+        eligible = pending
+    elif restricted:
+        eligible = [
+            r
+            for r in pending
+            if r.requested_level <= cfg.easy_level_cap
+            and trust.weight(r.requested_level) >= cfg.restricted_accept_threshold
+        ]
+    else:
+        eligible = [r for r in pending if trust.weight(r.requested_level) >= cfg.accept_threshold]
+    if not eligible:
+        return None, Reason.NONE_ELIGIBLE
+    return min(eligible, key=lambda r: (-trust.weight(r.requested_level), r.issued_at, r.id)), Reason.ACCEPTED
+
+
+def reference_update_trust(trust, requested_level, success, cfg, now):
+    alpha = cfg.trust_learning_rate
+    fb = 1.0 if success else 0.0
+    idx = requested_level - 1
+    weights = tuple((1.0 - alpha) * w + alpha * fb if i == idx else w for i, w in enumerate(trust.weights))
+    reliability = (1.0 - alpha) * trust.reliability + alpha * fb
+    signal = ScenarioSignal.NONE
+    classified_at = trust.classified_low_at
+    if reliability < cfg.reliability_threshold and classified_at is None:
+        classified_at = now
+        if cfg.scenario.value == "replacement":
+            signal = ScenarioSignal.SPAWN_REPLACEMENT
+        elif cfg.scenario.value == "training":
+            signal = ScenarioSignal.ATTACH_TRAINER
+    return (weights, reliability, classified_at), signal
+
+
+def bits(trust):
+    return [w.hex() for w in trust.weights], trust.reliability.hex(), trust.classified_low_at
+
+
+# Weights on and around both thresholds, so ties and boundary cases are common.
+TIE_WEIGHTS = (0.0, 0.35, 0.4, 0.45, 0.5, 0.55, 1.0)
+DIFF_CFGS = [
+    validate_config({"easyLevelCap": str(cap), "restrictedAcceptThreshold": rt})
+    for cap in (1, 2, 3, 4)
+    for rt in ("0.4", "0.5")
+]
+
+
+def random_pending(rng):
+    # Queue heads (one per level, as the engine passes) or an arbitrary list.
+    if rng.random() < 0.5:
+        levels = rng.sample(range(1, 6), rng.randint(0, 5))
+    else:
+        levels = [rng.randint(1, 5) for _ in range(rng.randint(0, 7))]
+    ids = rng.sample(range(1, 50), len(levels))
+    return [Req(i, rng.choice((0.0, 5.0, 5.0, 10.0)), level) for i, level in zip(ids, levels)]
+
+
+def test_selectors_match_reference_implementations():
+    rng = random.Random(2024)
+    reasons = set()
+    for _ in range(20000):
+        cfg = rng.choice(DIFF_CFGS)
+        trust = TrustState(weights=tuple(rng.choice(TIE_WEIGHTS) for _ in range(5)), reliability=1.0)
+        restricted, training = rng.random() < 0.4, rng.random() < 0.2
+        pending = random_pending(rng)
+        decision = select_request_ca(trust, restricted, training, pending, cfg)
+        want_chosen, want_reason = reference_ca(trust, restricted, training, pending, cfg)
+        assert decision.chosen is want_chosen and decision.reason is want_reason
+        reasons.add(want_reason)
+        decision = select_request_fifo(pending)
+        want_chosen, want_reason = reference_fifo(pending)
+        assert decision.chosen is want_chosen and decision.reason is want_reason
+        reasons.add(want_reason)
+    assert reasons == set(Reason)
+
+
+@pytest.mark.parametrize("scenario", ["baseline", "replacement", "training"])
+def test_update_trust_matches_reference_bit_for_bit(scenario):
+    rng = random.Random(99)
+    cfg = validate_config({"scenario": scenario})
+    signals = set()
+    for _ in range(300):
+        trust = TrustState(
+            weights=tuple(rng.choice((rng.random(),) + TIE_WEIGHTS) for _ in range(5)),
+            reliability=rng.random(),
+            classified_low_at=rng.choice((None, None, 3.0)),
+        )
+        for step in range(20):
+            level, success, now = rng.randint(1, 5), rng.random() < 0.6, float(step)
+            updated, signal = update_trust(trust, level, success, cfg, now)
+            want, want_signal = reference_update_trust(trust, level, success, cfg, now)
+            assert bits(updated) == bits(TrustState(*want)) and signal is want_signal
+            signals.add(signal)
+            trust = updated
+    assert len(signals) == (1 if scenario == "baseline" else 2)
