@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import stats
@@ -155,8 +155,6 @@ class ComparisonRow:
     chosen: Optional[stats.TestResult] = None
     degenerate: bool = False
     notes: str = ""
-    values_a: list = field(default_factory=list, repr=False)
-    values_b: list = field(default_factory=list, repr=False)
 
 
 def _median(xs: list[float]) -> float:
@@ -186,8 +184,6 @@ def _gated_row(metric: str, a: list[float], b: list[float], label_a: str, label_
         mean_b=sum(b) / len(b),
         median_a=_median(a),
         median_b=_median(b),
-        values_a=a,
-        values_b=b,
     )
     degen_a, degen_b = _zero_variance(a), _zero_variance(b)
     if degen_a and degen_b:
@@ -242,8 +238,6 @@ def _preference_row(a: ExperimentData, b: ExperimentData, mc_draws: int, mc_seed
             f"runs with per-run chi-square p<0.05: {sig_a}/{len(p_a)} vs {sig_b}/{len(p_b)}; "
             "means hold counts, medians the per-run p"
         ),
-        values_a=usable_a,
-        values_b=usable_b,
     )
 
 
@@ -263,8 +257,6 @@ def _variance_row(a: ExperimentData, b: ExperimentData) -> ComparisonRow:
         mean_b=sum(var_b) / len(var_b),
         median_a=_median(var_a),
         median_b=_median(var_b),
-        values_a=var_a,
-        values_b=var_b,
     )
     row.sw_a = _try_shapiro(var_a, a.label)
     row.sw_b = _try_shapiro(var_b, b.label)

@@ -15,6 +15,14 @@ one head per level instead of every pending request.  The winner is therefore
 always a head and is claimed with `popleft`, which makes a decision cost
 O(levels) however many requests the shift has issued.
 
+A request lives only where its work is still open.  It waits in its level's
+queue; a claim moves it into the claiming nurse's hands
+(`NurseRuntime.current_request`), where it stays through execution; on
+completion it is folded into `ShiftMetrics` and dropped.  A patient likewise
+leaves `_ShiftSim.patients` once served, counting down its open tasks until
+then.  Finished work is not kept, so the end-of-shift census and the horizon
+delay come from the queues, the nurses' hands and the metrics.
+
 The event log keeps each event's actor and object as raw ids: ints, or "" where
 the event has none.  Every run records the log, but only `run --trace` prints
 it, and `experiment` throws it away with the result, so the handlers format
@@ -27,15 +35,10 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
+from operator import attrgetter
 from typing import Optional
 
-from .behavior import (
-    base_duration_for_level,
-    evaluate_performance_level,
-    get_task_duration,
-    judge_outcome,
-)
+from .behavior import evaluate_performance_level, get_task_duration, judge_outcome
 from .domain import LEVELS, NurseQuality, Policy, Rng, Scenario, SimConfig, sample_true_level
 from .metrics import DoctorTotals, NurseTotals, RunRecord, ShiftMetrics, accrue_delay, record_task_completion
 from .policy import (
@@ -62,20 +65,9 @@ ROLE_REPLACEMENT = "replacement"
 ROLE_TRAINEE = "trainee"
 
 
-class RequestStatus(Enum):
-    PENDING = "pending"
-    CLAIMED = "claimed"
-    EXECUTING = "executing"
-    DONE = "done"
-
-
 # Enum's metaclass defines `__getattr__`, which puts every member lookup through
-# the class (`RequestStatus.DONE`) on a slow path; the handlers run once per
-# event, so they use these module constants.
-_PENDING = RequestStatus.PENDING
-_CLAIMED = RequestStatus.CLAIMED
-_EXECUTING = RequestStatus.EXECUTING
-_DONE = RequestStatus.DONE
+# the class (`Reason.ACCEPTED`) on a slow path; the handlers run once per event,
+# so they use these module constants.
 _ACCEPTED = Reason.ACCEPTED
 _LOW = NurseQuality.LOW
 _SPAWN_REPLACEMENT = ScenarioSignal.SPAWN_REPLACEMENT
@@ -89,9 +81,7 @@ class TaskRequest:
     doctor: int
     true_level: int
     requested_level: int
-    requested_duration: float
     issued_at: float
-    status: RequestStatus = RequestStatus.PENDING
     executed_by: Optional[int] = None
     execution_start_at: Optional[float] = None
     actual_duration: Optional[float] = None
@@ -104,9 +94,8 @@ class Patient:
     bed: int
     true_level: int
     spawned_at: float
-    exam_done_at: Optional[float] = None
-    served_at: Optional[float] = None
-    requests: list = field(default_factory=list)
+    examined: bool = False
+    open_tasks: int = 0
 
 
 @dataclass(slots=True)
@@ -126,7 +115,7 @@ class NurseRuntime:
     observed_tasks: int = 0
     busy: bool = False
     trainer_attached: bool = False
-    current_request: Optional[int] = None
+    current_request: Optional[TaskRequest] = None
     decisions: dict = field(default_factory=lambda: dict.fromkeys(Reason, 0))
 
 
@@ -143,7 +132,12 @@ class ShiftResult:
 
     @property
     def trace(self) -> list:
-        """The event log as (time, seq, kind, actor, object) with ids as text."""
+        """The event log as (time, seq, kind, actor, object) with ids as text.
+
+        Nothing in `src/edsim` reads it.  `bench/layers.py::_count_events` is its
+        last reader outside the tests; once that counts `len(result.events)`,
+        this view can go.
+        """
         return [(t, seq, kind, str(actor), str(obj)) for t, seq, kind, actor, obj in self.events]
 
 
@@ -197,8 +191,7 @@ class _ShiftSim:
             self.metrics.nurses[nurse_id] = NurseTotals()
 
         self.beds: dict[int, Optional[int]] = {bed: None for bed in self._doctor_of_bed}
-        self.patients: dict[int, Patient] = {}
-        self.requests: dict[int, TaskRequest] = {}
+        self.patients: dict[int, Patient] = {}  # spawned and not yet served
         # Pending requests by requested level (index level - 1), oldest first.
         self._pending: tuple[deque, ...] = tuple(deque() for _ in LEVELS)
         self._next_patient_id = 1
@@ -229,19 +222,24 @@ class _ShiftSim:
         self._schedule(self.now + self.cfg.exam_duration, EXAM_COMPLETE, (doctor.id, patient.id))
 
     def _next_unexamined(self, doctor: DoctorRuntime) -> Optional[Patient]:
-        waiting = [
-            self.patients[pid]
-            for bed in doctor.beds
-            if (pid := self.beds[bed]) is not None and self.patients[pid].exam_done_at is None
-        ]
-        if not waiting:
-            return None
-        return min(waiting, key=lambda p: (p.spawned_at, p.id))
+        """The doctor's unexamined patient that lay down first, by (spawned_at, id)."""
+        best = None
+        for bed in doctor.beds:
+            pid = self.beds[bed]
+            if pid is None:
+                continue
+            patient = self.patients[pid]
+            if not patient.examined and (
+                best is None or (patient.spawned_at, pid) < (best.spawned_at, best.id)
+            ):
+                best = patient
+        return best
 
     def _handle_exam_complete(self, doctor_id: int, patient_id: int) -> tuple:
         doctor = self.doctors[doctor_id]
         patient = self.patients[patient_id]
-        patient.exam_done_at = self.now
+        patient.examined = True
+        patient.open_tasks = self.cfg.tasks_per_patient
         for _ in range(self.cfg.tasks_per_patient):
             requested = evaluate_performance_level(patient.true_level, doctor.style)
             request = TaskRequest(
@@ -250,13 +248,10 @@ class _ShiftSim:
                 doctor=doctor.id,
                 true_level=patient.true_level,
                 requested_level=requested,
-                requested_duration=base_duration_for_level(requested),
                 issued_at=self.now,
             )
             self._next_request_id += 1
-            self.requests[request.id] = request
             self._pending[requested - 1].append(request)
-            patient.requests.append(request.id)
         self._broadcast()
         doctor.current_patient = None
         nxt = self._next_unexamined(doctor)
@@ -290,11 +285,10 @@ class _ShiftSim:
         if reason is not _ACCEPTED:
             return nurse_id, ""
         head = self._pending[request.requested_level - 1].popleft()
-        assert head is request and request.status is _PENDING
-        request.status = _CLAIMED
+        assert head is request and request.executed_by is None
         request.executed_by = nurse.id
         nurse.busy = True
-        nurse.current_request = request.id
+        nurse.current_request = request
         self._schedule(self.now + self.cfg.travel_time, EXECUTION_START, (nurse.id, request.id))
         return nurse_id, request.id
 
@@ -307,8 +301,7 @@ class _ShiftSim:
 
     def _handle_execution_start(self, nurse_id: int, request_id: int) -> tuple:
         nurse = self.nurses[nurse_id]
-        request = self.requests[request_id]
-        request.status = _EXECUTING
+        request = nurse.current_request
         request.execution_start_at = self.now
         accrue_delay(self.metrics, request, self.cfg.shift_length)
         request.actual_duration = get_task_duration(
@@ -338,8 +331,7 @@ class _ShiftSim:
 
     def _handle_task_complete(self, nurse_id: int, request_id: int, observed: int) -> tuple:
         nurse = self.nurses[nurse_id]
-        request = self.requests[request_id]
-        request.status = _DONE
+        request = nurse.current_request
         request.outcome = judge_outcome(request.actual_duration, request.requested_level, self.cfg)
         record_task_completion(self.metrics, request)
 
@@ -361,8 +353,9 @@ class _ShiftSim:
                 self._schedule(self.now, TRAINER_EXIT, (nurse.id,))
 
         patient = self.patients[request.patient]
-        if all(self.requests[rid].status is _DONE for rid in patient.requests):
-            patient.served_at = self.now
+        patient.open_tasks -= 1
+        if not patient.open_tasks:
+            del self.patients[patient.id]
             self.metrics.mark_served(request.doctor)
             self.beds[patient.bed] = None
             self._schedule(self.now, PATIENT_SPAWN, (patient.bed,))
@@ -414,22 +407,27 @@ class _ShiftSim:
         return self._finalize()
 
     def _finalize(self) -> ShiftResult:
-        for request in self.requests.values():
-            if request.execution_start_at is None:
-                accrue_delay(self.metrics, request, self.cfg.shift_length)
+        in_hand = [n.current_request for n in self.nurses.values() if n.current_request is not None]
+        claimed = [r for r in in_hand if r.execution_start_at is None]
+        # Requests that never started wait until the horizon.  They are charged
+        # in id order, the order the shift issued them, so the float sums stay
+        # the same whichever queue or hand holds them.
+        for request in sorted(itertools.chain(claimed, *self._pending), key=attrgetter("id")):
+            accrue_delay(self.metrics, request, self.cfg.shift_length)
 
-        status_census = {status.value: 0 for status in RequestStatus}
-        for request in self.requests.values():
-            status_census[request.status.value] += 1
+        census = {
+            "pending": sum(map(len, self._pending)),
+            "claimed": len(claimed),
+            "executing": len(in_hand) - len(claimed),
+            "done": sum(n.tasks_success + n.tasks_failed for n in self.metrics.nurses.values()),
+        }
         audit = {
-            "patients_spawned": len(self.patients),
+            "patients_spawned": self._next_patient_id - 1,
             "patients_served": self.metrics.patients_served,
-            "patients_in_system": sum(1 for p in self.patients.values() if p.served_at is None),
+            "patients_in_system": len(self.patients),
             "beds_occupied": sum(1 for pid in self.beds.values() if pid is not None),
-            "requests": status_census,
-            "executors": {
-                r.id: r.executed_by for r in self.requests.values() if r.executed_by is not None
-            },
+            "requests": census,
+            "requests_issued": self._next_request_id - 1,
             "rng_draws": self.rng.draw_count,
             "decisions": {
                 n.id: {reason.value: count for reason, count in n.decisions.items()} for n in self.nurses.values()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from edsim.analysis import (
@@ -113,6 +115,24 @@ def test_replacement_roster_still_comparable(experiment_dirs):
     # rosters still match, so the comparison must proceed.
     rows = compare_experiments(experiment_dirs["baseline-ca"], experiment_dirs["replacement-ca"])
     assert rows
+
+
+def test_roster_from_first_run_without_config_echo(experiment_dirs, tmp_path):
+    # Without a config echo the roster comes from the first run's rows, minus
+    # the replacement nurses spawned at run time; it must still match the
+    # baseline's configured roster.
+    stripped = tmp_path / "replacement-ca"
+    shutil.copytree(experiment_dirs["replacement-ca"], stripped)
+    (stripped / "config.echo").unlink()
+    data = load_experiment(str(stripped))
+    assert any(n["role"] == "replacement" for n in data.nurses_by_run[data.runs[0]["run_id"]])
+
+    doctors, nurses = load_experiment(experiment_dirs["baseline-ca"]).roster
+    assert data.roster == (
+        tuple((i, style.value) for i, style in doctors),
+        tuple((i, quality.value) for i, quality in nurses),
+    )
+    assert [r.metric for r in compare_experiments(experiment_dirs["baseline-ca"], str(stripped))] == metric_names()
 
 
 def test_comparisons_csv_shape_and_determinism(experiment_dirs):

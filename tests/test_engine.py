@@ -6,7 +6,7 @@ import pytest
 
 import edsim.engine as engine
 from edsim.domain import LEVELS
-from edsim.engine import NURSE_DECIDE, RequestStatus, _ShiftSim, make_run_record, render_trace, run_shift
+from edsim.engine import NURSE_DECIDE, TaskRequest, _ShiftSim, make_run_record, render_trace, run_shift
 from edsim.metrics import write_csvs
 from edsim.policy import select_request_ca, select_request_fifo
 
@@ -26,6 +26,23 @@ class AllHalfRng:
 
     def uniform_range(self, lo, hi):
         return lo + (hi - lo) * self.uniform_unit()
+
+
+def record_requests(monkeypatch) -> list:
+    """Record every request the engine builds, in issue (id) order.
+
+    The engine keeps no map of its requests, so a test that needs all of them
+    keeps its own and reads each request's state from its fields.
+    """
+    issued = []
+
+    def recording(*args, **kwargs):
+        request = TaskRequest(*args, **kwargs)
+        issued.append(request)
+        return request
+
+    monkeypatch.setattr(engine, "TaskRequest", recording)
+    return issued
 
 
 def one_bed_config(**overrides):
@@ -80,6 +97,7 @@ def test_hand_traced_single_bed_timeline(monkeypatch):
     assert m.nurses[1].tasks_failed == 0
     assert m.nurses[1].utility == 10
     assert result.audit["requests"] == {"pending": 0, "claimed": 0, "executing": 1, "done": 2}
+    assert result.audit["requests_issued"] == 3
     # Draw order: one per spawn, one good roll per execution start.
     assert result.audit["rng_draws"] == 6
 
@@ -249,13 +267,15 @@ def test_conservation_and_consistency(combo, seed):
 
     assert audit["patients_spawned"] == audit["patients_served"] + audit["patients_in_system"]
     assert audit["patients_in_system"] == audit["beds_occupied"]
-    assert sum(audit["requests"].values()) == len(audit["executors"]) + audit["requests"]["pending"]
+    census = audit["requests"]
+    assert sum(census.values()) == audit["requests_issued"]
 
     assert m.patients_served == sum(d.served for d in m.doctors.values())
     assert m.time_damage == pytest.approx(sum(d.time_damage for d in m.doctors.values()))
     assert m.time_damage == pytest.approx(sum(n.time_damage for n in m.nurses.values()))
     assert m.delay == pytest.approx(sum(d.delay for d in m.doctors.values()))
-    assert sum(d["accepted"] for d in audit["decisions"].values()) == len(audit["executors"])
+    accepted = sum(d["accepted"] for d in audit["decisions"].values())
+    assert accepted == census["claimed"] + census["executing"] + census["done"]
 
     # No request is executed twice and the clock never runs backwards.
     starts = [o for _, _, k, _, o in result.trace if k == "execution_start"]
@@ -309,11 +329,12 @@ def test_decisions_match_full_rescan(combo, monkeypatch):
     # Each decision sees only the per-level queue heads; the selector must pick
     # what it would pick from every pending request of the shift.
     scenario, policy = COMBOS[combo]
+    issued = record_requests(monkeypatch)
     sim = _ShiftSim(make_config(scenario=scenario, policy=policy, seed=3, **LARGE_ROSTER))
     seen = Counter()
 
     def all_pending():
-        pending = [r for r in sim.requests.values() if r.status is RequestStatus.PENDING]
+        pending = [r for r in issued if r.executed_by is None]
         seen["max_backlog"] = max(seen["max_backlog"], len(pending))
         return pending
 
@@ -345,6 +366,31 @@ def test_decisions_match_full_rescan(combo, monkeypatch):
         assert seen["restricted"] > 0
     if combo == "training-ca":
         assert seen["training"] > 0
+
+
+@pytest.mark.parametrize("combo", list(COMBOS))
+def test_delay_sums_in_start_order_then_issue_order(combo, monkeypatch):
+    # The delay totals are output bytes, so the order of their float sums is
+    # pinned: each request as its execution starts, then every request that
+    # never started, whether still queued or already claimed, by id.
+    scenario, policy = COMBOS[combo]
+    issued = record_requests(monkeypatch)
+    cfg = make_config(scenario=scenario, policy=policy, seed=2, **LARGE_ROSTER)
+    result = run_shift(cfg)
+    by_id = {r.id: r for r in issued}
+    started = [by_id[o] for _, _, k, _, o in result.events if k == "execution_start"]
+    unstarted = [r for r in issued if r.execution_start_at is None]
+    assert len({r.requested_level for r in unstarted if r.executed_by is None}) > 1
+    assert result.audit["requests"]["claimed"] > 0
+
+    waits = [(r, r.execution_start_at - r.issued_at) for r in started]
+    waits += [(r, cfg.shift_length - r.issued_at) for r in unstarted]
+    total, per_doctor = 0.0, dict.fromkeys(result.doctor_styles, 0.0)
+    for r, waited in waits:
+        total += waited
+        per_doctor[r.doctor] += waited
+    assert result.metrics.delay == total
+    assert {i: d.delay for i, d in result.metrics.doctors.items()} == per_doctor
 
 
 def test_broadcast_visits_idle_nurses_in_ascending_id_order():
@@ -384,24 +430,26 @@ HANDLERS = (
 
 @pytest.mark.parametrize("combo", list(COMBOS))
 @pytest.mark.parametrize("state", list(STATES))
-def test_invariants_hold_after_every_event(state, combo):
+def test_invariants_hold_after_every_event(state, combo, monkeypatch):
     scenario, policy = COMBOS[combo]
+    issued = record_requests(monkeypatch)
     sim = _ShiftSim(make_config(scenario=scenario, policy=policy, seed=3, **STATES[state]))
     live = {}  # issued requests not yet done; a done request is never touched again
-    next_id = 1
+    recorded = 0
     started = []
 
     def check():
-        nonlocal next_id
-        for rid in range(next_id, sim._next_request_id):
-            live[rid] = sim.requests[rid]
-        next_id = sim._next_request_id
+        nonlocal recorded
+        assert len(issued) == sim._next_request_id - 1
+        for r in issued[recorded:]:
+            live[r.id] = r
+        recorded = len(issued)
         pending = [[] for _ in LEVELS]
         in_hand = {}
         for rid, r in list(live.items()):  # in id order, which is issue order
-            if r.status is RequestStatus.PENDING:
+            if r.executed_by is None:
                 pending[r.requested_level - 1].append(r)
-            elif r.status is RequestStatus.DONE:
+            elif r.outcome is not None:
                 del live[rid]
             else:
                 in_hand[rid] = r.executed_by
@@ -415,7 +463,8 @@ def test_invariants_hold_after_every_event(state, combo):
             if nurse.current_request is None:
                 assert nurse.busy == (nurse.id in preparing)
             else:
-                assert nurse.busy and in_hand.pop(nurse.current_request) == nurse.id
+                request = nurse.current_request
+                assert nurse.busy and request is live[request.id] and in_hand.pop(request.id) == nurse.id
         assert not in_hand
 
     def checked(handler):
@@ -431,7 +480,8 @@ def test_invariants_hold_after_every_event(state, combo):
     start = sim._handle_execution_start
 
     def counted_start(nurse_id, request_id):
-        assert sim.requests[request_id].status is RequestStatus.CLAIMED
+        request = live[request_id]
+        assert request.executed_by == nurse_id and request.execution_start_at is None
         started.append(request_id)
         return start(nurse_id, request_id)
 
@@ -440,7 +490,8 @@ def test_invariants_hold_after_every_event(state, combo):
 
     # No request is executed twice.
     assert len(started) == len(set(started))
-    assert len(started) == len(result.audit["executors"]) - result.audit["requests"]["claimed"]
+    census = result.audit["requests"]
+    assert len(started) == census["executing"] + census["done"]
 
 
 def test_decision_counts_show_trust_collapse():
