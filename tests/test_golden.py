@@ -113,6 +113,28 @@ highPerformerGoodChance = 0.9
 utilityFailurePenalty = off
 """
 
+# The paper's four comparisons over the seed-base-1000 grid, each combo written
+# as `experiment` writes it: the CSV triplet plus the first run's config echo.
+# (group a, group b) -> (comparisons.csv digest, report.txt digest)
+ANALYZE_DIGESTS = {
+    ("baseline-ca", "baseline-fifo"): (
+        "5b78e9830c448ba66a66ae6ef74945fbf9d695e3a3de16bda17226cc739468b8",
+        "dcbb51f5fd0a5543595deae7df018190b7fbeecfe0264299fce13dd69c2a9d26",
+    ),
+    ("baseline-ca", "replacement-ca"): (
+        "33b54a99dc36adf3adf2427bc88266dfb35c62f7f13f4aca697da6c61a63800a",
+        "bd90184a887ef3e89dc4265c50db9ed9f9e6c253b3fdd70e952d0e568eb3af57",
+    ),
+    ("baseline-ca", "training-ca"): (
+        "9fd9368d5848629fd0377c4bd5c7eebb8f84fa3ca2d710fdede70c699cafbec6",
+        "2d2c91a4133cb0e942250e817733f8390f6990fc563a6f5dba81083f7a2e0bfc",
+    ),
+    ("replacement-ca", "training-ca"): (
+        "7f5fefda269ba3d58332e3f8e1f9974fc9ce3e9a0be40a3e69595b2866d21164",
+        "181eeb7be511960896461a499dd643ec96ce7e1b96c00fe49c79374604da6c98",
+    ),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -156,3 +178,24 @@ def test_run_stdout_and_manifest(tmp_path, capsys):
 
 def test_config_echo_literal():
     assert config_echo(make_config(**ECHO_CONFIG)) == ECHO
+
+
+@pytest.fixture(scope="module")
+def grid_dirs(acceptance_grids, tmp_path_factory):
+    root = tmp_path_factory.mktemp("grid")
+    for combo, results in acceptance_grids[SEED_BASES[0]].items():
+        out = root / combo
+        write_csvs([make_run_record(r, f"{combo}-{r.config.seed:08d}") for r in results], str(out))
+        (out / "config.echo").write_text(config_echo(results[0].config), encoding="utf-8", newline="\n")
+    return root
+
+
+@pytest.mark.parametrize("pair", sorted(ANALYZE_DIGESTS))
+def test_analyze_digests(grid_dirs, pair, tmp_path, capsys):
+    group_a, group_b = pair
+    out = tmp_path / "analysis"
+    assert main(["analyze", str(grid_dirs / group_a), str(grid_dirs / group_b), "--out", str(out)]) == EXIT_OK
+    report = (out / "report.txt").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == report
+    digests = (_sha256((out / "comparisons.csv").read_bytes()), _sha256(report))
+    assert digests == ANALYZE_DIGESTS[pair]
