@@ -2,8 +2,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import stats
 from .domain import ConfigError, parse_config_file, validate_config
@@ -25,8 +24,7 @@ class MetricUnknown(KeyError):
     pass
 
 
-@dataclass
-class ExperimentData:
+class ExperimentData(NamedTuple):
     """One experiment directory, parsed and indexed by run."""
 
     label: str
@@ -141,8 +139,7 @@ def metric_names() -> list[str]:
     return list(METRICS) + list(SPECIAL_METRICS)
 
 
-@dataclass
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     metric: str
     group_a: str
     group_b: str
@@ -176,29 +173,13 @@ def _try_shapiro(xs: list[float], label: str) -> Optional[stats.TestResult]:
 
 
 def _gated_row(metric: str, a: list[float], b: list[float], label_a: str, label_b: str) -> ComparisonRow:
-    row = ComparisonRow(
-        metric=metric,
-        group_a=label_a,
-        group_b=label_b,
-        mean_a=sum(a) / len(a),
-        mean_b=sum(b) / len(b),
-        median_a=_median(a),
-        median_b=_median(b),
-    )
-    degen_a, degen_b = _zero_variance(a), _zero_variance(b)
-    if degen_a and degen_b:
-        row.degenerate = True
-        row.notes = "no variance in either group; no test meaningful"
-        return row
-    row.sw_a = _try_shapiro(a, label_a)
-    row.sw_b = _try_shapiro(b, label_b)
-    normal_a = row.sw_a is not None and row.sw_a.p_value >= NORMALITY_ALPHA
-    normal_b = row.sw_b is not None and row.sw_b.p_value >= NORMALITY_ALPHA
-    if normal_a and normal_b:
-        row.chosen = stats.welch_t_test(a, b)
-    else:
-        row.chosen = stats.wilcoxon_rank_sum(a, b)
-    return row
+    row = ComparisonRow(metric, label_a, label_b, sum(a) / len(a), sum(b) / len(b), _median(a), _median(b))
+    if _zero_variance(a) and _zero_variance(b):
+        return row._replace(degenerate=True, notes="no variance in either group; no test meaningful")
+    sw_a, sw_b = _try_shapiro(a, label_a), _try_shapiro(b, label_b)
+    normal = all(sw is not None and sw.p_value >= NORMALITY_ALPHA for sw in (sw_a, sw_b))
+    chosen = stats.welch_t_test(a, b) if normal else stats.wilcoxon_rank_sum(a, b)
+    return row._replace(sw_a=sw_a, sw_b=sw_b, chosen=chosen)
 
 
 def _doctor_counts(data: ExperimentData, run_id: str) -> list[int]:
@@ -257,19 +238,15 @@ def _variance_row(a: ExperimentData, b: ExperimentData) -> ComparisonRow:
         mean_b=sum(var_b) / len(var_b),
         median_a=_median(var_a),
         median_b=_median(var_b),
+        sw_a=_try_shapiro(var_a, a.label),
+        sw_b=_try_shapiro(var_b, b.label),
     )
-    row.sw_a = _try_shapiro(var_a, a.label)
-    row.sw_b = _try_shapiro(var_b, b.label)
     if len(var_a) != len(var_b):
-        row.degenerate = True
-        row.notes = "paired variance test needs equal run counts"
-        return row
+        return row._replace(degenerate=True, notes="paired variance test needs equal run counts")
     try:
-        row.chosen = stats.paired_t_test(var_a, var_b)
+        return row._replace(chosen=stats.paired_t_test(var_a, var_b))
     except stats.DegenerateSample:
-        row.degenerate = True
-        row.notes = "identical per-run variances; paired test undefined"
-    return row
+        return row._replace(degenerate=True, notes="identical per-run variances; paired test undefined")
 
 
 def compare_experiments(

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import Field, dataclass, field, fields
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -65,16 +64,19 @@ def validate_level(value: int, key: str = "difficulty level") -> int:
 RELIABILITY_INIT = 1.0
 
 
-def _key(name: str, kind: str, default: Any, tokens: Optional[type[Enum]] = None) -> Any:
-    """Declare one config key: its external name, value kind and default.
+class _Key(NamedTuple):
+    """One config key: its external name, value kind and default.
 
     `tokens` is the enum whose values spell an `enum` or `roster` entry.
     """
-    return field(default=default, metadata={"key": name, "kind": kind, "tokens": tokens})
+
+    name: str
+    kind: str
+    default: Any
+    tokens: Optional[type[Enum]] = None
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     """Validated, immutable bundle of every simulation knob.
 
     Each field declares one key of the flat config format, in echo order.
@@ -84,41 +86,44 @@ class SimConfig:
     failures; see README for the calibration notes.
     """
 
-    seed: int = _key("seed", "int", 0)
-    scenario: Scenario = _key("scenario", "enum", Scenario.BASELINE, Scenario)
-    policy: Policy = _key("policy", "enum", Policy.CA_TRUST, Policy)
-    shift_length: float = _key("shiftLength", "seconds", 1000.0)
-    doctors: tuple[tuple[int, EvaluationStyle], ...] = _key(
+    seed: int = _Key("seed", "int", 0)
+    scenario: Scenario = _Key("scenario", "enum", Scenario.BASELINE, Scenario)
+    policy: Policy = _Key("policy", "enum", Policy.CA_TRUST, Policy)
+    shift_length: float = _Key("shiftLength", "seconds", 1000.0)
+    doctors: tuple[tuple[int, EvaluationStyle], ...] = _Key(
         "doctors",
         "roster",
         ((1, EvaluationStyle.CORRECT), (2, EvaluationStyle.CORRECT), (3, EvaluationStyle.CORRECT)),
         EvaluationStyle,
     )
-    nurses: tuple[tuple[int, NurseQuality], ...] = _key(
+    nurses: tuple[tuple[int, NurseQuality], ...] = _Key(
         "nurses", "roster", ((1, NurseQuality.LOW), (2, NurseQuality.HIGH)), NurseQuality
     )
-    bed_count: int = _key("bedCount", "int", 9)
-    beds_per_doctor: int = _key("bedsPerDoctor", "int", 3)
-    exam_duration: float = _key("examDuration", "seconds", 10.0)
-    travel_time: float = _key("travelTime", "seconds", 5.0)
-    prep_time: float = _key("prepTime", "seconds", 5.0)
-    initial_spawn_interval: float = _key("initialSpawnInterval", "seconds", 1.0)
-    tasks_per_patient: int = _key("tasksPerPatient", "int", 1)
-    true_level_distribution: tuple[float, ...] = _key("trueLevelDistribution", "distribution", (0.2,) * 5)
-    trust_init: float = _key("trustInit", "fraction", 0.5)
-    trust_learning_rate: float = _key("trustLearningRate", "fraction", 0.3)
-    accept_threshold: float = _key("acceptThreshold", "fraction", 0.5)
-    restricted_accept_threshold: float = _key("restrictedAcceptThreshold", "fraction", 0.4)
-    reliability_threshold: float = _key("reliabilityThreshold", "fraction", 0.4)
-    easy_level_cap: int = _key("easyLevelCap", "int", 2)
-    trainer_bonus_per_task: float = _key("trainerBonusPerTask", "fraction", 0.1)
-    trainer_exit_bonus: float = _key("trainerExitBonus", "fraction", 0.9)
-    high_performer_good_chance: float = _key("highPerformerGoodChance", "fraction", 0.90)
-    utility_failure_penalty: bool = _key("utilityFailurePenalty", "bool", True)
+    bed_count: int = _Key("bedCount", "int", 9)
+    beds_per_doctor: int = _Key("bedsPerDoctor", "int", 3)
+    exam_duration: float = _Key("examDuration", "seconds", 10.0)
+    travel_time: float = _Key("travelTime", "seconds", 5.0)
+    prep_time: float = _Key("prepTime", "seconds", 5.0)
+    initial_spawn_interval: float = _Key("initialSpawnInterval", "seconds", 1.0)
+    tasks_per_patient: int = _Key("tasksPerPatient", "int", 1)
+    true_level_distribution: tuple[float, ...] = _Key("trueLevelDistribution", "distribution", (0.2,) * 5)
+    trust_init: float = _Key("trustInit", "fraction", 0.5)
+    trust_learning_rate: float = _Key("trustLearningRate", "fraction", 0.3)
+    accept_threshold: float = _Key("acceptThreshold", "fraction", 0.5)
+    restricted_accept_threshold: float = _Key("restrictedAcceptThreshold", "fraction", 0.4)
+    reliability_threshold: float = _Key("reliabilityThreshold", "fraction", 0.4)
+    easy_level_cap: int = _Key("easyLevelCap", "int", 2)
+    trainer_bonus_per_task: float = _Key("trainerBonusPerTask", "fraction", 0.1)
+    trainer_exit_bonus: float = _Key("trainerExitBonus", "fraction", 0.9)
+    high_performer_good_chance: float = _Key("highPerformerGoodChance", "fraction", 0.90)
+    utility_failure_penalty: bool = _Key("utilityFailurePenalty", "bool", True)
 
 
-# External key name -> SimConfig field, in declaration order.
-_CONFIG_KEYS: dict[str, Field] = {f.metadata["key"]: f for f in fields(SimConfig)}
+# External key name -> key, in field order.  The class body gives each field its
+# `_Key` as the default; the key's own default then takes its place.
+_CONFIG_KEYS: dict[str, _Key] = {key.name: key for key in SimConfig._field_defaults.values()}
+SimConfig._field_defaults = {name: key.default for name, key in SimConfig._field_defaults.items()}
+SimConfig.__new__.__defaults__ = tuple(SimConfig._field_defaults.values())
 
 
 class Rng:
@@ -276,10 +281,9 @@ def validate_config(raw: dict | None = None) -> SimConfig:
         raise ConfigError(f"unknown config key {key!r}", key)
 
     out: dict[str, Any] = {}
-    for key, f in _CONFIG_KEYS.items():
+    for key, decl in _CONFIG_KEYS.items():
         value = raw.get(key)
-        parse = _KINDS[f.metadata["kind"]].parse
-        out[key] = f.default if value is None else parse(str(value), key, f.metadata["tokens"])
+        out[key] = decl.default if value is None else _KINDS[decl.kind].parse(str(value), key, decl.tokens)
 
     if out["policy"] is Policy.FIFO and out["scenario"] is not Scenario.BASELINE:
         raise InvalidCombination(
@@ -300,7 +304,7 @@ def validate_config(raw: dict | None = None) -> SimConfig:
             "bedCount",
         )
 
-    return SimConfig(**{f.name: out[key] for key, f in _CONFIG_KEYS.items()})
+    return SimConfig(*out.values())
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -330,6 +334,4 @@ def load_config(path: str, overrides: dict | None = None) -> SimConfig:
 
 def config_echo(cfg: SimConfig) -> str:
     """Render a normalized config in the flat file format (round-trips via load)."""
-    return "".join(
-        f"{key} = {_KINDS[f.metadata['kind']].render(getattr(cfg, f.name))}\n" for key, f in _CONFIG_KEYS.items()
-    )
+    return "".join(f"{key.name} = {_KINDS[key.kind].render(value)}\n" for key, value in zip(_CONFIG_KEYS.values(), cfg))

@@ -34,9 +34,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .behavior import evaluate_performance_level, get_task_duration, judge_outcome
 from .domain import LEVELS, NurseQuality, Policy, Rng, Scenario, SimConfig, sample_true_level
@@ -74,53 +73,67 @@ _SPAWN_REPLACEMENT = ScenarioSignal.SPAWN_REPLACEMENT
 _ATTACH_TRAINER = ScenarioSignal.ATTACH_TRAINER
 
 
-@dataclass(slots=True)
 class TaskRequest:
-    id: int
-    patient: int
-    doctor: int
-    true_level: int
-    requested_level: int
-    issued_at: float
-    executed_by: Optional[int] = None
-    execution_start_at: Optional[float] = None
-    actual_duration: Optional[float] = None
-    outcome: Optional[object] = None
+    __slots__ = ("id", "patient", "doctor", "true_level", "requested_level", "issued_at", "executed_by",
+                 "execution_start_at", "actual_duration", "outcome")
+
+    def __init__(self, id: int, patient: int, doctor: int, true_level: int, requested_level: int, issued_at: float,
+                 executed_by: Optional[int] = None, execution_start_at: Optional[float] = None,
+                 actual_duration: Optional[float] = None, outcome: Optional[object] = None):
+        self.id = id
+        self.patient = patient
+        self.doctor = doctor
+        self.true_level = true_level
+        self.requested_level = requested_level
+        self.issued_at = issued_at
+        self.executed_by = executed_by
+        self.execution_start_at = execution_start_at
+        self.actual_duration = actual_duration
+        self.outcome = outcome
 
 
-@dataclass(slots=True)
 class Patient:
-    id: int
-    bed: int
-    true_level: int
-    spawned_at: float
-    examined: bool = False
-    open_tasks: int = 0
+    __slots__ = ("id", "bed", "true_level", "spawned_at", "examined", "open_tasks")
+
+    def __init__(self, id: int, bed: int, true_level: int, spawned_at: float, examined: bool = False,
+                 open_tasks: int = 0):
+        self.id = id
+        self.bed = bed
+        self.true_level = true_level
+        self.spawned_at = spawned_at
+        self.examined = examined
+        self.open_tasks = open_tasks
 
 
-@dataclass(slots=True)
 class DoctorRuntime:
-    id: int
-    style: object
-    beds: tuple
-    current_patient: Optional[int] = None
+    __slots__ = ("id", "style", "beds", "current_patient")
+
+    def __init__(self, id: int, style: object, beds: tuple, current_patient: Optional[int] = None):
+        self.id = id
+        self.style = style
+        self.beds = beds
+        self.current_patient = current_patient
 
 
-@dataclass(slots=True)
 class NurseRuntime:
-    id: int
-    quality: NurseQuality
-    role: str
-    trust: TrustState
-    observed_tasks: int = 0
-    busy: bool = False
-    trainer_attached: bool = False
-    current_request: Optional[TaskRequest] = None
-    decisions: dict = field(default_factory=lambda: dict.fromkeys(Reason, 0))
+    __slots__ = ("id", "quality", "role", "trust", "observed_tasks", "busy", "trainer_attached", "current_request",
+                 "decisions")
+
+    def __init__(self, id: int, quality: NurseQuality, role: str, trust: TrustState, observed_tasks: int = 0,
+                 busy: bool = False, trainer_attached: bool = False, current_request: Optional[TaskRequest] = None,
+                 decisions: Optional[dict] = None):
+        self.id = id
+        self.quality = quality
+        self.role = role
+        self.trust = trust
+        self.observed_tasks = observed_tasks
+        self.busy = busy
+        self.trainer_attached = trainer_attached
+        self.current_request = current_request
+        self.decisions = dict.fromkeys(Reason, 0) if decisions is None else decisions
 
 
-@dataclass
-class ShiftResult:
+class ShiftResult(NamedTuple):
     """Everything one run produced; fully determined by (config, seed)."""
 
     config: SimConfig

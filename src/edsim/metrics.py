@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional
 
 
@@ -10,15 +9,18 @@ class SchemaError(ValueError):
     """A CSV file or run record does not match the expected schema."""
 
 
-@dataclass
 class DoctorTotals:
     """One doctor's share of a shift's metrics."""
 
-    served: int = 0
-    time_damage: float = 0.0
-    delay: float = 0.0
-    eval_hits: int = 0
-    eval_count: int = 0
+    __slots__ = ("served", "time_damage", "delay", "eval_hits", "eval_count")
+
+    def __init__(self, served: int = 0, time_damage: float = 0.0, delay: float = 0.0, eval_hits: int = 0,
+                 eval_count: int = 0):
+        self.served = served
+        self.time_damage = time_damage
+        self.delay = delay
+        self.eval_hits = eval_hits
+        self.eval_count = eval_count
 
     @property
     def eval_accuracy(self) -> Optional[float]:
@@ -26,27 +28,33 @@ class DoctorTotals:
         return self.eval_hits / self.eval_count if self.eval_count else None
 
 
-@dataclass
 class NurseTotals:
     """One nurse's share of a shift's metrics."""
 
-    tasks_success: int = 0
-    tasks_failed: int = 0
-    utility: int = 0
-    time_damage: float = 0.0
-    observed_tasks: int = 0
-    classified_low_at: Optional[float] = None
+    __slots__ = ("tasks_success", "tasks_failed", "utility", "time_damage", "observed_tasks", "classified_low_at")
+
+    def __init__(self, tasks_success: int = 0, tasks_failed: int = 0, utility: int = 0, time_damage: float = 0.0,
+                 observed_tasks: int = 0, classified_low_at: Optional[float] = None):
+        self.tasks_success = tasks_success
+        self.tasks_failed = tasks_failed
+        self.utility = utility
+        self.time_damage = time_damage
+        self.observed_tasks = observed_tasks
+        self.classified_low_at = classified_low_at
 
 
-@dataclass
 class ShiftMetrics:
     """Running totals plus one record per doctor and per nurse for one shift."""
 
-    patients_served: int = 0
-    time_damage: float = 0.0
-    delay: float = 0.0
-    doctors: dict[int, DoctorTotals] = field(default_factory=dict)
-    nurses: dict[int, NurseTotals] = field(default_factory=dict)
+    __slots__ = ("patients_served", "time_damage", "delay", "doctors", "nurses")
+
+    def __init__(self, patients_served: int = 0, time_damage: float = 0.0, delay: float = 0.0,
+                 doctors: Optional[dict[int, DoctorTotals]] = None, nurses: Optional[dict[int, NurseTotals]] = None):
+        self.patients_served = patients_served
+        self.time_damage = time_damage
+        self.delay = delay
+        self.doctors = {} if doctors is None else doctors
+        self.nurses = {} if nurses is None else nurses
 
     def mark_served(self, doctor_id: int) -> None:
         self.patients_served += 1
@@ -86,8 +94,7 @@ def record_task_completion(metrics: ShiftMetrics, request) -> None:
         doctor.eval_hits += 1
 
 
-@dataclass
-class RunRecord:
+class RunRecord(NamedTuple):
     """One run's identity, configuration echo fields, and metrics."""
 
     run_id: str

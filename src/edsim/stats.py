@@ -9,9 +9,8 @@ approximation and a continued-fraction regularized incomplete beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class StatsError(ValueError):
@@ -34,14 +33,12 @@ class EmptyCounts(StatsError):
     pass
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     values: tuple[float, ...]
     label: str = ""
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     test_name: str
     statistic: float
     p_value: float
@@ -373,7 +370,9 @@ def chi_square_uniform_mc(counts: Sequence[int], draws: int = 10000, seed: int =
 
     The p-value is the add-one tail estimate (1 + #{simulated >= observed}) /
     (draws + 1) under multinomial resampling with a dedicated seeded generator,
-    so it is never exactly zero.
+    so it is never exactly zero.  The statistic is k/T * sum(c^2) - T for a
+    total T, so each draw is compared on its exact integer sum of squares, at
+    most T^2: int64 holds it while T^2 < 2^63, and larger totals are refused.
     """
     counts = [int(c) for c in counts]
     k = len(counts)
@@ -382,14 +381,15 @@ def chi_square_uniform_mc(counts: Sequence[int], draws: int = 10000, seed: int =
         raise EmptyCounts("need at least two categories with a positive total")
     if any(c < 0 for c in counts):
         raise EmptyCounts("counts must be non-negative")
+    if total * total >= 2**63:
+        raise StatsError(f"total {total} is too large: its square must fit in int64")
     import numpy as np  # deferred: only this test needs numpy, and importing it dominates CLI start-up
 
     expected = total / k
     observed = float(((np.asarray(counts, dtype=float) - expected) ** 2 / expected).sum())
     gen = np.random.default_rng(seed)
-    sims = gen.multinomial(total, [1.0 / k] * k, size=draws).astype(float)
-    sim_stats = ((sims - expected) ** 2 / expected).sum(axis=1)
-    exceed = int((sim_stats >= observed - 1e-9).sum())
+    sims = gen.multinomial(total, [1.0 / k] * k, size=draws)
+    exceed = int((np.einsum("ij,ij->i", sims, sims) >= sum(c * c for c in counts)).sum())
     p = (1 + exceed) / (draws + 1)
     return TestResult(
         "chi_square_uniform_mc", observed, p, k, draws, f"total={total}, seed={seed}"

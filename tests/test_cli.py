@@ -317,7 +317,7 @@ def test_experiment_failed_run_cancels_queued_runs(tmp_path, monkeypatch, fake_p
 
 IMPORT_PROBE = """
 import json, sys
-MODULES = ("numpy", "concurrent.futures.process", "edsim.analysis", "edsim.stats")
+MODULES = ("numpy", "concurrent.futures.process", "edsim.analysis", "edsim.stats", "dataclasses", "inspect")
 loaded = lambda: [m for m in MODULES if m in sys.modules]
 seen = {}
 import edsim.cli
@@ -343,12 +343,10 @@ def test_numpy_and_pool_are_loaded_only_where_used(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == {
-        "import": [],
-        "run": [],
-        "experiment": [],
-        "analyze": ["numpy", "edsim.analysis", "edsim.stats"],
-    }
+    # numpy imports inspect itself, so analyze may load it; never dataclasses.
+    analyze = [m for m in seen.pop("analyze") if m != "inspect"]
+    assert seen == {"import": [], "run": [], "experiment": []}
+    assert analyze == ["numpy", "edsim.analysis", "edsim.stats"]
 
 
 def test_out_root_env_default(tmp_path, monkeypatch):

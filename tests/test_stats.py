@@ -266,13 +266,63 @@ def test_chi2_deterministic_given_seed():
     a = chi_square_uniform_mc([9, 14, 4], draws=5000, seed=3)
     b = chi_square_uniform_mc([9, 14, 4], draws=5000, seed=3)
     assert a == b
-    assert chi_square_uniform_mc([9, 14, 4], draws=5000, seed=4).p_value != a.p_value or True
+    # Another seed draws another sample: the statistic is the same, the p-value is not.
+    other = chi_square_uniform_mc([9, 14, 4], draws=5000, seed=4)
+    assert other.statistic == a.statistic
+    assert other.p_value != a.p_value
 
 
 def test_chi2_add_one_estimator_never_zero():
     res = chi_square_uniform_mc([1000, 0, 0], draws=2000, seed=5)
     assert res.p_value > 0.0
     assert res.p_value == pytest.approx(1 / 2001)
+
+
+def test_chi2_total_beyond_int64_squares():
+    with pytest.raises(StatsError):
+        chi_square_uniform_mc([2**31, 2**31])
+
+
+def _chi2_float_reference(counts, draws, seed):
+    """The Monte Carlo chi-square as it once compared draws: float statistics, 1e-9 tolerance."""
+    counts = [int(c) for c in counts]
+    k, total = len(counts), sum(counts)
+    expected = total / k
+    observed = float(((np.asarray(counts, dtype=float) - expected) ** 2 / expected).sum())
+    sims = np.random.default_rng(seed).multinomial(total, [1.0 / k] * k, size=draws).astype(float)
+    sim_stats = ((sims - expected) ** 2 / expected).sum(axis=1)
+    exceed = int((sim_stats >= observed - 1e-9).sum())
+    return observed, (1 + exceed) / (draws + 1)
+
+
+def _tied_draws(counts, draws, seed):
+    """How many of the generator's draws have the observed sum of squares."""
+    k = len(counts)
+    sims = np.random.default_rng(seed).multinomial(sum(counts), [1.0 / k] * k, size=draws)
+    return int((np.einsum("ij,ij->i", sims, sims) == sum(c * c for c in counts)).sum())
+
+
+def _chi2_cases():
+    rng = random.Random(2718)
+    for _ in range(200):
+        k = rng.randint(2, 20)
+        counts = [rng.randint(0, rng.choice((3, 40, 5000 // k))) for _ in range(k)]
+        if sum(counts):
+            yield counts, rng.randint(50, 2000), rng.randrange(2**63)
+    # Zero counts, one count holding the whole total, and near-uniform counts
+    # whose sum of squares many draws share.
+    for counts in ([0, 7, 0], [5, 0], [50, 0, 0, 0], [10, 0, 10], [3, 3, 4], [4, 4, 4, 5], [1, 1]):
+        for seed in range(3):
+            yield counts, 500, seed
+
+
+def test_chi2_integer_statistic_matches_float_reference():
+    tied = 0
+    for counts, draws, seed in _chi2_cases():
+        res = chi_square_uniform_mc(counts, draws=draws, seed=seed)
+        assert (res.statistic, res.p_value) == _chi2_float_reference(counts, draws, seed), (counts, draws, seed)
+        tied += _tied_draws(counts, draws, seed)
+    assert tied > 0  # draws whose sum of squares equals the observed one were compared
 
 
 def test_all_p_values_in_unit_interval():
