@@ -10,6 +10,7 @@ from edsim.domain import (
     RangeError,
     Rng,
     Scenario,
+    SimConfig,
     TopologyError,
     ConfigError,
     config_echo,
@@ -28,6 +29,9 @@ def test_defaults_match_case_study_roster():
     assert cfg.bed_count == 9
     assert cfg.bed_count == cfg.beds_per_doctor * len(cfg.doctors)
     assert abs(sum(cfg.true_level_distribution) - 1.0) < 1e-9
+    # Building SimConfig directly gives the same defaults as validating an empty config.
+    assert SimConfig() == cfg
+    assert SimConfig(seed=5) == validate_config({"seed": "5"})
 
 
 def test_fifo_outside_baseline_rejected():
