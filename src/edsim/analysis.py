@@ -41,6 +41,8 @@ def load_experiment(path: str) -> ExperimentData:
         if not os.path.isfile(p):
             raise MissingFile(f"{path}: missing {name}.csv")
     runs = sorted(read_runs(paths["runs"]), key=lambda r: r["run_id"])
+    if not runs:
+        raise SchemaError(f"{paths['runs']}: no runs")
     doctors_by_run: dict = {}
     for row in read_doctors(paths["doctors"]):
         doctors_by_run.setdefault(row["run_id"], []).append(row)
@@ -228,8 +230,13 @@ def _doctor_variance(values: list[int]) -> float:
 
 
 def _variance_row(a: ExperimentData, b: ExperimentData) -> ComparisonRow:
-    var_a = [_doctor_variance(_doctor_counts(a, r["run_id"])) for r in a.runs]
-    var_b = [_doctor_variance(_doctor_counts(b, r["run_id"])) for r in b.runs]
+    counts_a = [_doctor_counts(a, r["run_id"]) for r in a.runs]
+    counts_b = [_doctor_counts(b, r["run_id"]) for r in b.runs]
+    if min(map(len, counts_a + counts_b)) < 2:
+        return ComparisonRow(DOCTOR_VARIANCE_METRIC, a.label, b.label, 0.0, 0.0, 0.0, 0.0, degenerate=True,
+                             notes="fewer than two doctors in a run; variance undefined")
+    var_a = [_doctor_variance(c) for c in counts_a]
+    var_b = [_doctor_variance(c) for c in counts_b]
     row = ComparisonRow(
         metric=DOCTOR_VARIANCE_METRIC,
         group_a=a.label,

@@ -48,7 +48,7 @@ def _manifest(name: str, seeds: list[int], runs: int) -> str:
         f"tool = edsim {__version__}",
         f"experiment = {name}",
         f"runs = {runs}",
-        f"seeds = {seeds[0]}..{seeds[-1]}" if seeds else "seeds = none",
+        f"seeds = {seeds[0]}..{seeds[-1]}",
     ]
     return "\n".join(lines) + "\n"
 

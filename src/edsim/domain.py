@@ -309,19 +309,23 @@ def validate_config(raw: dict | None = None) -> SimConfig:
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a flat `key = value` config file into a raw string mapping."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ConfigError("not UTF-8 text") from None
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key in raw:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}", key)
-            raw[key] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key in raw:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}", key)
+        raw[key] = value.strip()
     return raw
 
 

@@ -23,6 +23,13 @@ leaves `_ShiftSim.patients` once served, counting down its open tasks until
 then.  Finished work is not kept, so the end-of-shift census and the horizon
 delay come from the queues, the nurses' hands and the metrics.
 
+Each doctor and nurse is one object from the event loop to the CSV row.
+`DoctorRuntime` and `NurseRuntime` carry the agent's own totals, and
+`ShiftMetrics.doctors` / `.nurses` are the simulation's agent dicts themselves.
+A nurse's `classified_low_at` is read from its `TrustState`, the only place it
+is stored.  A `RunRecord` is `(run_id, config, metrics)`: the CSV writer reads
+style, quality and role off the agents and the run's fields off its config.
+
 The event log keeps each event's actor and object as raw ids: ints, or "" where
 the event has none.  Every run records the log, but only `run --trace` prints
 it, and `experiment` throws it away with the result, so the handlers format
@@ -38,8 +45,8 @@ from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .behavior import evaluate_performance_level, get_task_duration, judge_outcome
-from .domain import LEVELS, NurseQuality, Policy, Rng, Scenario, SimConfig, sample_true_level
-from .metrics import DoctorTotals, NurseTotals, RunRecord, ShiftMetrics, accrue_delay, record_task_completion
+from .domain import LEVELS, EvaluationStyle, NurseQuality, Policy, Rng, Scenario, SimConfig, sample_true_level
+from .metrics import RunRecord, ShiftMetrics, accrue_delay, record_task_completion
 from .policy import (
     Reason,
     ScenarioSignal,
@@ -106,31 +113,52 @@ class Patient:
 
 
 class DoctorRuntime:
-    __slots__ = ("id", "style", "beds", "current_patient")
+    """One doctor: its beds, the patient under examination, and its share of the shift's metrics."""
 
-    def __init__(self, id: int, style: object, beds: tuple, current_patient: Optional[int] = None):
+    __slots__ = ("id", "style", "beds", "current_patient", "served", "time_damage", "delay", "eval_hits", "eval_count")
+
+    def __init__(self, id: int, style: EvaluationStyle, beds: tuple):
         self.id = id
         self.style = style
         self.beds = beds
-        self.current_patient = current_patient
+        self.current_patient: Optional[int] = None
+        self.served = 0
+        self.time_damage = 0.0
+        self.delay = 0.0
+        self.eval_hits = 0
+        self.eval_count = 0
+
+    @property
+    def eval_accuracy(self) -> Optional[float]:
+        """Share of completed requests whose requested level was the true level."""
+        return self.eval_hits / self.eval_count if self.eval_count else None
 
 
 class NurseRuntime:
-    __slots__ = ("id", "quality", "role", "trust", "observed_tasks", "busy", "trainer_attached", "current_request",
-                 "decisions")
+    """One nurse: its trust state, the request in its hands, and its share of the shift's metrics."""
 
-    def __init__(self, id: int, quality: NurseQuality, role: str, trust: TrustState, observed_tasks: int = 0,
-                 busy: bool = False, trainer_attached: bool = False, current_request: Optional[TaskRequest] = None,
-                 decisions: Optional[dict] = None):
+    __slots__ = ("id", "quality", "role", "trust", "observed_tasks", "busy", "trainer_attached", "current_request",
+                 "decisions", "tasks_success", "tasks_failed", "utility", "time_damage")
+
+    def __init__(self, id: int, quality: NurseQuality, role: str, trust: TrustState):
         self.id = id
         self.quality = quality
         self.role = role
         self.trust = trust
-        self.observed_tasks = observed_tasks
-        self.busy = busy
-        self.trainer_attached = trainer_attached
-        self.current_request = current_request
-        self.decisions = dict.fromkeys(Reason, 0) if decisions is None else decisions
+        self.observed_tasks = 0
+        self.busy = False
+        self.trainer_attached = False
+        self.current_request: Optional[TaskRequest] = None
+        self.decisions = dict.fromkeys(Reason, 0)
+        self.tasks_success = 0
+        self.tasks_failed = 0
+        self.utility = 0
+        self.time_damage = 0.0
+
+    @property
+    def classified_low_at(self) -> Optional[float]:
+        """When the nurse classified itself a low performer; its trust state holds the value."""
+        return self.trust.classified_low_at
 
 
 class ShiftResult(NamedTuple):
@@ -140,8 +168,6 @@ class ShiftResult(NamedTuple):
     metrics: ShiftMetrics
     events: list  # (time, seq, kind, actor, object), actor and object as raw ids
     audit: dict
-    doctor_styles: dict
-    nurse_info: dict
 
     @property
     def trace(self) -> list:
@@ -161,17 +187,7 @@ def render_trace(result: ShiftResult) -> str:
 
 
 def make_run_record(result: ShiftResult, run_id: str) -> RunRecord:
-    cfg = result.config
-    return RunRecord(
-        run_id=run_id,
-        seed=cfg.seed,
-        scenario=cfg.scenario.value,
-        policy=cfg.policy.value,
-        shift_length=cfg.shift_length,
-        metrics=result.metrics,
-        doctor_styles=dict(result.doctor_styles),
-        nurse_info=dict(result.nurse_info),
-    )
+    return RunRecord(run_id, result.config, result.metrics)
 
 
 class _ShiftSim:
@@ -185,23 +201,19 @@ class _ShiftSim:
         self._fifo = cfg.policy is Policy.FIFO
         self._training = cfg.scenario is Scenario.TRAINING and not self._fifo
 
-        self.metrics = ShiftMetrics()
         self.doctors: dict[int, DoctorRuntime] = {}
         doctor_ids = [i for i, _ in cfg.doctors]
         for idx, (doctor_id, style) in enumerate(cfg.doctors):
             beds = tuple(range(idx * cfg.beds_per_doctor + 1, (idx + 1) * cfg.beds_per_doctor + 1))
-            self.doctors[doctor_id] = DoctorRuntime(id=doctor_id, style=style, beds=beds)
-            self.metrics.doctors[doctor_id] = DoctorTotals()
+            self.doctors[doctor_id] = DoctorRuntime(doctor_id, style, beds)
         self._doctor_of_bed = {
             bed: doctor_id for doctor_id in doctor_ids for bed in self.doctors[doctor_id].beds
         }
-
-        self.nurses: dict[int, NurseRuntime] = {}
-        for nurse_id, quality in cfg.nurses:
-            self.nurses[nurse_id] = NurseRuntime(
-                id=nurse_id, quality=quality, role=ROLE_REGULAR, trust=TrustState.fresh(cfg)
-            )
-            self.metrics.nurses[nurse_id] = NurseTotals()
+        self.nurses: dict[int, NurseRuntime] = {
+            nurse_id: NurseRuntime(nurse_id, quality, ROLE_REGULAR, TrustState.fresh(cfg))
+            for nurse_id, quality in cfg.nurses
+        }
+        self.metrics = ShiftMetrics(self.doctors, self.nurses)
 
         self.beds: dict[int, Optional[int]] = {bed: None for bed in self._doctor_of_bed}
         self.patients: dict[int, Patient] = {}  # spawned and not yet served
@@ -333,13 +345,7 @@ class _ShiftSim:
 
     def _spawn_replacement(self) -> None:
         new_id = max(self.nurses) + 1
-        self.nurses[new_id] = NurseRuntime(
-            id=new_id,
-            quality=NurseQuality.HIGH,
-            role=ROLE_REPLACEMENT,
-            trust=TrustState.fresh(self.cfg),
-        )
-        self.metrics.nurses[new_id] = NurseTotals()
+        self.nurses[new_id] = NurseRuntime(new_id, NurseQuality.HIGH, ROLE_REPLACEMENT, TrustState.fresh(self.cfg))
         self._schedule(self.now, NURSE_DECIDE, (new_id, 0))
 
     def _handle_task_complete(self, nurse_id: int, request_id: int, observed: int) -> tuple:
@@ -352,7 +358,6 @@ class _ShiftSim:
             nurse.trust, signal = update_trust(
                 nurse.trust, request.requested_level, request.outcome.success, self.cfg, self.now
             )
-            self.metrics.nurses[nurse.id].classified_low_at = nurse.trust.classified_low_at
             if signal is _SPAWN_REPLACEMENT:
                 self._spawn_replacement()
             elif signal is _ATTACH_TRAINER:
@@ -361,7 +366,6 @@ class _ShiftSim:
 
         if observed:
             nurse.observed_tasks += 1
-            self.metrics.nurses[nurse.id].observed_tasks = nurse.observed_tasks
             if nurse.trainer_attached and trainer_should_exit(nurse.observed_tasks, self.cfg):
                 self._schedule(self.now, TRAINER_EXIT, (nurse.id,))
 
@@ -432,7 +436,7 @@ class _ShiftSim:
             "pending": sum(map(len, self._pending)),
             "claimed": len(claimed),
             "executing": len(in_hand) - len(claimed),
-            "done": sum(n.tasks_success + n.tasks_failed for n in self.metrics.nurses.values()),
+            "done": sum(n.tasks_success + n.tasks_failed for n in self.nurses.values()),
         }
         audit = {
             "patients_spawned": self._next_patient_id - 1,
@@ -447,16 +451,7 @@ class _ShiftSim:
             },
             "stalled_at": self.stalled_at,
         }
-        doctor_styles = {d.id: d.style.value for d in self.doctors.values()}
-        nurse_info = {n.id: (n.quality.value, n.role) for n in self.nurses.values()}
-        return ShiftResult(
-            config=self.cfg,
-            metrics=self.metrics,
-            events=self.events,
-            audit=audit,
-            doctor_styles=doctor_styles,
-            nurse_info=nurse_info,
-        )
+        return ShiftResult(config=self.cfg, metrics=self.metrics, events=self.events, audit=audit)
 
 
 def run_shift(cfg: SimConfig) -> ShiftResult:

@@ -2,59 +2,30 @@
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple
+
+from .domain import SimConfig
 
 
 class SchemaError(ValueError):
     """A CSV file or run record does not match the expected schema."""
 
 
-class DoctorTotals:
-    """One doctor's share of a shift's metrics."""
-
-    __slots__ = ("served", "time_damage", "delay", "eval_hits", "eval_count")
-
-    def __init__(self, served: int = 0, time_damage: float = 0.0, delay: float = 0.0, eval_hits: int = 0,
-                 eval_count: int = 0):
-        self.served = served
-        self.time_damage = time_damage
-        self.delay = delay
-        self.eval_hits = eval_hits
-        self.eval_count = eval_count
-
-    @property
-    def eval_accuracy(self) -> Optional[float]:
-        """Share of completed requests whose requested level was the true level."""
-        return self.eval_hits / self.eval_count if self.eval_count else None
-
-
-class NurseTotals:
-    """One nurse's share of a shift's metrics."""
-
-    __slots__ = ("tasks_success", "tasks_failed", "utility", "time_damage", "observed_tasks", "classified_low_at")
-
-    def __init__(self, tasks_success: int = 0, tasks_failed: int = 0, utility: int = 0, time_damage: float = 0.0,
-                 observed_tasks: int = 0, classified_low_at: Optional[float] = None):
-        self.tasks_success = tasks_success
-        self.tasks_failed = tasks_failed
-        self.utility = utility
-        self.time_damage = time_damage
-        self.observed_tasks = observed_tasks
-        self.classified_low_at = classified_low_at
-
-
 class ShiftMetrics:
-    """Running totals plus one record per doctor and per nurse for one shift."""
+    """One shift's running totals plus its agents, each carrying its own share.
+
+    `doctors` and `nurses` map ids to the engine's `DoctorRuntime` and
+    `NurseRuntime` objects, the same dicts the simulation runs on.
+    """
 
     __slots__ = ("patients_served", "time_damage", "delay", "doctors", "nurses")
 
-    def __init__(self, patients_served: int = 0, time_damage: float = 0.0, delay: float = 0.0,
-                 doctors: Optional[dict[int, DoctorTotals]] = None, nurses: Optional[dict[int, NurseTotals]] = None):
-        self.patients_served = patients_served
-        self.time_damage = time_damage
-        self.delay = delay
-        self.doctors = {} if doctors is None else doctors
-        self.nurses = {} if nurses is None else nurses
+    def __init__(self, doctors: dict, nurses: dict):
+        self.patients_served = 0
+        self.time_damage = 0.0
+        self.delay = 0.0
+        self.doctors = doctors
+        self.nurses = nurses
 
     def mark_served(self, doctor_id: int) -> None:
         self.patients_served += 1
@@ -95,16 +66,11 @@ def record_task_completion(metrics: ShiftMetrics, request) -> None:
 
 
 class RunRecord(NamedTuple):
-    """One run's identity, configuration echo fields, and metrics."""
+    """One run's identity, validated config, and metrics."""
 
     run_id: str
-    seed: int
-    scenario: str
-    policy: str
-    shift_length: float
+    config: SimConfig
     metrics: ShiftMetrics
-    doctor_styles: dict  # doctor id -> style token
-    nurse_info: dict  # nurse id -> (quality token, role token)
 
 
 class _Cell(NamedTuple):
@@ -121,47 +87,47 @@ _OPT_REAL = _Cell(lambda v: "" if v is None else f"{v:.6f}", lambda c: None if c
 class Column(NamedTuple):
     """One CSV column: header name, cell kind, and the value getter.
 
-    Every getter takes (record, agent id, totals); a runs row passes the
-    shift's own metrics as its totals and no agent id.
+    Every getter takes (record, subject): an agent for a doctors or nurses
+    row, the shift's own metrics for a runs row.
     """
 
     name: str
     cell: _Cell
-    get: Callable[[RunRecord, Any, Any], Any]
+    get: Callable[[RunRecord, Any], Any]
 
 
-_RUN_ID = Column("run_id", _STR, lambda rec, _, t: rec.run_id)
+_RUN_ID = Column("run_id", _STR, lambda rec, t: rec.run_id)
 
 RUNS_COLUMNS = (
     _RUN_ID,
-    Column("seed", _INT, lambda rec, _, t: rec.seed),
-    Column("scenario", _STR, lambda rec, _, t: rec.scenario),
-    Column("policy", _STR, lambda rec, _, t: rec.policy),
-    Column("shift_length_s", _REAL, lambda rec, _, t: rec.shift_length),
-    Column("patients_served", _INT, lambda rec, _, t: t.patients_served),
-    Column("total_time_damage_s", _REAL, lambda rec, _, t: t.time_damage),
-    Column("total_delay_s", _REAL, lambda rec, _, t: t.delay),
+    Column("seed", _INT, lambda rec, t: rec.config.seed),
+    Column("scenario", _STR, lambda rec, t: rec.config.scenario.value),
+    Column("policy", _STR, lambda rec, t: rec.config.policy.value),
+    Column("shift_length_s", _REAL, lambda rec, t: rec.config.shift_length),
+    Column("patients_served", _INT, lambda rec, t: t.patients_served),
+    Column("total_time_damage_s", _REAL, lambda rec, t: t.time_damage),
+    Column("total_delay_s", _REAL, lambda rec, t: t.delay),
 )
 DOCTORS_COLUMNS = (
     _RUN_ID,
-    Column("doctor_id", _INT, lambda rec, i, t: i),
-    Column("style", _STR, lambda rec, i, t: rec.doctor_styles[i]),
-    Column("patients_served", _INT, lambda rec, i, t: t.served),
-    Column("time_damage_s", _REAL, lambda rec, i, t: t.time_damage),
-    Column("delay_s", _REAL, lambda rec, i, t: t.delay),
-    Column("eval_accuracy", _OPT_REAL, lambda rec, i, t: t.eval_accuracy),
+    Column("doctor_id", _INT, lambda rec, t: t.id),
+    Column("style", _STR, lambda rec, t: t.style.value),
+    Column("patients_served", _INT, lambda rec, t: t.served),
+    Column("time_damage_s", _REAL, lambda rec, t: t.time_damage),
+    Column("delay_s", _REAL, lambda rec, t: t.delay),
+    Column("eval_accuracy", _OPT_REAL, lambda rec, t: t.eval_accuracy),
 )
 NURSES_COLUMNS = (
     _RUN_ID,
-    Column("nurse_id", _INT, lambda rec, i, t: i),
-    Column("quality", _STR, lambda rec, i, t: rec.nurse_info[i][0]),
-    Column("role", _STR, lambda rec, i, t: rec.nurse_info[i][1]),
-    Column("tasks_success", _INT, lambda rec, i, t: t.tasks_success),
-    Column("tasks_failed", _INT, lambda rec, i, t: t.tasks_failed),
-    Column("utility", _INT, lambda rec, i, t: t.utility),
-    Column("time_damage_s", _REAL, lambda rec, i, t: t.time_damage),
-    Column("observed_tasks", _INT, lambda rec, i, t: t.observed_tasks),
-    Column("classified_low_at_s", _OPT_REAL, lambda rec, i, t: t.classified_low_at),
+    Column("nurse_id", _INT, lambda rec, t: t.id),
+    Column("quality", _STR, lambda rec, t: t.quality.value),
+    Column("role", _STR, lambda rec, t: t.role),
+    Column("tasks_success", _INT, lambda rec, t: t.tasks_success),
+    Column("tasks_failed", _INT, lambda rec, t: t.tasks_failed),
+    Column("utility", _INT, lambda rec, t: t.utility),
+    Column("time_damage_s", _REAL, lambda rec, t: t.time_damage),
+    Column("observed_tasks", _INT, lambda rec, t: t.observed_tasks),
+    Column("classified_low_at_s", _OPT_REAL, lambda rec, t: t.classified_low_at),
 )
 
 
@@ -174,13 +140,13 @@ DOCTORS_HEADER = _header(DOCTORS_COLUMNS)
 NURSES_HEADER = _header(NURSES_COLUMNS)
 
 
-def _row(columns: tuple[Column, ...], rec: RunRecord, agent_id, totals) -> str:
-    return ",".join(c.cell.write(c.get(rec, agent_id, totals)) for c in columns)
+def _row(columns: tuple[Column, ...], rec: RunRecord, subject) -> str:
+    return ",".join(c.cell.write(c.get(rec, subject)) for c in columns)
 
 
 def runs_row(rec: RunRecord) -> str:
     """The run's `runs.csv` line, without the newline."""
-    return _row(RUNS_COLUMNS, rec, None, rec.metrics)
+    return _row(RUNS_COLUMNS, rec, rec.metrics)
 
 
 def write_csvs(records: list[RunRecord], out_dir: str) -> dict[str, str]:
@@ -192,9 +158,9 @@ def write_csvs(records: list[RunRecord], out_dir: str) -> dict[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     ordered = sorted(records, key=lambda r: r.run_id)
     tables = {
-        "runs": (RUNS_COLUMNS, [(r, None, r.metrics) for r in ordered]),
-        "doctors": (DOCTORS_COLUMNS, [(r, i, r.metrics.doctors[i]) for r in ordered for i in sorted(r.doctor_styles)]),
-        "nurses": (NURSES_COLUMNS, [(r, i, r.metrics.nurses[i]) for r in ordered for i in sorted(r.nurse_info)]),
+        "runs": (RUNS_COLUMNS, [(r, r.metrics) for r in ordered]),
+        "doctors": (DOCTORS_COLUMNS, [(r, r.metrics.doctors[i]) for r in ordered for i in sorted(r.metrics.doctors)]),
+        "nurses": (NURSES_COLUMNS, [(r, r.metrics.nurses[i]) for r in ordered for i in sorted(r.metrics.nurses)]),
     }
     paths = {}
     for name, (columns, rows) in tables.items():
@@ -208,8 +174,11 @@ def write_csvs(records: list[RunRecord], out_dir: str) -> dict[str, str]:
 
 
 def _split_csv(path: str, header: str) -> list[list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: not UTF-8 text") from None
     if not lines or lines[0] != header:
         raise SchemaError(f"{path}: expected header {header!r}")
     n_cols = len(header.split(","))
@@ -224,10 +193,16 @@ def _split_csv(path: str, header: str) -> list[list[str]]:
 
 def _read(path: str, columns: tuple[Column, ...]) -> list[dict]:
     """Typed rows of one CSV file, each a dict keyed by header name."""
-    return [
-        {c.name: c.cell.read(cell) for c, cell in zip(columns, cells)}
-        for cells in _split_csv(path, _header(columns))
-    ]
+    rows = []
+    for lineno, cells in enumerate(_split_csv(path, _header(columns)), start=2):
+        row = {}
+        for c, cell in zip(columns, cells):
+            try:
+                row[c.name] = c.cell.read(cell)
+            except ValueError:
+                raise SchemaError(f"{path}: line {lineno}, column {c.name}: cannot read {cell!r}") from None
+        rows.append(row)
+    return rows
 
 
 def read_runs(path: str) -> list[dict]:

@@ -23,8 +23,8 @@ from conftest import COMBOS, SEED_BASES
 def _nurse_ids(result, quality, original_only=False):
     return [
         i
-        for i, (q, role) in result.nurse_info.items()
-        if q == quality and (not original_only or role != "replacement")
+        for i, n in result.metrics.nurses.items()
+        if n.quality.value == quality and (not original_only or n.role != "replacement")
     ]
 
 

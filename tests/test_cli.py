@@ -204,6 +204,70 @@ def test_analyze_malformed_echo_exits_5(tmp_path, capsys):
     assert str(echo) in err and "trustInit" in err
 
 
+def _header_only_runs(exp):
+    runs = exp / "runs.csv"
+    runs.write_text(runs.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+    return runs, []
+
+
+def _bad_seed_cell(exp):
+    runs = exp / "runs.csv"
+    lines = runs.read_text(encoding="utf-8").splitlines()
+    cells = lines[2].split(",")
+    cells[1] = "abc"
+    lines[2] = ",".join(cells)
+    runs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return runs, ["line 3", "column seed", "'abc'"]
+
+
+def _latin1_nurses(exp):
+    nurses = exp / "nurses.csv"
+    nurses.write_bytes(nurses.read_bytes() + b"caf\xe9\n")
+    return nurses, ["not UTF-8"]
+
+
+def _latin1_echo(exp):
+    echo = exp / "config.echo"
+    echo.write_bytes(echo.read_bytes() + b"# caf\xe9\n")
+    return echo, ["not UTF-8"]
+
+
+@pytest.mark.parametrize("damage", [_header_only_runs, _bad_seed_cell, _latin1_nurses, _latin1_echo])
+def test_analyze_malformed_directory_exits_5(tmp_path, capsys, damage):
+    out = tmp_path / "exp"
+    main(["experiment", "--runs", "3", "--seed-base", "1", "--combo", "baseline-ca", "--out", str(out)])
+    exp = out / "baseline-ca"
+    path, phrases = damage(exp)
+    capsys.readouterr()
+    assert main(["analyze", str(exp), str(exp), "--mc-draws", "200", "--out", str(tmp_path / "x")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("schema mismatch: ") and str(path) in err
+    assert all(phrase in err for phrase in phrases)
+
+
+def test_analyze_one_doctor_marks_variance_degenerate(tmp_path, capsys):
+    cfg = write_config(tmp_path / "one.cfg", "doctors = 1:correct\nbedCount = 3\n")
+    out = tmp_path / "exp"
+    for combo in ("baseline-ca", "baseline-fifo"):
+        assert main(["experiment", cfg, "--runs", "3", "--seed-base", "1", "--combo", combo, "--out", str(out)]) == EXIT_OK
+    analysis = tmp_path / "analysis"
+    args = ["analyze", str(out / "baseline-ca"), str(out / "baseline-fifo"), "--mc-draws", "200"]
+    assert main(args + ["--out", str(analysis)]) == EXIT_OK
+    rows = {r.split(",")[0]: r.split(",") for r in (analysis / "comparisons.csv").read_text().splitlines()[1:]}
+    assert rows["patients_per_doctor_variance"][-1] == "true"
+    assert rows["doctor_preference_chi2"][3:5] == ["0.000000", "0.000000"]
+    assert "fewer than two doctors" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["run"], ["experiment", "--runs", "1", "--combo", "baseline-ca"]])
+def test_non_utf8_config_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# caf\xe9\nseed = 3\n")
+    code = main([command[0], str(cfg), *command[1:], "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_analyze_missing_dir_exits_3(tmp_path):
     out = tmp_path / "exp"
     main(["experiment", "--runs", "3", "--seed-base", "1", "--combo", "baseline-ca", "--out", str(out)])

@@ -202,7 +202,7 @@ def test_replacement_spawns_on_third_failure():
         seed=3,
     )
     result = run_shift(cfg)
-    assert result.nurse_info[2] == ("high", "replacement")
+    assert (result.metrics.nurses[2].quality.value, result.metrics.nurses[2].role) == ("high", "replacement")
     completions = [t for t, _, k, a, _ in result.trace if k == "task_complete" and a == "1"]
     classified_at = result.metrics.nurses[1].classified_low_at
     # Reliability walks 1.0 -> 0.7 -> 0.49 -> 0.343: the third completion trips it.
@@ -214,7 +214,7 @@ def test_replacement_spawns_on_third_failure():
 def test_replacement_nurse_starts_fresh_and_executes():
     cfg = make_config(scenario="replacement", seed=11)
     result = run_shift(cfg)
-    repl_ids = [i for i, (q, role) in result.nurse_info.items() if role == "replacement"]
+    repl_ids = [i for i, n in result.metrics.nurses.items() if n.role == "replacement"]
     assert repl_ids, "expected a replacement nurse with the case-study roster"
     nid = repl_ids[0]
     m = result.metrics
@@ -231,7 +231,7 @@ def test_trainer_attaches_observes_nine_and_exits():
         seed=5,
     )
     result = run_shift(cfg)
-    assert result.nurse_info[1] == ("low", "trainee")
+    assert (result.metrics.nurses[1].quality.value, result.metrics.nurses[1].role) == ("low", "trainee")
     exits = [t for t, _, k, a, _ in result.trace if k == "trainer_exit"]
     assert len(exits) == 1
     # Exit fires once the bonus chance reaches 0.9, i.e. the ninth observation,
@@ -385,7 +385,7 @@ def test_delay_sums_in_start_order_then_issue_order(combo, monkeypatch):
 
     waits = [(r, r.execution_start_at - r.issued_at) for r in started]
     waits += [(r, cfg.shift_length - r.issued_at) for r in unstarted]
-    total, per_doctor = 0.0, dict.fromkeys(result.doctor_styles, 0.0)
+    total, per_doctor = 0.0, dict.fromkeys(result.metrics.doctors, 0.0)
     for r, waited in waits:
         total += waited
         per_doctor[r.doctor] += waited
@@ -414,7 +414,7 @@ def test_broadcast_visits_idle_nurses_in_ascending_id_order():
 
     sim._broadcast = recording_broadcast
     result = sim.run()
-    assert [role for _, role in result.nurse_info.values()].count("replacement") >= 2
+    assert [n.role for n in result.metrics.nurses.values()].count("replacement") >= 2
     assert seen["after_replacement"] > 0
 
 
@@ -497,7 +497,7 @@ def test_invariants_hold_after_every_event(state, combo, monkeypatch):
 def test_decision_counts_show_trust_collapse():
     result = run_shift(make_config(trustInit=0.1, acceptThreshold=0.5))
     decisions = result.audit["decisions"]
-    assert set(decisions) == set(result.nurse_info)
+    assert set(decisions) == set(result.metrics.nurses)
     for counts in decisions.values():
         assert counts["accepted"] == 0
         assert counts["none_eligible"] > 0

@@ -162,7 +162,7 @@ def test_crowded_trace_digest(combo):
     scenario, policy = COMBOS[combo]
     result = run_shift(make_config(scenario=scenario, policy=policy, **CROWDED_CONFIG))
     digest, classified_low, replacements, trainees = CROWDED_TRACES[combo]
-    roles = [role for _, role in result.nurse_info.values()]
+    roles = [n.role for n in result.metrics.nurses.values()]
     assert sum(n.classified_low_at is not None for n in result.metrics.nurses.values()) == classified_low
     assert (roles.count("replacement"), roles.count("trainee")) == (replacements, trainees)
     assert _sha256(render_trace(result).encode("utf-8")) == digest

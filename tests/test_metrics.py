@@ -6,14 +6,14 @@ from typing import Optional
 import pytest
 
 from edsim.behavior import TaskOutcome, evaluate_performance_level
-from edsim.domain import EvaluationStyle
+from edsim.policy import TrustState
+from edsim.domain import EvaluationStyle, NurseQuality, SimConfig
+from edsim.engine import DoctorRuntime, NurseRuntime
 from edsim.metrics import (
     DOCTORS_HEADER,
     NURSES_HEADER,
     RUNS_HEADER,
     RunRecord,
-    DoctorTotals,
-    NurseTotals,
     ShiftMetrics,
     accrue_delay,
     read_doctors,
@@ -36,9 +36,11 @@ class Req:
 
 
 def fresh_metrics(doctors=(1,), nurses=(1,)):
+    """Metrics over real agents: correct doctors, nurse 1 low and the others high."""
+    trust = TrustState.fresh(SimConfig())
     return ShiftMetrics(
-        doctors={d: DoctorTotals() for d in doctors},
-        nurses={n: NurseTotals() for n in nurses},
+        {d: DoctorRuntime(d, EvaluationStyle.CORRECT, (d,)) for d in doctors},
+        {n: NurseRuntime(n, NurseQuality.LOW if n == 1 else NurseQuality.HIGH, "regular", trust) for n in nurses},
     )
 
 
@@ -132,17 +134,8 @@ def make_record(run_id="combo-00000007", seed=7, with_low_classified=True):
     )
     accrue_delay(m, Req(10.0, 15.0), 100.0)
     if with_low_classified:
-        m.nurses[1].classified_low_at = 42.5
-    return RunRecord(
-        run_id=run_id,
-        seed=seed,
-        scenario="baseline",
-        policy="ca",
-        shift_length=100.0,
-        metrics=m,
-        doctor_styles={1: "correct"},
-        nurse_info={1: ("low", "regular"), 2: ("high", "regular")},
-    )
+        m.nurses[1].trust = m.nurses[1].trust._replace(classified_low_at=42.5)
+    return RunRecord(run_id=run_id, config=SimConfig(seed=seed, shift_length=100.0), metrics=m)
 
 
 def test_write_csvs_headers_and_shape(tmp_path):
@@ -190,7 +183,7 @@ def test_round_trip_preserves_fields(tmp_path):
     rec = make_record()
     write_csvs([rec], str(tmp_path))
     run_row = read_runs(str(tmp_path / "runs.csv"))[0]
-    assert run_row["seed"] == rec.seed
+    assert run_row["seed"] == rec.config.seed
     assert run_row["patients_served"] == rec.metrics.patients_served
     assert run_row["total_time_damage_s"] == pytest.approx(rec.metrics.time_damage)
     assert run_row["total_delay_s"] == pytest.approx(rec.metrics.delay)

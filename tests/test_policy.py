@@ -206,10 +206,10 @@ def test_high_performer_rarely_classifies_low(acceptance_grids):
     for grid in acceptance_grids.values():
         for results in grid.values():
             for r in results:
-                for nid, (quality, _) in r.nurse_info.items():
-                    if quality == "high":
+                for nurse in r.metrics.nurses.values():
+                    if nurse.quality.value == "high":
                         total += 1
-                        if r.metrics.nurses[nid].classified_low_at is not None:
+                        if nurse.classified_low_at is not None:
                             classified += 1
     assert total > 700
     assert classified / total < 0.05
