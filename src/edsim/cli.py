@@ -6,7 +6,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from . import __version__
 from .domain import (
@@ -18,6 +18,7 @@ from .domain import (
     load_config,
     parse_config_file,
     validate_config,
+    validate_seed,
 )
 from .engine import make_run_record, render_trace, run_shift
 from .metrics import RunRecord, SchemaError, runs_row, write_csvs
@@ -110,6 +111,31 @@ def _open_pool(parallel: int, runs: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
+def _combo_jobs(base_raw: dict, combo: str, runs: int, seed_base: int) -> list[tuple[SimConfig, str]]:
+    """One (config, run id) job per seed of `combo`, for `runs` consecutive seeds.
+
+    The config is validated once; the seeds differ only in `seed`, so each
+    gets its range check and a copy of the config.
+    """
+    scenario, policy = COMBOS[combo]
+    cfg = validate_config(dict(base_raw, scenario=scenario.value, policy=policy.value, seed=str(seed_base)))
+    return [(cfg._replace(seed=validate_seed(s)), f"{combo}-{s:08d}") for s in range(seed_base, seed_base + runs)]
+
+
+def _submit(pool: Optional[Executor], grid: list[list[tuple[SimConfig, str]]], workers: int) -> list[Iterator]:
+    """Start every combo's jobs; returns one iterator of records per combo, in seed order.
+
+    With a pool, every job is submitted before this returns, in chunks of
+    ceil(jobs / (4 x workers)).  Each combo has its own map, so no chunk spans
+    two combos and a failed run raises in its own combo's iterator.  Without a
+    pool, the runs execute in this process as the iterators are read.
+    """
+    if pool is None:
+        return [map(_execute_run, jobs) for jobs in grid]
+    chunksize = math.ceil(sum(map(len, grid)) / (4 * workers))
+    return [pool.map(_execute_run, jobs, chunksize=chunksize) for jobs in grid]
+
+
 def run_experiment(
     base_raw: dict,
     combo: str,
@@ -117,33 +143,42 @@ def run_experiment(
     seed_base: int,
     out_dir: str,
     parallel: int = 1,
-    pool: Optional[Executor] = None,
+    records: Optional[Iterable[RunRecord]] = None,
 ) -> list[RunRecord]:
-    """Execute one scenario-policy combination for `runs` consecutive seeds.
+    """Collect one scenario-policy combination's `runs` consecutive seeds and write its directory.
 
-    The runs are mapped through `pool`, an open pool from `_open_pool(parallel,
-    runs)` that the caller may share across combos; without one, a pool for
-    this call alone is opened when `parallel` asks for more than one worker.
+    `records` yields the combo's records in seed order from runs the caller
+    has already submitted, as `experiment` does for every combo at once.
+    Without it, the runs are mapped here, through a pool of
+    `_open_pool(parallel, runs)`.
     """
-    scenario, policy = COMBOS[combo]
-    seeds = [seed_base + i for i in range(runs)]
-    jobs = []
-    for s in seeds:
-        raw = dict(base_raw)
-        raw.update({"scenario": scenario.value, "policy": policy.value, "seed": str(s)})
-        cfg = validate_config(raw)
-        jobs.append((cfg, f"{combo}-{s:08d}"))
-
-    opened = _open_pool(parallel, runs) if pool is None else nullcontext(pool)
-    with opened as pool:
-        if pool is None:
-            records = [_execute_run(job) for job in jobs]
-        else:
-            chunksize = math.ceil(runs / (4 * min(parallel, runs)))
-            records = list(pool.map(_execute_run, jobs, chunksize=chunksize))
-
-    _write_experiment_dir(out_dir, records, jobs[0][0], combo, seeds)
+    if records is None:
+        jobs = _combo_jobs(base_raw, combo, runs, seed_base)
+        with _open_pool(parallel, runs) as pool:
+            records = list(_submit(pool, [jobs], min(parallel, runs))[0])
+    else:
+        records = list(records)
+    _write_experiment_dir(out_dir, records, records[0].config, combo, [seed_base + i for i in range(runs)])
     return records
+
+
+class RunFailed(Exception):
+    """A run raised (the cause); kept apart from a failed output write's OSError."""
+
+
+def _reraise_as_run_failed(records: Iterator[RunRecord]) -> Iterator[RunRecord]:
+    try:
+        yield from records
+    except Exception as exc:
+        raise RunFailed(exc) from exc
+
+
+def _abort(pool: Optional[Executor], message: str, code: int) -> int:
+    """Cancel the runs still queued in `pool`, report `message` and return `code`."""
+    if pool is not None:
+        pool.shutdown(cancel_futures=True)
+    print(message, file=sys.stderr)
+    return code
 
 
 def cmd_experiment(
@@ -160,10 +195,12 @@ def cmd_experiment(
     if parallel < 1:
         print("config error: --parallel must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
+    combos = list(COMBOS) if combo == "all" else [combo]
     try:
         base_raw = parse_config_file(config_path) if config_path else {}
         # Validate the base config once up front so errors name their key.
         validate_config(base_raw)
+        grid = [_combo_jobs(base_raw, name, runs, seed_base) for name in combos]
     except ConfigError as exc:
         key = f" (key: {exc.key})" if getattr(exc, "key", "") else ""
         print(f"config error{key}: {exc}", file=sys.stderr)
@@ -172,24 +209,24 @@ def cmd_experiment(
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    combos = list(COMBOS) if combo == "all" else [combo]
     out_root = out or os.path.join(_default_out_root(), "experiment")
-    # One pool serves every combo; combos run one after another, so no more
-    # than `runs` jobs are ever in flight.
+    # One pool takes every combo's runs before any result is read, so the
+    # workers stay busy while the combos are collected and written in order.
     with _open_pool(parallel, runs) as pool:
-        for name in combos:
+        try:
+            submitted = _submit(pool, grid, min(parallel, runs))
+        except Exception as exc:  # noqa: BLE001 - the workers could not start
+            return _abort(pool, f"combo {combos[0]} aborted: {exc}", EXIT_RUN_FAILED)
+        for name, pending in zip(combos, submitted):
+            out_dir = os.path.join(out_root, name)
             try:
-                records = run_experiment(base_raw, name, runs, seed_base, os.path.join(out_root, name), parallel, pool)
-            except ConfigError as exc:
-                key = f" (key: {exc.key})" if getattr(exc, "key", "") else ""
-                print(f"config error{key}: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
+                pending = _reraise_as_run_failed(pending)
+                records = run_experiment(base_raw, name, runs, seed_base, out_dir, records=pending)
+            except OSError as exc:
+                return _abort(pool, f"cannot write outputs: {exc}", EXIT_IO)
             except Exception as exc:  # noqa: BLE001 - a failed run aborts the command
-                if pool is not None:
-                    pool.shutdown(cancel_futures=True)
-                print(f"combo {name} aborted: {exc}", file=sys.stderr)
-                return EXIT_RUN_FAILED
-            print(f"{name}: {len(records)} runs -> {os.path.join(out_root, name)}")
+                return _abort(pool, f"combo {name} aborted: {exc}", EXIT_RUN_FAILED)
+            print(f"{name}: {len(records)} runs -> {out_dir}")
     return EXIT_OK
 
 

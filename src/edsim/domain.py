@@ -165,6 +165,13 @@ _TRUE_TOKENS = {"true", "on", "yes", "1"}
 _FALSE_TOKENS = {"false", "off", "no", "0"}
 
 
+def validate_seed(seed: int) -> int:
+    """Check that a run seed fits in 64 unsigned bits."""
+    if not 0 <= seed <= _U64_MAX:
+        raise RangeError(f"seed must fit in 64 unsigned bits, got {seed}", "seed")
+    return seed
+
+
 def _parse_int(raw: str, key: str, tokens) -> int:
     try:
         return int(raw)
@@ -290,8 +297,7 @@ def validate_config(raw: dict | None = None) -> SimConfig:
             f"the FIFO policy is only meaningful in the baseline scenario (got scenario={out['scenario'].value})",
             "policy",
         )
-    if not 0 <= out["seed"] <= _U64_MAX:
-        raise RangeError(f"seed must fit in 64 unsigned bits, got {out['seed']}", "seed")
+    validate_seed(out["seed"])
     for key in ("tasksPerPatient", "bedsPerDoctor"):
         if out[key] < 1:
             raise RangeError(f"{key} must be >= 1", key)

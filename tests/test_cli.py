@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import multiprocessing
 import os
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import edsim
-from edsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUN_FAILED, EXIT_SCHEMA, main
+from edsim.cli import COMBOS, EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUN_FAILED, EXIT_SCHEMA, main
+from edsim.domain import Scenario, parse_config_file, validate_config
+from edsim.engine import run_shift
 from edsim.metrics import read_runs
 
 
@@ -296,7 +299,11 @@ def test_experiment_run_failure_exits_4(tmp_path, monkeypatch):
 
 @pytest.fixture
 def fake_pools(monkeypatch):
-    """Replace the process pool with an in-process fake; returns every fake built."""
+    """Replace the process pool with an in-process fake; returns every fake built.
+
+    Each fake keeps the jobs of every `map` call and a log of ("submit", job
+    count) per call and ("result", run id) per record read.
+    """
     import concurrent.futures
 
     built = []
@@ -305,6 +312,8 @@ def fake_pools(monkeypatch):
         def __init__(self, max_workers):
             self.max_workers = max_workers
             self.chunksizes = []
+            self.jobs = []
+            self.log = []
             self.cancelled = False
             built.append(self)
 
@@ -315,8 +324,18 @@ def fake_pools(monkeypatch):
             self.shutdown()
 
         def map(self, fn, jobs, chunksize=1):
+            jobs = list(jobs)
             self.chunksizes.append(chunksize)
-            return map(fn, jobs)
+            self.jobs.append(jobs)
+            self.log.append(("submit", len(jobs)))
+
+            def results():
+                for job in jobs:
+                    record = fn(job)
+                    self.log.append(("result", record.run_id))
+                    yield record
+
+            return results()
 
         def shutdown(self, wait=True, cancel_futures=False):
             self.cancelled = self.cancelled or cancel_futures
@@ -347,12 +366,145 @@ def test_experiment_shares_one_pool_across_combos(tmp_path, fake_pools):
     assert fake_pools == []
     assert main(args + ["--out", str(parallel), "--parallel", "3"]) == EXIT_OK
     assert [pool.max_workers for pool in fake_pools] == [3]
-    assert fake_pools[0].chunksizes == [2, 2, 2, 2]
+    # 13 runs x 4 combos over 3 workers: ceil(52 / 12) = 5 jobs per chunk.
+    assert fake_pools[0].chunksizes == [5, 5, 5, 5]
     assert tree_bytes(serial) == tree_bytes(parallel)
+
+
+def test_experiment_submits_every_combo_before_reading_a_result(tmp_path, fake_pools):
+    args = ["experiment", "--runs", "5", "--seed-base", "20", "--combo", "all", "--parallel", "2"]
+    assert main(args + ["--out", str(tmp_path)]) == EXIT_OK
+    [pool] = fake_pools
+    results = [("result", f"{combo}-{seed:08d}") for combo in COMBOS for seed in range(20, 25)]
+    assert pool.log == [("submit", 5)] * len(COMBOS) + results
+
+
+def test_experiment_validates_once_per_combo_and_exactly(tmp_path, monkeypatch, fake_pools):
+    import edsim.cli as cli
+
+    text = "nurses = 1:high, 2:low, 3:low\nshiftLength = 1500\ntrustLearningRate = 0.2\n"
+    cfg = write_config(tmp_path / "base.cfg", text)
+    validated = []
+
+    def counting_validate(raw):
+        validated.append(raw)
+        return validate_config(raw)
+
+    monkeypatch.setattr(cli, "validate_config", counting_validate)
+    args = ["experiment", cfg, "--runs", "5", "--seed-base", "30", "--combo", "all", "--parallel", "2"]
+    assert main(args + ["--out", str(tmp_path / "o")]) == EXIT_OK
+    # The base config once, then one validation per combo.
+    assert len(validated) == 1 + len(COMBOS)
+    base_raw = parse_config_file(cfg)
+    expected = [
+        (validate_config(dict(base_raw, scenario=s.value, policy=p.value, seed=str(seed))), f"{combo}-{seed:08d}")
+        for combo, (s, p) in COMBOS.items()
+        for seed in range(30, 35)
+    ]
+    [pool] = fake_pools
+    assert [job for jobs in pool.jobs for job in jobs] == expected
+
+
+def test_experiment_seed_past_64_bits_exits_2_and_writes_nothing(tmp_path, capsys, fake_pools):
+    out = tmp_path / "o"
+    args = ["experiment", "--runs", "2", "--seed-base", str(2**64 - 1), "--combo", "all", "--parallel", "2"]
+    assert main(args + ["--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "config error (key: seed): seed must fit in 64 unsigned bits, got 18446744073709551616\n"
+    assert captured.out == ""
+    assert fake_pools == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_experiment_unwritable_out_exits_3(tmp_path, capsys, fake_pools, parallel):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    args = ["experiment", "--runs", "3", "--combo", "all", "--parallel", parallel, "--out", str(blocker / "exp")]
+    assert main(args) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot write outputs: [Errno {errno.ENOTDIR}] ")
+    assert captured.out == ""
+    assert [pool.cancelled for pool in fake_pools] == ([] if parallel == "1" else [True])
+
+
+def test_experiment_pool_that_cannot_start_exits_4(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    class NoForkPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def map(self, fn, jobs, chunksize=1):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoForkPool)
+    args = ["experiment", "--runs", "3", "--combo", "all", "--parallel", "2", "--out", str(tmp_path)]
+    assert main(args) == EXIT_RUN_FAILED
+    assert capsys.readouterr().err.startswith(f"combo baseline-ca aborted: [Errno {errno.EAGAIN}] ")
+    assert os.listdir(tmp_path) == []
 
 
 def _explode(cfg):
     raise RuntimeError("boom")
+
+
+def _explode_with_oserror(cfg):
+    raise OSError("device gone")
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_experiment_run_raising_oserror_still_exits_4(tmp_path, capsys, monkeypatch, fake_pools, parallel):
+    import edsim.cli as cli
+
+    # Only a failed output write exits 3; an OSError from a run is a failed run.
+    monkeypatch.setattr(cli, "run_shift", _explode_with_oserror)
+    args = ["experiment", "--runs", "3", "--combo", "all", "--parallel", parallel, "--out", str(tmp_path)]
+    assert main(args) == EXIT_RUN_FAILED
+    assert capsys.readouterr().err == "combo baseline-ca aborted: device gone\n"
+    assert os.listdir(tmp_path) == []
+
+
+def _explode_in_training(cfg):
+    if cfg.scenario is Scenario.TRAINING:
+        raise RuntimeError("boom")
+    return run_shift(cfg)
+
+
+@pytest.mark.parametrize("pool", ["serial", "fake", "fork"])
+def test_experiment_failure_in_last_combo_keeps_earlier_combos(tmp_path, capsys, monkeypatch, request, pool):
+    import edsim.cli as cli
+
+    if pool == "fork" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched run_shift reaches the workers only when they are forked")
+    fakes = request.getfixturevalue("fake_pools") if pool == "fake" else None
+    parallel = "1" if pool == "serial" else "2"
+    args = ["experiment", "--runs", "4", "--seed-base", "7", "--combo", "all", "--parallel", parallel]
+    clean, failed = tmp_path / "clean", tmp_path / "failed"
+    assert main(args + ["--out", str(clean)]) == EXIT_OK
+    # Patched before the pool starts its workers, so forked workers raise too.
+    monkeypatch.setattr(cli, "run_shift", _explode_in_training)
+    capsys.readouterr()
+    assert main(args + ["--out", str(failed)]) == EXIT_RUN_FAILED
+    captured = capsys.readouterr()
+    assert captured.err == "combo training-ca aborted: boom\n"
+    earlier_combos = ["baseline-ca", "baseline-fifo", "replacement-ca"]
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == earlier_combos
+    assert sorted(os.listdir(failed)) == earlier_combos
+    earlier = {path: data for path, data in tree_bytes(clean).items() if not path.startswith("training-ca")}
+    assert tree_bytes(failed) == earlier
+    if fakes is not None:
+        assert [fake.cancelled for fake in fakes] == [False, True]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])
