@@ -31,7 +31,7 @@ class ExperimentData(NamedTuple):
     runs: list
     doctors_by_run: dict
     nurses_by_run: dict
-    roster: tuple  # (doctors tuple, nurses tuple) from the config echo
+    roster: tuple  # (doctors, nurses) as (id, kind token) pairs, from the config echo
 
 
 def load_experiment(path: str) -> ExperimentData:
@@ -63,19 +63,18 @@ def load_experiment(path: str) -> ExperimentData:
             cfg = validate_config(raw)
         except ConfigError as exc:
             raise SchemaError(f"{echo_path}: {exc}") from exc
-        roster = (cfg.doctors, cfg.nurses)
+        roster = (
+            tuple((i, style.value) for i, style in cfg.doctors),
+            tuple((i, quality.value) for i, quality in cfg.nurses),
+        )
     else:
-        # Fall back to the configured part of the observed roster.
-        first = runs[0]["run_id"] if runs else None
-        doctors = tuple(
-            (d["doctor_id"], d["style"]) for d in doctors_by_run.get(first, [])
+        # Fall back to the configured part of the observed roster: the first
+        # run's agents, which every run has (checked above), minus replacements.
+        first = runs[0]["run_id"]
+        roster = (
+            tuple((d["doctor_id"], d["style"]) for d in doctors_by_run[first]),
+            tuple((n["nurse_id"], n["quality"]) for n in nurses_by_run[first] if n["role"] != "replacement"),
         )
-        nurses = tuple(
-            (n["nurse_id"], n["quality"])
-            for n in nurses_by_run.get(first, [])
-            if n["role"] != "replacement"
-        )
-        roster = (doctors, nurses)
     return ExperimentData(
         label=os.path.basename(os.path.normpath(path)) or path,
         runs=runs,
@@ -89,20 +88,12 @@ def check_rosters_match(a: ExperimentData, b: ExperimentData) -> None:
     """Raise SchemaError when the configured rosters differ between experiments."""
     diffs = []
     for kind, idx in (("doctor", 0), ("nurse", 1)):
-        left = {i: k for i, k in _roster_tokens(a.roster[idx])}
-        right = {i: k for i, k in _roster_tokens(b.roster[idx])}
+        left, right = dict(a.roster[idx]), dict(b.roster[idx])
         for ident in sorted(set(left) | set(right)):
             if left.get(ident) != right.get(ident):
                 diffs.append(f"{kind} {ident}: {left.get(ident, '-')} vs {right.get(ident, '-')}")
     if diffs:
         raise SchemaError("experiment rosters differ: " + "; ".join(diffs))
-
-
-def _roster_tokens(entries) -> list:
-    out = []
-    for ident, kind in entries:
-        out.append((ident, kind.value if hasattr(kind, "value") else str(kind)))
-    return out
 
 
 def _run_values(data: ExperimentData, key: str) -> list[float]:

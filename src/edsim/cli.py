@@ -54,13 +54,23 @@ def _manifest(name: str, seeds: list[int], runs: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_text(out_dir: str, name: str, text: str) -> None:
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _config_error(exc: ConfigError) -> int:
+    """Report a config error, naming its key when it has one; returns the exit code."""
+    key = f" (key: {exc.key})" if exc.key else ""
+    print(f"config error{key}: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def _write_experiment_dir(out_dir: str, records: list[RunRecord], cfg: SimConfig, name: str, seeds: list[int]) -> None:
     os.makedirs(out_dir, exist_ok=True)
     write_csvs(records, out_dir)
-    with open(os.path.join(out_dir, "config.echo"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(config_echo(cfg))
-    with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_manifest(name, seeds, len(records)))
+    _write_text(out_dir, "config.echo", config_echo(cfg))
+    _write_text(out_dir, "manifest.txt", _manifest(name, seeds, len(records)))
 
 
 def _execute_run(args: tuple[SimConfig, str]) -> RunRecord:
@@ -73,9 +83,7 @@ def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[st
         overrides = {} if seed is None else {"seed": str(seed)}
         cfg = load_config(config_path, overrides)
     except ConfigError as exc:
-        key = f" (key: {exc.key})" if getattr(exc, "key", "") else ""
-        print(f"config error{key}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(exc)
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -86,8 +94,7 @@ def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[st
     try:
         _write_experiment_dir(out_dir, [record], cfg, "run", [cfg.seed])
         if trace:
-            with open(os.path.join(out_dir, "trace.csv"), "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(render_trace(result))
+            _write_text(out_dir, "trace.csv", render_trace(result))
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -202,9 +209,7 @@ def cmd_experiment(
         validate_config(base_raw)
         grid = [_combo_jobs(base_raw, name, runs, seed_base) for name in combos]
     except ConfigError as exc:
-        key = f" (key: {exc.key})" if getattr(exc, "key", "") else ""
-        print(f"config error{key}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(exc)
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -271,10 +276,8 @@ def cmd_analyze(
     out_dir = out or os.path.join(_default_out_root(), "analysis")
     try:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "comparisons.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(comparisons_csv(rows))
-        with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report)
+        _write_text(out_dir, "comparisons.csv", comparisons_csv(rows))
+        _write_text(out_dir, "report.txt", report)
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO

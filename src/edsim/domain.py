@@ -1,6 +1,7 @@
 """Shared value types, validated simulation configuration, and the deterministic RNG."""
 from __future__ import annotations
 
+import math
 import random
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional
@@ -184,6 +185,8 @@ def _parse_seconds(raw: str, key: str, tokens) -> float:
         t = float(raw)
     except ValueError:
         raise RangeError(f"{key} must be a number of seconds, got {raw!r}", key) from None
+    if not math.isfinite(t):
+        raise RangeError(f"{key} must be finite, got {t}", key)
     if t < 0.0:
         raise RangeError(f"{key} must be >= 0, got {t}", key)
     return t
@@ -250,6 +253,8 @@ def _parse_distribution(raw: str, key: str, tokens) -> tuple[float, ...]:
         raise RangeError(f"{key} must be five probabilities", key) from None
     if len(dist) != len(LEVELS):
         raise RangeError(f"{key} must have exactly {len(LEVELS)} entries, got {len(dist)}", key)
+    if not all(map(math.isfinite, dist)):
+        raise RangeError(f"{key} entries must be finite", key)
     if any(p < 0.0 for p in dist):
         raise RangeError(f"{key} entries must be >= 0", key)
     if abs(sum(dist) - 1.0) > 1e-9:

@@ -18,10 +18,12 @@ O(levels) however many requests the shift has issued.
 A request lives only where its work is still open.  It waits in its level's
 queue; a claim moves it into the claiming nurse's hands
 (`NurseRuntime.current_request`), where it stays through execution; on
-completion it is folded into `ShiftMetrics` and dropped.  A patient likewise
-leaves `_ShiftSim.patients` once served, counting down its open tasks until
-then.  Finished work is not kept, so the end-of-shift census and the horizon
-delay come from the queues, the nurses' hands and the metrics.
+completion it is folded into `ShiftMetrics` and dropped.  A patient lives only
+in its bed (`_ShiftSim.beds`), from its spawn until its last task is done, and
+points at its doctor; a request points at its patient.  A patient who lies down
+while its doctor examines another waits in the doctor's `waiting` queue.
+Finished work is not kept, so the end-of-shift census and the horizon delay
+come from the queues, the nurses' hands and the metrics.
 
 Each doctor and nurse is one object from the event loop to the CSV row.
 `DoctorRuntime` and `NurseRuntime` carry the agent's own totals, and
@@ -30,11 +32,13 @@ A nurse's `classified_low_at` is read from its `TrustState`, the only place it
 is stored.  A `RunRecord` is `(run_id, config, metrics)`: the CSV writer reads
 style, quality and role off the agents and the run's fields off its config.
 
-The event log keeps each event's actor and object as raw ids: ints, or "" where
-the event has none.  Every run records the log, but only `run --trace` prints
-it, and `experiment` throws it away with the result, so the handlers format
-nothing.  The ids become text once, in `render_trace`; `ShiftResult.trace`
-builds the string tuples on access for callers that read the log directly.
+Event args carry the agents themselves (the doctor, nurse or patient), so no
+handler looks an id up.  The event log keeps each event's actor and object as
+raw ids: ints, or "" where the event has none.  Every run records the log, but
+only `run --trace` prints it, and `experiment` throws it away with the result,
+so the handlers format nothing.  The ids become text once, in `render_trace`;
+`ShiftResult.trace` builds the string tuples on access for callers that read
+the log directly.
 """
 from __future__ import annotations
 
@@ -80,48 +84,18 @@ _SPAWN_REPLACEMENT = ScenarioSignal.SPAWN_REPLACEMENT
 _ATTACH_TRAINER = ScenarioSignal.ATTACH_TRAINER
 
 
-class TaskRequest:
-    __slots__ = ("id", "patient", "doctor", "true_level", "requested_level", "issued_at", "executed_by",
-                 "execution_start_at", "actual_duration", "outcome")
-
-    def __init__(self, id: int, patient: int, doctor: int, true_level: int, requested_level: int, issued_at: float,
-                 executed_by: Optional[int] = None, execution_start_at: Optional[float] = None,
-                 actual_duration: Optional[float] = None, outcome: Optional[object] = None):
-        self.id = id
-        self.patient = patient
-        self.doctor = doctor
-        self.true_level = true_level
-        self.requested_level = requested_level
-        self.issued_at = issued_at
-        self.executed_by = executed_by
-        self.execution_start_at = execution_start_at
-        self.actual_duration = actual_duration
-        self.outcome = outcome
-
-
-class Patient:
-    __slots__ = ("id", "bed", "true_level", "spawned_at", "examined", "open_tasks")
-
-    def __init__(self, id: int, bed: int, true_level: int, spawned_at: float, examined: bool = False,
-                 open_tasks: int = 0):
-        self.id = id
-        self.bed = bed
-        self.true_level = true_level
-        self.spawned_at = spawned_at
-        self.examined = examined
-        self.open_tasks = open_tasks
-
-
 class DoctorRuntime:
-    """One doctor: its beds, the patient under examination, and its share of the shift's metrics."""
+    """One doctor: its beds, the patients waiting for its exam, and its share of the shift's metrics."""
 
-    __slots__ = ("id", "style", "beds", "current_patient", "served", "time_damage", "delay", "eval_hits", "eval_count")
+    __slots__ = ("id", "style", "beds", "waiting", "examining", "served", "time_damage", "delay", "eval_hits",
+                 "eval_count")
 
     def __init__(self, id: int, style: EvaluationStyle, beds: tuple):
         self.id = id
         self.style = style
         self.beds = beds
-        self.current_patient: Optional[int] = None
+        self.waiting: deque[Patient] = deque()  # lay down while the doctor was examining, oldest first
+        self.examining = False
         self.served = 0
         self.time_damage = 0.0
         self.delay = 0.0
@@ -132,6 +106,34 @@ class DoctorRuntime:
     def eval_accuracy(self) -> Optional[float]:
         """Share of completed requests whose requested level was the true level."""
         return self.eval_hits / self.eval_count if self.eval_count else None
+
+
+class Patient:
+    """One patient in its bed, under its bed's doctor, counting down its open tasks once examined."""
+
+    __slots__ = ("id", "bed", "doctor", "true_level", "open_tasks")
+
+    def __init__(self, id: int, bed: int, doctor: DoctorRuntime, true_level: int):
+        self.id = id
+        self.bed = bed
+        self.doctor = doctor
+        self.true_level = true_level
+        self.open_tasks = 0
+
+
+class TaskRequest:
+    __slots__ = ("id", "patient", "requested_level", "issued_at", "executed_by", "execution_start_at",
+                 "actual_duration", "outcome")
+
+    def __init__(self, id: int, patient: Patient, requested_level: int, issued_at: float):
+        self.id = id
+        self.patient = patient
+        self.requested_level = requested_level
+        self.issued_at = issued_at
+        self.executed_by: Optional[int] = None
+        self.execution_start_at: Optional[float] = None
+        self.actual_duration: Optional[float] = None
+        self.outcome = None
 
 
 class NurseRuntime:
@@ -202,21 +204,17 @@ class _ShiftSim:
         self._training = cfg.scenario is Scenario.TRAINING and not self._fifo
 
         self.doctors: dict[int, DoctorRuntime] = {}
-        doctor_ids = [i for i, _ in cfg.doctors]
         for idx, (doctor_id, style) in enumerate(cfg.doctors):
             beds = tuple(range(idx * cfg.beds_per_doctor + 1, (idx + 1) * cfg.beds_per_doctor + 1))
             self.doctors[doctor_id] = DoctorRuntime(doctor_id, style, beds)
-        self._doctor_of_bed = {
-            bed: doctor_id for doctor_id in doctor_ids for bed in self.doctors[doctor_id].beds
-        }
         self.nurses: dict[int, NurseRuntime] = {
             nurse_id: NurseRuntime(nurse_id, quality, ROLE_REGULAR, TrustState.fresh(cfg))
             for nurse_id, quality in cfg.nurses
         }
         self.metrics = ShiftMetrics(self.doctors, self.nurses)
 
-        self.beds: dict[int, Optional[int]] = {bed: None for bed in self._doctor_of_bed}
-        self.patients: dict[int, Patient] = {}  # spawned and not yet served
+        # The only home of a live patient: spawned and not yet served.
+        self.beds: dict[int, Optional[Patient]] = {bed: None for doctor in self.doctors.values() for bed in doctor.beds}
         # Pending requests by requested level (index level - 1), oldest first.
         self._pending: tuple[deque, ...] = tuple(deque() for _ in LEVELS)
         self._next_patient_id = 1
@@ -230,66 +228,44 @@ class _ShiftSim:
 
     # -- event handlers -----------------------------------------------------
 
-    def _spawn_patient(self, bed: int) -> tuple:
+    def _spawn_patient(self, doctor: DoctorRuntime, bed: int) -> tuple:
         level = sample_true_level(self.rng, self.cfg.true_level_distribution)
-        patient = Patient(id=self._next_patient_id, bed=bed, true_level=level, spawned_at=self.now)
+        patient = Patient(self._next_patient_id, bed, doctor, level)
         self._next_patient_id += 1
-        self.patients[patient.id] = patient
         assert self.beds[bed] is None, f"bed {bed} double-occupied"
-        self.beds[bed] = patient.id
-        doctor = self.doctors[self._doctor_of_bed[bed]]
-        if doctor.current_patient is None:
-            self._begin_exam(doctor, patient)
+        self.beds[bed] = patient
+        if doctor.examining:
+            doctor.waiting.append(patient)
+        else:
+            self._begin_exam(patient)
         return patient.id, bed
 
-    def _begin_exam(self, doctor: DoctorRuntime, patient: Patient) -> None:
-        doctor.current_patient = patient.id
-        self._schedule(self.now + self.cfg.exam_duration, EXAM_COMPLETE, (doctor.id, patient.id))
+    def _begin_exam(self, patient: Patient) -> None:
+        patient.doctor.examining = True
+        self._schedule(self.now + self.cfg.exam_duration, EXAM_COMPLETE, (patient,))
 
-    def _next_unexamined(self, doctor: DoctorRuntime) -> Optional[Patient]:
-        """The doctor's unexamined patient that lay down first, by (spawned_at, id)."""
-        best = None
-        for bed in doctor.beds:
-            pid = self.beds[bed]
-            if pid is None:
-                continue
-            patient = self.patients[pid]
-            if not patient.examined and (
-                best is None or (patient.spawned_at, pid) < (best.spawned_at, best.id)
-            ):
-                best = patient
-        return best
-
-    def _handle_exam_complete(self, doctor_id: int, patient_id: int) -> tuple:
-        doctor = self.doctors[doctor_id]
-        patient = self.patients[patient_id]
-        patient.examined = True
+    def _handle_exam_complete(self, patient: Patient) -> tuple:
+        doctor = patient.doctor
         patient.open_tasks = self.cfg.tasks_per_patient
         for _ in range(self.cfg.tasks_per_patient):
             requested = evaluate_performance_level(patient.true_level, doctor.style)
-            request = TaskRequest(
-                id=self._next_request_id,
-                patient=patient.id,
-                doctor=doctor.id,
-                true_level=patient.true_level,
-                requested_level=requested,
-                issued_at=self.now,
-            )
+            self._pending[requested - 1].append(TaskRequest(self._next_request_id, patient, requested, self.now))
             self._next_request_id += 1
-            self._pending[requested - 1].append(request)
         self._broadcast()
-        doctor.current_patient = None
-        nxt = self._next_unexamined(doctor)
-        if nxt is not None:
-            self._begin_exam(doctor, nxt)
-        return doctor_id, patient_id
+        # Patients spawn in (time, id) order, so the head of `waiting` is the
+        # doctor's unexamined patient that lay down first.
+        if doctor.waiting:
+            self._begin_exam(doctor.waiting.popleft())
+        else:
+            doctor.examining = False
+        return doctor.id, patient.id
 
     def _broadcast(self) -> None:
         # `self.nurses` is in ascending id order: the roster is sorted by id and
         # a replacement takes the next id after the largest.
         for nurse in self.nurses.values():
             if not nurse.busy:
-                self._schedule(self.now, NURSE_DECIDE, (nurse.id, 0))
+                self._schedule(self.now, NURSE_DECIDE, (nurse, 0))
 
     def _select(self, nurse: NurseRuntime) -> SelectionDecision:
         pending = [queue[0] for queue in self._pending if queue]
@@ -298,24 +274,23 @@ class _ShiftSim:
         restricted = nurse.trust.classified_low_at is not None and not nurse.trainer_attached
         return select_request_ca(nurse.trust, restricted, nurse.trainer_attached, pending, self.cfg)
 
-    def _handle_nurse_decide(self, nurse_id: int, make_idle: int = 0) -> tuple:
-        nurse = self.nurses[nurse_id]
+    def _handle_nurse_decide(self, nurse: NurseRuntime, make_idle: int) -> tuple:
         if make_idle:
             # Post-prep decide: the nurse returns to the waiting room first.
             nurse.busy = False
         if nurse.busy:
-            return nurse_id, ""
+            return nurse.id, ""
         request, reason = self._select(nurse)
         nurse.decisions[reason] += 1
         if reason is not _ACCEPTED:
-            return nurse_id, ""
+            return nurse.id, ""
         head = self._pending[request.requested_level - 1].popleft()
         assert head is request and request.executed_by is None
         request.executed_by = nurse.id
         nurse.busy = True
         nurse.current_request = request
-        self._schedule(self.now + self.cfg.travel_time, EXECUTION_START, (nurse.id, request.id))
-        return nurse_id, request.id
+        self._schedule(self.now + self.cfg.travel_time, EXECUTION_START, (nurse,))
+        return nurse.id, request.id
 
     def _training_mode(self, nurse: NurseRuntime) -> bool:
         # Mirrors the duration algorithm's dispatch: the training-time bonus
@@ -324,8 +299,7 @@ class _ShiftSim:
         # the accumulated bonus persists after the trainer leaves.
         return nurse.quality is _LOW and self._training
 
-    def _handle_execution_start(self, nurse_id: int, request_id: int) -> tuple:
-        nurse = self.nurses[nurse_id]
+    def _handle_execution_start(self, nurse: NurseRuntime) -> tuple:
         request = nurse.current_request
         request.execution_start_at = self.now
         accrue_delay(self.metrics, request, self.cfg.shift_length)
@@ -333,23 +307,22 @@ class _ShiftSim:
             nurse.quality,
             self._training_mode(nurse),
             nurse.observed_tasks,
-            request.true_level,
+            request.patient.true_level,
             self.cfg,
             self.rng,
         )
         # Observation credit requires the trainer to witness the execution from
         # its start; attach events later in time do not count this task.
         request_observed = nurse.trainer_attached
-        self._schedule(self.now + request.actual_duration, TASK_COMPLETE, (nurse.id, request.id, int(request_observed)))
-        return nurse_id, request_id
+        self._schedule(self.now + request.actual_duration, TASK_COMPLETE, (nurse, int(request_observed)))
+        return nurse.id, request.id
 
     def _spawn_replacement(self) -> None:
-        new_id = max(self.nurses) + 1
-        self.nurses[new_id] = NurseRuntime(new_id, NurseQuality.HIGH, ROLE_REPLACEMENT, TrustState.fresh(self.cfg))
-        self._schedule(self.now, NURSE_DECIDE, (new_id, 0))
+        nurse = NurseRuntime(max(self.nurses) + 1, NurseQuality.HIGH, ROLE_REPLACEMENT, TrustState.fresh(self.cfg))
+        self.nurses[nurse.id] = nurse
+        self._schedule(self.now, NURSE_DECIDE, (nurse, 0))
 
-    def _handle_task_complete(self, nurse_id: int, request_id: int, observed: int) -> tuple:
-        nurse = self.nurses[nurse_id]
+    def _handle_task_complete(self, nurse: NurseRuntime, observed: int) -> tuple:
         request = nurse.current_request
         request.outcome = judge_outcome(request.actual_duration, request.requested_level, self.cfg)
         record_task_completion(self.metrics, request)
@@ -367,23 +340,22 @@ class _ShiftSim:
         if observed:
             nurse.observed_tasks += 1
             if nurse.trainer_attached and trainer_should_exit(nurse.observed_tasks, self.cfg):
-                self._schedule(self.now, TRAINER_EXIT, (nurse.id,))
+                self._schedule(self.now, TRAINER_EXIT, (nurse,))
 
-        patient = self.patients[request.patient]
+        patient = request.patient
         patient.open_tasks -= 1
         if not patient.open_tasks:
-            del self.patients[patient.id]
-            self.metrics.mark_served(request.doctor)
+            self.metrics.mark_served(patient.doctor)
             self.beds[patient.bed] = None
-            self._schedule(self.now, PATIENT_SPAWN, (patient.bed,))
+            self._schedule(self.now, PATIENT_SPAWN, (patient.doctor, patient.bed))
 
         nurse.current_request = None
-        self._schedule(self.now + self.cfg.prep_time, NURSE_DECIDE, (nurse.id, 1))
-        return nurse_id, request_id
+        self._schedule(self.now + self.cfg.prep_time, NURSE_DECIDE, (nurse, 1))
+        return nurse.id, request.id
 
-    def _handle_trainer_exit(self, nurse_id: int) -> tuple:
-        self.nurses[nurse_id].trainer_attached = False
-        return nurse_id, ""
+    def _handle_trainer_exit(self, nurse: NurseRuntime) -> tuple:
+        nurse.trainer_attached = False
+        return nurse.id, ""
 
     # -- main loop ----------------------------------------------------------
 
@@ -391,12 +363,12 @@ class _ShiftSim:
         cfg = self.cfg
         self._schedule(cfg.shift_length, SHIFT_END, ())
         order = [
-            doctor.beds[slot]
+            (doctor, doctor.beds[slot])
             for slot in range(cfg.beds_per_doctor)
             for doctor in (self.doctors[i] for i in sorted(self.doctors))
         ]
-        for i, bed in enumerate(order):
-            self._schedule(i * cfg.initial_spawn_interval, PATIENT_SPAWN, (bed,))
+        for i, spawn in enumerate(order):
+            self._schedule(i * cfg.initial_spawn_interval, PATIENT_SPAWN, spawn)
 
         handlers = {
             PATIENT_SPAWN: self._spawn_patient,
@@ -438,11 +410,13 @@ class _ShiftSim:
             "executing": len(in_hand) - len(claimed),
             "done": sum(n.tasks_success + n.tasks_failed for n in self.nurses.values()),
         }
+        # A live patient is a bed's occupant, so these two counts agree by definition.
+        occupied = sum(patient is not None for patient in self.beds.values())
         audit = {
             "patients_spawned": self._next_patient_id - 1,
             "patients_served": self.metrics.patients_served,
-            "patients_in_system": len(self.patients),
-            "beds_occupied": sum(1 for pid in self.beds.values() if pid is not None),
+            "patients_in_system": occupied,
+            "beds_occupied": occupied,
             "requests": census,
             "requests_issued": self._next_request_id - 1,
             "rng_draws": self.rng.draw_count,

@@ -27,9 +27,9 @@ class ShiftMetrics:
         self.doctors = doctors
         self.nurses = nurses
 
-    def mark_served(self, doctor_id: int) -> None:
+    def mark_served(self, doctor) -> None:
         self.patients_served += 1
-        self.doctors[doctor_id].served += 1
+        doctor.served += 1
 
 
 def accrue_delay(metrics: ShiftMetrics, request, shift_length: float) -> float:
@@ -43,7 +43,7 @@ def accrue_delay(metrics: ShiftMetrics, request, shift_length: float) -> float:
     else:
         waited = shift_length - request.issued_at
     metrics.delay += waited
-    metrics.doctors[request.doctor].delay += waited
+    request.patient.doctor.delay += waited
     return waited
 
 
@@ -51,7 +51,7 @@ def record_task_completion(metrics: ShiftMetrics, request) -> None:
     """Fold one completed request's outcome into the shift metrics."""
     outcome = request.outcome
     nurse = metrics.nurses[request.executed_by]
-    doctor = metrics.doctors[request.doctor]
+    doctor = request.patient.doctor
     metrics.time_damage += outcome.time_damage
     nurse.time_damage += outcome.time_damage
     doctor.time_damage += outcome.time_damage
@@ -61,7 +61,7 @@ def record_task_completion(metrics: ShiftMetrics, request) -> None:
         nurse.tasks_failed += 1
     nurse.utility += outcome.utility_delta
     doctor.eval_count += 1
-    if request.requested_level == request.true_level:
+    if request.requested_level == request.patient.true_level:
         doctor.eval_hits += 1
 
 

@@ -127,11 +127,7 @@ def test_roster_from_first_run_without_config_echo(experiment_dirs, tmp_path):
     data = load_experiment(str(stripped))
     assert any(n["role"] == "replacement" for n in data.nurses_by_run[data.runs[0]["run_id"]])
 
-    doctors, nurses = load_experiment(experiment_dirs["baseline-ca"]).roster
-    assert data.roster == (
-        tuple((i, style.value) for i, style in doctors),
-        tuple((i, quality.value) for i, quality in nurses),
-    )
+    assert data.roster == load_experiment(experiment_dirs["baseline-ca"]).roster
     assert [r.metric for r in compare_experiments(experiment_dirs["baseline-ca"], str(stripped))] == metric_names()
 
 

@@ -72,6 +72,19 @@ def test_run_bad_key_names_key(tmp_path, capsys):
     assert "trustLearningRate" in capsys.readouterr().err
 
 
+def test_run_infinite_shift_exits_2_and_names_the_key(tmp_path):
+    # A FIFO shift that is let through never ends, so it runs as a child with a timeout.
+    cfg = write_config(tmp_path / "inf.cfg", "policy = fifo\nshiftLength = inf\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(edsim.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "edsim", "run", cfg, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert done.returncode == EXIT_CONFIG
+    assert done.stderr == "config error (key: shiftLength): shiftLength must be finite, got inf\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_reports_first_bad_key_whatever_the_hash_seed(tmp_path):
     # Several keys are bad at once; the one reported must not depend on
     # set iteration order, which varies with PYTHONHASHSEED.

@@ -13,6 +13,7 @@ from edsim.domain import (
     SimConfig,
     TopologyError,
     ConfigError,
+    _CONFIG_KEYS,
     config_echo,
     sample_true_level,
     validate_config,
@@ -62,8 +63,12 @@ def test_unknown_key_rejected():
         ("tasksPerPatient", "0"),
         ("easyLevelCap", "6"),
         ("trueLevelDistribution", "0.5, 0.5, 0.5, 0, 0"),
+        ("trueLevelDistribution", "1, 0, 0, 0, nan"),
+        ("trueLevelDistribution", "nan, nan, nan, nan, nan"),
         ("seed", "-3"),
-    ],
+    ]
+    # Every seconds key, infinite or not a number.
+    + [(name, v) for name, key in _CONFIG_KEYS.items() if key.kind == "seconds" for v in ("inf", "1e400", "nan")],
 )
 def test_out_of_domain_fields_rejected(key, value):
     with pytest.raises(RangeError) as err:

@@ -6,7 +6,7 @@ import pytest
 
 import edsim.engine as engine
 from edsim.domain import LEVELS
-from edsim.engine import NURSE_DECIDE, TaskRequest, _ShiftSim, make_run_record, render_trace, run_shift
+from edsim.engine import EXAM_COMPLETE, NURSE_DECIDE, TaskRequest, _ShiftSim, make_run_record, render_trace, run_shift
 from edsim.metrics import write_csvs
 from edsim.policy import select_request_ca, select_request_fifo
 
@@ -388,7 +388,7 @@ def test_delay_sums_in_start_order_then_issue_order(combo, monkeypatch):
     total, per_doctor = 0.0, dict.fromkeys(result.metrics.doctors, 0.0)
     for r, waited in waits:
         total += waited
-        per_doctor[r.doctor] += waited
+        per_doctor[r.patient.doctor.id] += waited
     assert result.metrics.delay == total
     assert {i: d.delay for i, d in result.metrics.doctors.items()} == per_doctor
 
@@ -404,7 +404,7 @@ def test_broadcast_visits_idle_nurses_in_ascending_id_order():
     def recording_broadcast():
         expected = sorted(n.id for n in sim.nurses.values() if not n.busy)
         visited = []
-        sim._schedule = lambda time, kind, args=(): (visited.append(args[0]), schedule(time, kind, args))
+        sim._schedule = lambda time, kind, args=(): (visited.append(args[0].id), schedule(time, kind, args))
         try:
             broadcast()
         finally:
@@ -461,11 +461,28 @@ def test_invariants_hold_after_every_event(state, combo, monkeypatch):
         preparing = {args[0] for _, _, kind, args in sim._heap if kind == NURSE_DECIDE and args[1]}
         for nurse in sim.nurses.values():
             if nurse.current_request is None:
-                assert nurse.busy == (nurse.id in preparing)
+                assert nurse.busy == (nurse in preparing)
             else:
                 request = nurse.current_request
                 assert nurse.busy and request is live[request.id] and in_hand.pop(request.id) == nurse.id
         assert not in_hand
+        # A patient's open tasks are its requests still queued or in a nurse's
+        # hands, and the patient stays in its bed until the last one is done.
+        open_tasks = Counter(r.patient for r in live.values())
+        assert all(sim.beds[patient.bed] is patient for patient in open_tasks)
+        # A doctor examines one patient at a time: the one its scheduled exam
+        # completion carries.  Every other unexamined patient in its beds waits
+        # in its queue in lie-down order, which is id order.
+        exams = [args[0] for _, _, kind, args in sim._heap if kind == EXAM_COMPLETE]
+        under_exam = {patient.doctor: patient for patient in exams}
+        assert len(under_exam) == len(exams)
+        for doctor in sim.doctors.values():
+            assert doctor.examining == (doctor in under_exam)
+            patients = [sim.beds[bed] for bed in doctor.beds if sim.beds[bed] is not None]
+            assert all(patient.doctor is doctor and sim.beds[patient.bed] is patient for patient in patients)
+            assert all(patient.open_tasks == open_tasks[patient] for patient in patients)
+            unexamined = [p for p in patients if not p.open_tasks and p is not under_exam.get(doctor)]
+            assert list(doctor.waiting) == sorted(unexamined, key=lambda p: p.id)
 
     def checked(handler):
         def run(*args):
@@ -479,11 +496,12 @@ def test_invariants_hold_after_every_event(state, combo, monkeypatch):
         setattr(sim, name, checked(getattr(sim, name)))
     start = sim._handle_execution_start
 
-    def counted_start(nurse_id, request_id):
-        request = live[request_id]
-        assert request.executed_by == nurse_id and request.execution_start_at is None
-        started.append(request_id)
-        return start(nurse_id, request_id)
+    def counted_start(nurse):
+        request = nurse.current_request
+        assert request is live[request.id]
+        assert request.executed_by == nurse.id and request.execution_start_at is None
+        started.append(request.id)
+        return start(nurse)
 
     sim._handle_execution_start = counted_start
     result = sim.run()

@@ -1,14 +1,11 @@
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import pytest
 
 from edsim.behavior import TaskOutcome, evaluate_performance_level
 from edsim.policy import TrustState
 from edsim.domain import EvaluationStyle, NurseQuality, SimConfig
-from edsim.engine import DoctorRuntime, NurseRuntime
+from edsim.engine import DoctorRuntime, NurseRuntime, Patient, TaskRequest
 from edsim.metrics import (
     DOCTORS_HEADER,
     NURSES_HEADER,
@@ -24,15 +21,11 @@ from edsim.metrics import (
 )
 
 
-@dataclass
-class Req:
-    issued_at: float
-    execution_start_at: Optional[float]
-    doctor: int = 1
-    executed_by: int = 1
-    requested_level: int = 3
-    true_level: int = 3
-    outcome: Optional[TaskOutcome] = None
+def req(m, issued_at, execution_start_at, doctor=1, executed_by=1, requested_level=3, true_level=3, outcome=None):
+    """An engine request for a patient of `m`'s doctor `doctor`, claimed by nurse `executed_by`."""
+    request = TaskRequest(0, Patient(0, 0, m.doctors[doctor], true_level), requested_level, issued_at)
+    request.executed_by, request.execution_start_at, request.outcome = executed_by, execution_start_at, outcome
+    return request
 
 
 def fresh_metrics(doctors=(1,), nurses=(1,)):
@@ -46,7 +39,7 @@ def fresh_metrics(doctors=(1,), nurses=(1,)):
 
 def test_accrue_delay_started_request():
     m = fresh_metrics()
-    waited = accrue_delay(m, Req(issued_at=10.0, execution_start_at=15.0), shift_length=3600.0)
+    waited = accrue_delay(m, req(m, issued_at=10.0, execution_start_at=15.0), shift_length=3600.0)
     assert waited == 5.0
     assert m.delay == 5.0
     assert m.doctors[1].delay == 5.0
@@ -54,19 +47,19 @@ def test_accrue_delay_started_request():
 
 def test_accrue_delay_never_started_truncates_at_horizon():
     m = fresh_metrics()
-    waited = accrue_delay(m, Req(issued_at=3500.0, execution_start_at=None), shift_length=3600.0)
+    waited = accrue_delay(m, req(m, issued_at=3500.0, execution_start_at=None), shift_length=3600.0)
     assert waited == 100.0
 
 
 def test_accrue_delay_zero_gap():
     m = fresh_metrics()
-    assert accrue_delay(m, Req(issued_at=10.0, execution_start_at=10.0), shift_length=100.0) == 0.0
+    assert accrue_delay(m, req(m, issued_at=10.0, execution_start_at=10.0), shift_length=100.0) == 0.0
 
 
 def test_record_success():
     m = fresh_metrics()
-    req = Req(10.0, 15.0, outcome=TaskOutcome(True, 0.0, 3))
-    record_task_completion(m, req)
+    request = req(m, 10.0, 15.0, outcome=TaskOutcome(True, 0.0, 3))
+    record_task_completion(m, request)
     assert m.nurses[1].tasks_success == 1
     assert m.nurses[1].tasks_failed == 0
     assert m.nurses[1].utility == 3
@@ -75,8 +68,8 @@ def test_record_success():
 
 def test_record_failure_damage_goes_everywhere():
     m = fresh_metrics()
-    req = Req(10.0, 15.0, outcome=TaskOutcome(False, 7.3, -3))
-    record_task_completion(m, req)
+    request = req(m, 10.0, 15.0, outcome=TaskOutcome(False, 7.3, -3))
+    record_task_completion(m, request)
     assert m.time_damage == pytest.approx(7.3)
     assert m.nurses[1].time_damage == pytest.approx(7.3)
     assert m.doctors[1].time_damage == pytest.approx(7.3)
@@ -86,12 +79,12 @@ def test_record_failure_damage_goes_everywhere():
 def test_totals_match_breakdowns_after_every_completion():
     m = fresh_metrics(doctors=(1, 2), nurses=(1, 2))
     outcomes = [
-        Req(0.0, 1.0, doctor=1, executed_by=1, outcome=TaskOutcome(False, 2.5, -3)),
-        Req(0.0, 2.0, doctor=2, executed_by=2, outcome=TaskOutcome(True, 0.0, 4)),
-        Req(0.0, 3.0, doctor=2, executed_by=1, outcome=TaskOutcome(False, 1.5, -1)),
+        req(m, 0.0, 1.0, doctor=1, executed_by=1, outcome=TaskOutcome(False, 2.5, -3)),
+        req(m, 0.0, 2.0, doctor=2, executed_by=2, outcome=TaskOutcome(True, 0.0, 4)),
+        req(m, 0.0, 3.0, doctor=2, executed_by=1, outcome=TaskOutcome(False, 1.5, -1)),
     ]
-    for req in outcomes:
-        record_task_completion(m, req)
+    for request in outcomes:
+        record_task_completion(m, request)
         assert m.time_damage == pytest.approx(sum(n.time_damage for n in m.nurses.values()))
         assert m.time_damage == pytest.approx(sum(d.time_damage for d in m.doctors.values()))
 
@@ -99,8 +92,8 @@ def test_totals_match_breakdowns_after_every_completion():
 def test_eval_accuracy_correct_doctor_is_one():
     m = fresh_metrics()
     for level in (1, 2, 3, 4, 5):
-        req = Req(0.0, 1.0, requested_level=level, true_level=level, outcome=TaskOutcome(True, 0.0, level))
-        record_task_completion(m, req)
+        request = req(m, 0.0, 1.0, requested_level=level, true_level=level, outcome=TaskOutcome(True, 0.0, level))
+        record_task_completion(m, request)
     assert m.doctors[1].eval_accuracy == 1.0
 
 
@@ -115,8 +108,8 @@ def test_eval_accuracy_biased_doctor_converges(style, expected):
     for i in range(1000):
         level = (i % 5) + 1
         requested = evaluate_performance_level(level, style)
-        req = Req(0.0, 1.0, requested_level=requested, true_level=level, outcome=TaskOutcome(True, 0.0, 1))
-        record_task_completion(m, req)
+        request = req(m, 0.0, 1.0, requested_level=requested, true_level=level, outcome=TaskOutcome(True, 0.0, 1))
+        record_task_completion(m, request)
     assert m.doctors[1].eval_accuracy == pytest.approx(expected, abs=0.02)
 
 
@@ -127,12 +120,12 @@ def test_eval_accuracy_without_completions_is_none():
 
 def make_record(run_id="combo-00000007", seed=7, with_low_classified=True):
     m = fresh_metrics(doctors=(1,), nurses=(1, 2))
-    m.mark_served(1)
-    record_task_completion(m, Req(0.0, 1.0, executed_by=2, outcome=TaskOutcome(True, 0.0, 3)))
+    m.mark_served(m.doctors[1])
+    record_task_completion(m, req(m, 0.0, 1.0, executed_by=2, outcome=TaskOutcome(True, 0.0, 3)))
     record_task_completion(
-        m, Req(0.0, 2.0, executed_by=1, requested_level=2, outcome=TaskOutcome(False, 4.2, -2))
+        m, req(m, 0.0, 2.0, executed_by=1, requested_level=2, outcome=TaskOutcome(False, 4.2, -2))
     )
-    accrue_delay(m, Req(10.0, 15.0), 100.0)
+    accrue_delay(m, req(m, 10.0, 15.0), 100.0)
     if with_low_classified:
         m.nurses[1].trust = m.nurses[1].trust._replace(classified_low_at=42.5)
     return RunRecord(run_id=run_id, config=SimConfig(seed=seed, shift_length=100.0), metrics=m)
