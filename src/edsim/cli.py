@@ -2,11 +2,9 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from . import __version__
 from .domain import (
@@ -20,11 +18,8 @@ from .domain import (
     validate_config,
     validate_seed,
 )
-from .engine import make_run_record, render_trace, run_shift
+from .engine import render_trace, run_shift
 from .metrics import RunRecord, SchemaError, runs_row, write_csvs
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,15 +62,9 @@ def _config_error(exc: ConfigError) -> int:
 
 
 def _write_experiment_dir(out_dir: str, records: list[RunRecord], cfg: SimConfig, name: str, seeds: list[int]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     write_csvs(records, out_dir)
     _write_text(out_dir, "config.echo", config_echo(cfg))
     _write_text(out_dir, "manifest.txt", _manifest(name, seeds, len(records)))
-
-
-def _execute_run(args: tuple[SimConfig, str]) -> RunRecord:
-    cfg, run_id = args
-    return make_run_record(run_shift(cfg), run_id)
 
 
 def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[str]) -> int:
@@ -90,7 +79,7 @@ def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[st
 
     out_dir = out or os.path.join(_default_out_root(), "run")
     result = run_shift(cfg)
-    record = make_run_record(result, run_id=f"run-{cfg.seed:08d}")
+    record = RunRecord(f"run-{cfg.seed:08d}", result.config, result.metrics)
     try:
         _write_experiment_dir(out_dir, [record], cfg, "run", [cfg.seed])
         if trace:
@@ -100,22 +89,6 @@ def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[st
         return EXIT_IO
     print(runs_row(record))
     return EXIT_OK
-
-
-def _open_pool(parallel: int, runs: int):
-    """Context manager for the worker pool that maps `runs` jobs at `parallel`.
-
-    The pool has min(parallel, runs) workers, since a fork pool starts every
-    worker at its first submit; with one worker or fewer it is None and the
-    runs execute in this process.  The pool machinery is imported only here,
-    so serial commands never load it.
-    """
-    workers = min(parallel, runs)
-    if workers <= 1:
-        return nullcontext()
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _combo_jobs(base_raw: dict, combo: str, runs: int, seed_base: int) -> list[tuple[SimConfig, str]]:
@@ -129,18 +102,66 @@ def _combo_jobs(base_raw: dict, combo: str, runs: int, seed_base: int) -> list[t
     return [(cfg._replace(seed=validate_seed(s)), f"{combo}-{s:08d}") for s in range(seed_base, seed_base + runs)]
 
 
-def _submit(pool: Optional[Executor], grid: list[list[tuple[SimConfig, str]]], workers: int) -> list[Iterator]:
-    """Start every combo's jobs; returns one iterator of records per combo, in seed order.
+def _run_slice(jobs: list[tuple[SimConfig, str]]) -> tuple[list[RunRecord], Optional[str]]:
+    """Run `jobs` in order until one raises; returns the records made before it and its error text (or None)."""
+    records = []
+    for cfg, run_id in jobs:
+        try:
+            result = run_shift(cfg)
+        except Exception as exc:  # noqa: BLE001 - a failed run is reported, not raised
+            return records, str(exc)
+        records.append(RunRecord(run_id, result.config, result.metrics))
+    return records, None
 
-    With a pool, every job is submitted before this returns, in chunks of
-    ceil(jobs / (4 x workers)).  Each combo has its own map, so no chunk spans
-    two combos and a failed run raises in its own combo's iterator.  Without a
-    pool, the runs execute in this process as the iterators are read.
+
+def _map_runs(jobs: list[tuple[SimConfig, str]], parallel: int) -> tuple[list[RunRecord], Optional[str]]:
+    """Run `jobs`; returns the records made before the first failed run and its error text (or None).
+
+    min(parallel, len(jobs)) forked workers each run one contiguous slice of
+    `jobs` and pickle (records, error) down their own pipe.  The pipes are read
+    in slice order, so every job before a failure is known to be done, as in a
+    serial run.  Whatever happens, every worker is killed and reaped before
+    this returns.  With one worker, or without `os.fork`, the jobs run here.
     """
-    if pool is None:
-        return [map(_execute_run, jobs) for jobs in grid]
-    chunksize = math.ceil(sum(map(len, grid)) / (4 * workers))
-    return [pool.map(_execute_run, jobs, chunksize=chunksize) for jobs in grid]
+    workers = min(parallel, len(jobs))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return _run_slice(jobs)
+    import pickle
+    import signal
+
+    bounds = [len(jobs) * k // workers for k in range(workers + 1)]
+    pids, pipes = [], []
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            with os.fdopen(write_fd, "wb") as out:
+                pid = os.fork()
+                if pid == 0:  # the worker; it never leaves this block
+                    try:
+                        pickle.dump(_run_slice(jobs[lo:hi]), out)
+                        out.flush()
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+        records = []
+        for k, pipe in enumerate(pipes, 1):
+            try:
+                done, error = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                return records, f"worker {k} of {workers} exited without sending its results"
+            records += done
+            if error is not None:
+                return records, error
+        return records, None
+    except OSError as exc:  # a pipe or a worker could not be made
+        return [], str(exc)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run_experiment(
@@ -155,37 +176,18 @@ def run_experiment(
     """Collect one scenario-policy combination's `runs` consecutive seeds and write its directory.
 
     `records` yields the combo's records in seed order from runs the caller
-    has already submitted, as `experiment` does for every combo at once.
-    Without it, the runs are mapped here, through a pool of
-    `_open_pool(parallel, runs)`.
+    has already made, as `experiment` does for the whole grid at once.
+    Without it, the runs are mapped here on `parallel` workers; a failed run
+    raises RuntimeError with its error text.
     """
     if records is None:
-        jobs = _combo_jobs(base_raw, combo, runs, seed_base)
-        with _open_pool(parallel, runs) as pool:
-            records = list(_submit(pool, [jobs], min(parallel, runs))[0])
+        records, error = _map_runs(_combo_jobs(base_raw, combo, runs, seed_base), parallel)
+        if error is not None:
+            raise RuntimeError(error)
     else:
         records = list(records)
     _write_experiment_dir(out_dir, records, records[0].config, combo, [seed_base + i for i in range(runs)])
     return records
-
-
-class RunFailed(Exception):
-    """A run raised (the cause); kept apart from a failed output write's OSError."""
-
-
-def _reraise_as_run_failed(records: Iterator[RunRecord]) -> Iterator[RunRecord]:
-    try:
-        yield from records
-    except Exception as exc:
-        raise RunFailed(exc) from exc
-
-
-def _abort(pool: Optional[Executor], message: str, code: int) -> int:
-    """Cancel the runs still queued in `pool`, report `message` and return `code`."""
-    if pool is not None:
-        pool.shutdown(cancel_futures=True)
-    print(message, file=sys.stderr)
-    return code
 
 
 def cmd_experiment(
@@ -207,7 +209,7 @@ def cmd_experiment(
         base_raw = parse_config_file(config_path) if config_path else {}
         # Validate the base config once up front so errors name their key.
         validate_config(base_raw)
-        grid = [_combo_jobs(base_raw, name, runs, seed_base) for name in combos]
+        jobs = [job for name in combos for job in _combo_jobs(base_raw, name, runs, seed_base)]
     except ConfigError as exc:
         return _config_error(exc)
     except OSError as exc:
@@ -215,23 +217,21 @@ def cmd_experiment(
         return EXIT_IO
 
     out_root = out or os.path.join(_default_out_root(), "experiment")
-    # One pool takes every combo's runs before any result is read, so the
-    # workers stay busy while the combos are collected and written in order.
-    with _open_pool(parallel, runs) as pool:
+    # The whole grid runs first, one contiguous slice per worker; then the
+    # combos complete before any failed run are written, in order.
+    records, error = _map_runs(jobs, parallel)
+    for k, name in enumerate(combos):
+        done = records[k * runs:(k + 1) * runs]
+        if len(done) < runs:
+            print(f"combo {name} aborted: {error}", file=sys.stderr)
+            return EXIT_RUN_FAILED
+        out_dir = os.path.join(out_root, name)
         try:
-            submitted = _submit(pool, grid, min(parallel, runs))
-        except Exception as exc:  # noqa: BLE001 - the workers could not start
-            return _abort(pool, f"combo {combos[0]} aborted: {exc}", EXIT_RUN_FAILED)
-        for name, pending in zip(combos, submitted):
-            out_dir = os.path.join(out_root, name)
-            try:
-                pending = _reraise_as_run_failed(pending)
-                records = run_experiment(base_raw, name, runs, seed_base, out_dir, records=pending)
-            except OSError as exc:
-                return _abort(pool, f"cannot write outputs: {exc}", EXIT_IO)
-            except Exception as exc:  # noqa: BLE001 - a failed run aborts the command
-                return _abort(pool, f"combo {name} aborted: {exc}", EXIT_RUN_FAILED)
-            print(f"{name}: {len(records)} runs -> {out_dir}")
+            run_experiment(base_raw, name, runs, seed_base, out_dir, records=done)
+        except OSError as exc:
+            print(f"cannot write outputs: {exc}", file=sys.stderr)
+            return EXIT_IO
+        print(f"{name}: {runs} runs -> {out_dir}")
     return EXIT_OK
 
 
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seed-base", type=int, default=1, help="run i uses seed seed-base + i")
     p_exp.add_argument("--combo", default="all", choices=[*COMBOS, "all"], help="which combo to run")
     p_exp.add_argument("--out", default=None, help="output root (one directory per combo)")
-    p_exp.add_argument("--parallel", type=int, default=1, help="worker processes, at most one per run")
+    p_exp.add_argument("--parallel", type=int, default=1, help="forked workers, at most one per run of the grid")
 
     p_an = sub.add_parser("analyze", help="compare two experiment directories")
     p_an.add_argument("dir_a")

@@ -50,7 +50,7 @@ from typing import NamedTuple, Optional
 
 from .behavior import evaluate_performance_level, get_task_duration, judge_outcome
 from .domain import LEVELS, EvaluationStyle, NurseQuality, Policy, Rng, Scenario, SimConfig, sample_true_level
-from .metrics import RunRecord, ShiftMetrics, accrue_delay, record_task_completion
+from .metrics import ShiftMetrics, accrue_delay, record_task_completion
 from .policy import (
     Reason,
     ScenarioSignal,
@@ -186,10 +186,6 @@ def render_trace(result: ShiftResult) -> str:
     """Serialize the event log as `time,seq,kind,actor,object` lines."""
     lines = ["%.6f,%s,%s,%s,%s" % event for event in result.events]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def make_run_record(result: ShiftResult, run_id: str) -> RunRecord:
-    return RunRecord(run_id, result.config, result.metrics)
 
 
 class _ShiftSim:

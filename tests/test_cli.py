@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import errno
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -302,108 +303,92 @@ def test_analyze_unknown_metric_exits_2(tmp_path):
 def test_experiment_run_failure_exits_4(tmp_path, monkeypatch):
     import edsim.cli as cli
 
-    def explode(args):
+    def explode(cfg):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "_execute_run", explode)
+    monkeypatch.setattr(cli, "run_shift", explode)
     code = main(["experiment", "--runs", "2", "--seed-base", "1", "--combo", "baseline-ca", "--out", str(tmp_path)])
     assert code == 4
 
 
 @pytest.fixture
-def fake_pools(monkeypatch):
-    """Replace the process pool with an in-process fake; returns every fake built.
+def forks(monkeypatch):
+    """Count the workers forked through `os.fork`; returns their pids."""
+    pids = []
+    real_fork = os.fork
 
-    Each fake keeps the jobs of every `map` call and a log of ("submit", job
-    count) per call and ("result", run id) per record read.
-    """
-    import concurrent.futures
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    built = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.chunksizes = []
-            self.jobs = []
-            self.log = []
-            self.cancelled = False
-            built.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.shutdown()
-
-        def map(self, fn, jobs, chunksize=1):
-            jobs = list(jobs)
-            self.chunksizes.append(chunksize)
-            self.jobs.append(jobs)
-            self.log.append(("submit", len(jobs)))
-
-            def results():
-                for job in jobs:
-                    record = fn(job)
-                    self.log.append(("result", record.run_id))
-                    yield record
-
-            return results()
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            self.cancelled = self.cancelled or cancel_futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    return built
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
 
 
-def test_experiment_pool_is_bounded_by_runs(tmp_path, fake_pools):
+def assert_no_children():
+    """Every worker was reaped: this process has no child left, running or not."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_experiment_pool_is_bounded_by_runs(tmp_path, forks):
     args = ["experiment", "--runs", "3", "--combo", "baseline-ca", "--parallel", "500", "--out", str(tmp_path)]
     assert main(args) == EXIT_OK
-    assert [pool.max_workers for pool in fake_pools] == [3]
+    assert len(forks) == 3
+    assert_no_children()
 
 
 @pytest.mark.parametrize("parallel", ["0", "-2"])
-def test_experiment_parallel_below_one_exits_2(tmp_path, capsys, fake_pools, parallel):
+def test_experiment_parallel_below_one_exits_2(tmp_path, capsys, forks, parallel):
     args = ["experiment", "--runs", "3", "--combo", "baseline-ca", "--parallel", parallel, "--out", str(tmp_path / "o")]
     assert main(args) == EXIT_CONFIG
     assert "config error: --parallel must be >= 1" in capsys.readouterr().err
-    assert fake_pools == []
+    assert forks == []
     assert not (tmp_path / "o").exists()
 
 
-def test_experiment_shares_one_pool_across_combos(tmp_path, fake_pools):
+def test_experiment_shares_one_pool_across_combos(tmp_path, forks):
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    args = ["experiment", "--runs", "13", "--seed-base", "4", "--combo", "all"]
+    args = ["experiment", "--runs", "5", "--seed-base", "4", "--combo", "all"]
     assert main(args + ["--out", str(serial)]) == EXIT_OK
-    assert fake_pools == []
+    assert forks == []
+    # 5 runs x 4 combos over 3 workers: slices of 6, 7 and 7 runs, two of
+    # which span a combo boundary.
     assert main(args + ["--out", str(parallel), "--parallel", "3"]) == EXIT_OK
-    assert [pool.max_workers for pool in fake_pools] == [3]
-    # 13 runs x 4 combos over 3 workers: ceil(52 / 12) = 5 jobs per chunk.
-    assert fake_pools[0].chunksizes == [5, 5, 5, 5]
+    assert len(forks) == 3
+    assert tree_bytes(serial) == tree_bytes(parallel)
+    assert_no_children()
+
+
+def test_experiment_without_fork_runs_serially(tmp_path, monkeypatch):
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    args = ["experiment", "--runs", "5", "--seed-base", "4", "--combo", "all"]
+    assert main(args + ["--out", str(serial)]) == EXIT_OK
+    monkeypatch.delattr(os, "fork")
+    assert main(args + ["--out", str(parallel), "--parallel", "3"]) == EXIT_OK
     assert tree_bytes(serial) == tree_bytes(parallel)
 
 
-def test_experiment_submits_every_combo_before_reading_a_result(tmp_path, fake_pools):
-    args = ["experiment", "--runs", "5", "--seed-base", "20", "--combo", "all", "--parallel", "2"]
-    assert main(args + ["--out", str(tmp_path)]) == EXIT_OK
-    [pool] = fake_pools
-    results = [("result", f"{combo}-{seed:08d}") for combo in COMBOS for seed in range(20, 25)]
-    assert pool.log == [("submit", 5)] * len(COMBOS) + results
-
-
-def test_experiment_validates_once_per_combo_and_exactly(tmp_path, monkeypatch, fake_pools):
+def test_experiment_validates_once_per_combo_and_exactly(tmp_path, monkeypatch):
     import edsim.cli as cli
 
     text = "nurses = 1:high, 2:low, 3:low\nshiftLength = 1500\ntrustLearningRate = 0.2\n"
     cfg = write_config(tmp_path / "base.cfg", text)
-    validated = []
+    validated, mapped = [], []
 
     def counting_validate(raw):
         validated.append(raw)
         return validate_config(raw)
 
+    def recording_map(jobs, parallel):
+        mapped.append(jobs)
+        return map_runs(jobs, parallel)
+
+    map_runs = cli._map_runs
     monkeypatch.setattr(cli, "validate_config", counting_validate)
+    monkeypatch.setattr(cli, "_map_runs", recording_map)
     args = ["experiment", cfg, "--runs", "5", "--seed-base", "30", "--combo", "all", "--parallel", "2"]
     assert main(args + ["--out", str(tmp_path / "o")]) == EXIT_OK
     # The base config once, then one validation per combo.
@@ -414,23 +399,23 @@ def test_experiment_validates_once_per_combo_and_exactly(tmp_path, monkeypatch, 
         for combo, (s, p) in COMBOS.items()
         for seed in range(30, 35)
     ]
-    [pool] = fake_pools
-    assert [job for jobs in pool.jobs for job in jobs] == expected
+    # One map over the whole grid, in combo then seed order.
+    assert mapped == [expected]
 
 
-def test_experiment_seed_past_64_bits_exits_2_and_writes_nothing(tmp_path, capsys, fake_pools):
+def test_experiment_seed_past_64_bits_exits_2_and_writes_nothing(tmp_path, capsys, forks):
     out = tmp_path / "o"
     args = ["experiment", "--runs", "2", "--seed-base", str(2**64 - 1), "--combo", "all", "--parallel", "2"]
     assert main(args + ["--out", str(out)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err == "config error (key: seed): seed must fit in 64 unsigned bits, got 18446744073709551616\n"
     assert captured.out == ""
-    assert fake_pools == []
+    assert forks == []
     assert not out.exists()
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])
-def test_experiment_unwritable_out_exits_3(tmp_path, capsys, fake_pools, parallel):
+def test_experiment_unwritable_out_exits_3(tmp_path, capsys, parallel):
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
     args = ["experiment", "--runs", "3", "--combo", "all", "--parallel", parallel, "--out", str(blocker / "exp")]
@@ -438,33 +423,25 @@ def test_experiment_unwritable_out_exits_3(tmp_path, capsys, fake_pools, paralle
     captured = capsys.readouterr()
     assert captured.err.startswith(f"cannot write outputs: [Errno {errno.ENOTDIR}] ")
     assert captured.out == ""
-    assert [pool.cancelled for pool in fake_pools] == ([] if parallel == "1" else [True])
+    assert_no_children()
 
 
-def test_experiment_pool_that_cannot_start_exits_4(tmp_path, capsys, monkeypatch):
-    import concurrent.futures
+def test_experiment_pool_that_cannot_start_exits_4(tmp_path, capsys, monkeypatch, forks):
+    # The first worker starts, the second cannot; the first must be stopped.
+    counting_fork = os.fork
 
-    class NoForkPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            pass
-
-        def map(self, fn, jobs, chunksize=1):
+    def fork_once():
+        if forks:
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return counting_fork()
 
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoForkPool)
+    monkeypatch.setattr(os, "fork", fork_once)
     args = ["experiment", "--runs", "3", "--combo", "all", "--parallel", "2", "--out", str(tmp_path)]
     assert main(args) == EXIT_RUN_FAILED
     assert capsys.readouterr().err.startswith(f"combo baseline-ca aborted: [Errno {errno.EAGAIN}] ")
     assert os.listdir(tmp_path) == []
+    assert len(forks) == 1
+    assert_no_children()
 
 
 def _explode(cfg):
@@ -476,7 +453,7 @@ def _explode_with_oserror(cfg):
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])
-def test_experiment_run_raising_oserror_still_exits_4(tmp_path, capsys, monkeypatch, fake_pools, parallel):
+def test_experiment_run_raising_oserror_still_exits_4(tmp_path, capsys, monkeypatch, parallel):
     import edsim.cli as cli
 
     # Only a failed output write exits 3; an OSError from a run is a failed run.
@@ -485,6 +462,7 @@ def test_experiment_run_raising_oserror_still_exits_4(tmp_path, capsys, monkeypa
     assert main(args) == EXIT_RUN_FAILED
     assert capsys.readouterr().err == "combo baseline-ca aborted: device gone\n"
     assert os.listdir(tmp_path) == []
+    assert_no_children()
 
 
 def _explode_in_training(cfg):
@@ -493,60 +471,84 @@ def _explode_in_training(cfg):
     return run_shift(cfg)
 
 
-@pytest.mark.parametrize("pool", ["serial", "fake", "fork"])
-def test_experiment_failure_in_last_combo_keeps_earlier_combos(tmp_path, capsys, monkeypatch, request, pool):
+TEST_PROCESS = os.getpid()
+
+
+def _die_in_training(cfg):
+    if cfg.scenario is Scenario.TRAINING:
+        if os.getpid() == TEST_PROCESS:
+            raise RuntimeError("meant to run in a forked worker only")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_shift(cfg)
+
+
+@pytest.mark.parametrize(
+    "parallel, explode, message",
+    [
+        pytest.param("1", _explode_in_training, "boom", id="serial"),
+        pytest.param("2", _explode_in_training, "boom", id="fork"),
+        # 16 runs over 4 workers: the last worker's slice is training-ca's four runs.
+        pytest.param("4", _die_in_training, "worker 4 of 4 exited without sending its results", id="killed"),
+    ],
+)
+def test_experiment_failure_in_last_combo_keeps_earlier_combos(tmp_path, capsys, monkeypatch, parallel, explode, message):
     import edsim.cli as cli
 
-    if pool == "fork" and multiprocessing.get_start_method() != "fork":
-        pytest.skip("the patched run_shift reaches the workers only when they are forked")
-    fakes = request.getfixturevalue("fake_pools") if pool == "fake" else None
-    parallel = "1" if pool == "serial" else "2"
     args = ["experiment", "--runs", "4", "--seed-base", "7", "--combo", "all", "--parallel", parallel]
     clean, failed = tmp_path / "clean", tmp_path / "failed"
     assert main(args + ["--out", str(clean)]) == EXIT_OK
-    # Patched before the pool starts its workers, so forked workers raise too.
-    monkeypatch.setattr(cli, "run_shift", _explode_in_training)
+    # Patched before the workers are forked, so they run the patched function too.
+    monkeypatch.setattr(cli, "run_shift", explode)
     capsys.readouterr()
     assert main(args + ["--out", str(failed)]) == EXIT_RUN_FAILED
     captured = capsys.readouterr()
-    assert captured.err == "combo training-ca aborted: boom\n"
+    assert captured.err == f"combo training-ca aborted: {message}\n"
     earlier_combos = ["baseline-ca", "baseline-fifo", "replacement-ca"]
     assert [line.split(":")[0] for line in captured.out.splitlines()] == earlier_combos
     assert sorted(os.listdir(failed)) == earlier_combos
     earlier = {path: data for path, data in tree_bytes(clean).items() if not path.startswith("training-ca")}
     assert tree_bytes(failed) == earlier
-    if fakes is not None:
-        assert [fake.cancelled for fake in fakes] == [False, True]
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])
 def test_experiment_failed_run_exits_4_and_stops_workers(tmp_path, capsys, monkeypatch, parallel):
     import edsim.cli as cli
 
-    if parallel != "1" and multiprocessing.get_start_method() != "fork":
-        pytest.skip("the patched run_shift reaches the workers only when they are forked")
-    # Patched before the pool starts its workers, so forked workers raise too.
+    # Patched before the workers are forked, so they raise too.
     monkeypatch.setattr(cli, "run_shift", _explode)
     args = ["experiment", "--runs", "4", "--combo", "all", "--parallel", parallel, "--out", str(tmp_path)]
     assert main(args) == EXIT_RUN_FAILED
     assert "combo baseline-ca aborted: boom" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
-def test_experiment_failed_run_cancels_queued_runs(tmp_path, monkeypatch, fake_pools):
+def _explode_first_then_hang(cfg):
+    if cfg.seed == 1:
+        raise RuntimeError("boom")
+    time.sleep(60)
+
+
+def test_experiment_failed_run_cancels_queued_runs(tmp_path, capsys, monkeypatch):
     import edsim.cli as cli
 
-    monkeypatch.setattr(cli, "run_shift", _explode)
-    args = ["experiment", "--runs", "4", "--combo", "all", "--parallel", "2", "--out", str(tmp_path)]
+    # The first worker fails at once; the second would sleep for a minute
+    # unless the failure kills it.
+    monkeypatch.setattr(cli, "run_shift", _explode_first_then_hang)
+    args = ["experiment", "--runs", "2", "--combo", "baseline-ca", "--parallel", "2", "--out", str(tmp_path)]
+    start = time.monotonic()
     assert main(args) == EXIT_RUN_FAILED
-    assert len(fake_pools) == 1 and fake_pools[0].cancelled
+    assert time.monotonic() - start < 30
+    assert capsys.readouterr().err == "combo baseline-ca aborted: boom\n"
+    assert_no_children()
 
 
 IMPORT_PROBE = """
 import json, sys
-MODULES = ("numpy", "concurrent.futures.process", "edsim.analysis", "edsim.stats", "dataclasses", "inspect")
+MODULES = (
+    "numpy", "concurrent.futures", "multiprocessing", "pickle", "edsim.analysis", "edsim.stats", "dataclasses", "inspect"
+)
 loaded = lambda: [m for m in MODULES if m in sys.modules]
 seen = {}
 import edsim.cli
@@ -556,6 +558,8 @@ edsim.cli.main(["run", cfg, "--trace", "--out", out + "/run"])
 seen["run"] = loaded()
 edsim.cli.main(["experiment", "--runs", "3", "--combo", "baseline-ca", "--out", out + "/exp"])
 seen["experiment"] = loaded()
+edsim.cli.main(["experiment", "--runs", "3", "--combo", "baseline-ca", "--parallel", "2", "--out", out + "/par"])
+seen["parallel"] = loaded()
 exp = out + "/exp/baseline-ca"
 edsim.cli.main(["analyze", exp, exp, "--mc-draws", "50", "--out", out + "/analysis"])
 seen["analyze"] = loaded()
@@ -574,8 +578,9 @@ def test_numpy_and_pool_are_loaded_only_where_used(tmp_path):
     seen = json.loads(done.stdout.splitlines()[-1])
     # numpy imports inspect itself, so analyze may load it; never dataclasses.
     analyze = [m for m in seen.pop("analyze") if m != "inspect"]
-    assert seen == {"import": [], "run": [], "experiment": []}
-    assert analyze == ["numpy", "edsim.analysis", "edsim.stats"]
+    # Only forked workers need pickle; no command needs a process pool.
+    assert seen == {"import": [], "run": [], "experiment": [], "parallel": ["pickle"]}
+    assert analyze == ["numpy", "pickle", "edsim.analysis", "edsim.stats"]
 
 
 def test_out_root_env_default(tmp_path, monkeypatch):

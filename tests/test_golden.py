@@ -15,8 +15,8 @@ import pytest
 
 from edsim.cli import EXIT_OK, main
 from edsim.domain import config_echo
-from edsim.engine import make_run_record, render_trace, run_shift
-from edsim.metrics import write_csvs
+from edsim.engine import render_trace, run_shift
+from edsim.metrics import RunRecord, write_csvs
 
 from conftest import COMBOS, SEED_BASES, make_config
 
@@ -144,7 +144,7 @@ def _sha256(data: bytes) -> str:
 def test_csv_triplet_digests(acceptance_grids, seed_base, tmp_path):
     for combo in COMBOS:
         records = [
-            make_run_record(r, f"{combo}-{r.config.seed:08d}") for r in acceptance_grids[seed_base][combo]
+            RunRecord(f"{combo}-{r.config.seed:08d}", r.config, r.metrics) for r in acceptance_grids[seed_base][combo]
         ]
         paths = write_csvs(records, str(tmp_path / combo))
         data = b"".join(Path(paths[name]).read_bytes() for name in ("runs", "doctors", "nurses"))
@@ -185,7 +185,7 @@ def grid_dirs(acceptance_grids, tmp_path_factory):
     root = tmp_path_factory.mktemp("grid")
     for combo, results in acceptance_grids[SEED_BASES[0]].items():
         out = root / combo
-        write_csvs([make_run_record(r, f"{combo}-{r.config.seed:08d}") for r in results], str(out))
+        write_csvs([RunRecord(f"{combo}-{r.config.seed:08d}", r.config, r.metrics) for r in results], str(out))
         (out / "config.echo").write_text(config_echo(results[0].config), encoding="utf-8", newline="\n")
     return root
 
