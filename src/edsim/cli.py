@@ -4,7 +4,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import __version__
 from .domain import (
@@ -19,7 +19,7 @@ from .domain import (
     validate_seed,
 )
 from .engine import render_trace, run_shift
-from .metrics import RunRecord, SchemaError, runs_row, write_csvs
+from .metrics import RunRecord, SchemaError, run_rows, write_csvs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,10 +61,10 @@ def _config_error(exc: ConfigError) -> int:
     return EXIT_CONFIG
 
 
-def _write_experiment_dir(out_dir: str, records: list[RunRecord], cfg: SimConfig, name: str, seeds: list[int]) -> None:
-    write_csvs(records, out_dir)
+def _write_experiment_dir(out_dir: str, rows: list[tuple], cfg: SimConfig, name: str, seeds: list[int]) -> None:
+    write_csvs(rows, out_dir)
     _write_text(out_dir, "config.echo", config_echo(cfg))
-    _write_text(out_dir, "manifest.txt", _manifest(name, seeds, len(records)))
+    _write_text(out_dir, "manifest.txt", _manifest(name, seeds, len(rows)))
 
 
 def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[str]) -> int:
@@ -79,15 +79,15 @@ def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[st
 
     out_dir = out or os.path.join(_default_out_root(), "run")
     result = run_shift(cfg)
-    record = RunRecord(f"run-{cfg.seed:08d}", result.config, result.metrics)
+    rows = run_rows(RunRecord(f"run-{cfg.seed:08d}", result.config, result.metrics))
     try:
-        _write_experiment_dir(out_dir, [record], cfg, "run", [cfg.seed])
+        _write_experiment_dir(out_dir, [rows], cfg, "run", [cfg.seed])
         if trace:
             _write_text(out_dir, "trace.csv", render_trace(result))
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(runs_row(record))
+    print(rows[1], end="")  # the runs.csv line, newline included
     return EXIT_OK
 
 
@@ -102,26 +102,28 @@ def _combo_jobs(base_raw: dict, combo: str, runs: int, seed_base: int) -> list[t
     return [(cfg._replace(seed=validate_seed(s)), f"{combo}-{s:08d}") for s in range(seed_base, seed_base + runs)]
 
 
-def _run_slice(jobs: list[tuple[SimConfig, str]]) -> tuple[list[RunRecord], Optional[str]]:
-    """Run `jobs` in order until one raises; returns the records made before it and its error text (or None)."""
-    records = []
+def _run_slice(jobs: list[tuple[SimConfig, str]]) -> tuple[list[tuple], Optional[str]]:
+    """Run `jobs` in order until one raises; returns the finished runs' `run_rows` and its error text (or None)."""
+    rows = []
     for cfg, run_id in jobs:
         try:
             result = run_shift(cfg)
         except Exception as exc:  # noqa: BLE001 - a failed run is reported, not raised
-            return records, str(exc)
-        records.append(RunRecord(run_id, result.config, result.metrics))
-    return records, None
+            return rows, str(exc)
+        rows.append(run_rows(RunRecord(run_id, result.config, result.metrics)))
+    return rows, None
 
 
-def _map_runs(jobs: list[tuple[SimConfig, str]], parallel: int) -> tuple[list[RunRecord], Optional[str]]:
-    """Run `jobs`; returns the records made before the first failed run and its error text (or None).
+def _map_runs(jobs: list[tuple[SimConfig, str]], parallel: int) -> tuple[list[tuple], Optional[str]]:
+    """Run `jobs`; returns the rows of the runs before the first failed one and its error text (or None).
 
     min(parallel, len(jobs)) forked workers each run one contiguous slice of
-    `jobs` and pickle (records, error) down their own pipe.  The pipes are read
-    in slice order, so every job before a failure is known to be done, as in a
-    serial run.  Whatever happens, every worker is killed and reaped before
-    this returns.  With one worker, or without `os.fork`, the jobs run here.
+    `jobs`, format each finished run into its CSV rows (`metrics.run_rows`)
+    and pickle (rows, error) down their own pipe: only strings cross it, never
+    a run's agents or metrics.  The pipes are read in slice order, so every
+    job before a failure is known to be done, as in a serial run.  Whatever
+    happens, every worker is killed and reaped before this returns.  With one
+    worker, or without `os.fork`, the jobs run and are formatted here.
     """
     workers = min(parallel, len(jobs))
     if workers <= 1 or not hasattr(os, "fork"):
@@ -144,16 +146,16 @@ def _map_runs(jobs: list[tuple[SimConfig, str]], parallel: int) -> tuple[list[Ru
                     finally:
                         os._exit(0)
                 pids.append(pid)
-        records = []
+        rows = []
         for k, pipe in enumerate(pipes, 1):
             try:
                 done, error = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
-                return records, f"worker {k} of {workers} exited without sending its results"
-            records += done
+                return rows, f"worker {k} of {workers} exited without sending its results"
+            rows += done
             if error is not None:
-                return records, error
-        return records, None
+                return rows, error
+        return rows, None
     except OSError as exc:  # a pipe or a worker could not be made
         return [], str(exc)
     finally:
@@ -171,23 +173,26 @@ def run_experiment(
     seed_base: int,
     out_dir: str,
     parallel: int = 1,
-    records: Optional[Iterable[RunRecord]] = None,
-) -> list[RunRecord]:
-    """Collect one scenario-policy combination's `runs` consecutive seeds and write its directory.
+    jobs: Optional[list[tuple[SimConfig, str]]] = None,
+    rows: Optional[list[tuple]] = None,
+) -> None:
+    """Run one scenario-policy combination's `runs` consecutive seeds and write its directory.
 
-    `records` yields the combo's records in seed order from runs the caller
-    has already made, as `experiment` does for the whole grid at once.
-    Without it, the runs are mapped here on `parallel` workers; a failed run
-    raises RuntimeError with its error text.
+    `jobs` is the combo's `_combo_jobs` list and `rows` its runs' finished CSV
+    rows (`metrics.run_rows`) in job order, when the caller has already built
+    or run them, as `experiment` does for the whole grid at once.  Without
+    `rows`, the jobs are mapped here on `parallel` workers, which send back
+    finished rows; a failed run raises RuntimeError with its error text.
+    config.echo is the first job's config.  The directory's bytes do not
+    depend on where the rows were made.
     """
-    if records is None:
-        records, error = _map_runs(_combo_jobs(base_raw, combo, runs, seed_base), parallel)
+    if jobs is None:
+        jobs = _combo_jobs(base_raw, combo, runs, seed_base)
+    if rows is None:
+        rows, error = _map_runs(jobs, parallel)
         if error is not None:
             raise RuntimeError(error)
-    else:
-        records = list(records)
-    _write_experiment_dir(out_dir, records, records[0].config, combo, [seed_base + i for i in range(runs)])
-    return records
+    _write_experiment_dir(out_dir, rows, jobs[0][0], combo, [seed_base + i for i in range(runs)])
 
 
 def cmd_experiment(
@@ -209,7 +214,7 @@ def cmd_experiment(
         base_raw = parse_config_file(config_path) if config_path else {}
         # Validate the base config once up front so errors name their key.
         validate_config(base_raw)
-        jobs = [job for name in combos for job in _combo_jobs(base_raw, name, runs, seed_base)]
+        grid = [_combo_jobs(base_raw, name, runs, seed_base) for name in combos]
     except ConfigError as exc:
         return _config_error(exc)
     except OSError as exc:
@@ -217,17 +222,22 @@ def cmd_experiment(
         return EXIT_IO
 
     out_root = out or os.path.join(_default_out_root(), "experiment")
+    try:
+        os.makedirs(out_root, exist_ok=True)
+    except OSError as exc:  # found before any shift runs or any worker forks
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_IO
     # The whole grid runs first, one contiguous slice per worker; then the
     # combos complete before any failed run are written, in order.
-    records, error = _map_runs(jobs, parallel)
-    for k, name in enumerate(combos):
-        done = records[k * runs:(k + 1) * runs]
+    rows, error = _map_runs([job for jobs in grid for job in jobs], parallel)
+    for k, (name, jobs) in enumerate(zip(combos, grid)):
+        done = rows[k * runs:(k + 1) * runs]
         if len(done) < runs:
             print(f"combo {name} aborted: {error}", file=sys.stderr)
             return EXIT_RUN_FAILED
         out_dir = os.path.join(out_root, name)
         try:
-            run_experiment(base_raw, name, runs, seed_base, out_dir, records=done)
+            run_experiment(base_raw, name, runs, seed_base, out_dir, jobs=jobs, rows=done)
         except OSError as exc:
             print(f"cannot write outputs: {exc}", file=sys.stderr)
             return EXIT_IO

@@ -29,8 +29,9 @@ Each doctor and nurse is one object from the event loop to the CSV row.
 `DoctorRuntime` and `NurseRuntime` carry the agent's own totals, and
 `ShiftMetrics.doctors` / `.nurses` are the simulation's agent dicts themselves.
 A nurse's `classified_low_at` is read from its `TrustState`, the only place it
-is stored.  A `RunRecord` is `(run_id, config, metrics)`: the CSV writer reads
-style, quality and role off the agents and the run's fields off its config.
+is stored.  A `RunRecord` is `(run_id, config, metrics)`: the CSV formatter
+(`metrics.run_rows`) reads style, quality and role off the agents and the run's
+fields off its config, in the process that ran the shift.
 
 Event args carry the agents themselves (the doctor, nurse or patient), so no
 handler looks an id up.  The event log keeps each event's actor and object as

@@ -1,4 +1,10 @@
-"""Per-shift metric accumulation and the CSV export/import layer."""
+"""Per-shift metric accumulation and the CSV export/import layer.
+
+A finished run becomes text once, in `run_rows`, wherever it ran: a forked
+`experiment` worker formats its own runs and sends only those strings back.
+`write_csvs` is the one writer; it orders the rows and adds the headers, so the
+files are the same bytes however the runs were spread over processes.
+"""
 from __future__ import annotations
 
 import os
@@ -141,34 +147,43 @@ NURSES_HEADER = _header(NURSES_COLUMNS)
 
 
 def _row(columns: tuple[Column, ...], rec: RunRecord, subject) -> str:
-    return ",".join(c.cell.write(c.get(rec, subject)) for c in columns)
+    return ",".join(c.cell.write(c.get(rec, subject)) for c in columns) + "\n"
 
 
-def runs_row(rec: RunRecord) -> str:
-    """The run's `runs.csv` line, without the newline."""
-    return _row(RUNS_COLUMNS, rec, rec.metrics)
+_TABLES = (("runs", RUNS_COLUMNS), ("doctors", DOCTORS_COLUMNS), ("nurses", NURSES_COLUMNS))
 
 
-def write_csvs(records: list[RunRecord], out_dir: str) -> dict[str, str]:
-    """Write runs/doctors/nurses CSVs for the given records; returns the paths.
+def run_rows(rec: RunRecord) -> tuple[str, str, str, str]:
+    """One finished run as CSV text: (run_id, runs text, doctors text, nurses text).
 
-    Output is byte-deterministic: rows sorted by (run_id, agent id), reals with
-    six decimals, and a plain \\n after every line.
+    Each text is the run's lines of that file, agents in id order, every line
+    ending in \\n.  The tuple holds only strings, so a forked worker sends it
+    down its pipe instead of the run's object graph.
+    """
+    m = rec.metrics
+    return (
+        rec.run_id,
+        _row(RUNS_COLUMNS, rec, m),
+        "".join(_row(DOCTORS_COLUMNS, rec, m.doctors[i]) for i in sorted(m.doctors)),
+        "".join(_row(NURSES_COLUMNS, rec, m.nurses[i]) for i in sorted(m.nurses)),
+    )
+
+
+def write_csvs(rows: list[tuple[str, str, str, str]], out_dir: str) -> dict[str, str]:
+    """Write runs/doctors/nurses CSVs from `run_rows` tuples; returns the paths.
+
+    Output is byte-deterministic: each file is its header, then the runs' rows
+    sorted by run_id text (agents already in id order), reals with six
+    decimals, and a plain \\n after every line.  Where the rows were made, in
+    this process or in a forked worker, does not change a byte.
     """
     os.makedirs(out_dir, exist_ok=True)
-    ordered = sorted(records, key=lambda r: r.run_id)
-    tables = {
-        "runs": (RUNS_COLUMNS, [(r, r.metrics) for r in ordered]),
-        "doctors": (DOCTORS_COLUMNS, [(r, r.metrics.doctors[i]) for r in ordered for i in sorted(r.metrics.doctors)]),
-        "nurses": (NURSES_COLUMNS, [(r, r.metrics.nurses[i]) for r in ordered for i in sorted(r.metrics.nurses)]),
-    }
+    ordered = sorted(rows, key=lambda r: r[0])
     paths = {}
-    for name, (columns, rows) in tables.items():
+    for k, (name, columns) in enumerate(_TABLES, 1):
         path = os.path.join(out_dir, f"{name}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_header(columns) + "\n")
-            for row in rows:
-                fh.write(_row(columns, *row) + "\n")
+            fh.write(_header(columns) + "\n" + "".join(r[k] for r in ordered))
         paths[name] = path
     return paths
 

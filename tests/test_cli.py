@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import errno
+import io
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -42,6 +44,8 @@ def test_run_happy_path(tmp_path, capsys):
     rows = read_runs(str(out / "runs.csv"))
     assert len(rows) == 1 and rows[0]["seed"] == 7
     assert line.startswith("run-00000007,7,baseline,ca,")
+    # The printed line is the file's data line, from the same formatted row.
+    assert line == (out / "runs.csv").read_text(encoding="utf-8").splitlines()[1]
 
 
 def test_run_seed_override(tmp_path):
@@ -415,7 +419,16 @@ def test_experiment_seed_past_64_bits_exits_2_and_writes_nothing(tmp_path, capsy
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])
-def test_experiment_unwritable_out_exits_3(tmp_path, capsys, parallel):
+def test_experiment_unwritable_out_exits_3(tmp_path, capsys, monkeypatch, forks, parallel):
+    import edsim.cli as cli
+
+    shifts = []
+
+    def counting_run_shift(cfg):
+        shifts.append(cfg)
+        return run_shift(cfg)
+
+    monkeypatch.setattr(cli, "run_shift", counting_run_shift)
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
     args = ["experiment", "--runs", "3", "--combo", "all", "--parallel", parallel, "--out", str(blocker / "exp")]
@@ -423,7 +436,66 @@ def test_experiment_unwritable_out_exits_3(tmp_path, capsys, parallel):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"cannot write outputs: [Errno {errno.ENOTDIR}] ")
     assert captured.out == ""
+    # The output root is checked before the grid: no shift ran, no worker forked.
+    assert shifts == []
+    assert forks == []
     assert_no_children()
+
+
+class _NoGlobals(pickle.Unpickler):
+    """Loads plain data only: any class or function reference in the payload fails."""
+
+    def find_class(self, module, name):
+        raise AssertionError(f"a worker pickled the global {module}.{name}")
+
+
+def test_workers_send_only_plain_text(tmp_path, monkeypatch, forks):
+    with pytest.raises(AssertionError, match="edsim.domain.Scenario"):
+        _NoGlobals(io.BytesIO(pickle.dumps(Scenario.BASELINE))).load()
+    payloads = []
+
+    def load_plain(file):
+        payloads.append(_NoGlobals(file).load())
+        return payloads[-1]
+
+    # The parent reads each worker's pipe through pickle.load.
+    monkeypatch.setattr(pickle, "load", load_plain)
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    args = ["experiment", "--runs", "3", "--seed-base", "5", "--combo", "all"]
+    assert main(args + ["--out", str(parallel), "--parallel", "2"]) == EXIT_OK
+    assert len(payloads) == len(forks) == 2
+    for rows, error in payloads:
+        assert error is None
+        assert all(type(text) is str for row in rows for text in row)
+    assert sum(len(rows) for rows, _ in payloads) == 3 * len(COMBOS)
+    assert main(args + ["--out", str(serial)]) == EXIT_OK
+    assert tree_bytes(serial) == tree_bytes(parallel)
+    assert_no_children()
+
+
+def test_bench_layer_names_are_called_per_run_and_per_combo(tmp_path, monkeypatch):
+    import edsim.cli as cli
+
+    # The benchmark's traced run times these module names from outside; a
+    # refactor that stops calling them would zero its per-layer figures.
+    def recording(fn, seen):
+        def wrapper(*args, **kwargs):
+            seen.append(fn(*args, **kwargs))
+            return seen[-1]
+
+        return wrapper
+
+    calls = {"run_shift": [], "write_csvs": [], "run_experiment": []}
+    for name, seen in calls.items():
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name), seen))
+    args = ["experiment", "--combo", "all", "--runs", "3", "--out", str(tmp_path / "o")]
+    assert main(args) == EXIT_OK
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "run_shift": 3 * len(COMBOS), "write_csvs": len(COMBOS), "run_experiment": len(COMBOS),
+    }
+    for paths in calls["write_csvs"]:
+        assert set(paths) == {"runs", "doctors", "nurses"}
+        assert all(os.path.isfile(path) for path in paths.values())
 
 
 def test_experiment_pool_that_cannot_start_exits_4(tmp_path, capsys, monkeypatch, forks):

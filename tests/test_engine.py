@@ -7,7 +7,7 @@ import pytest
 import edsim.engine as engine
 from edsim.domain import LEVELS
 from edsim.engine import EXAM_COMPLETE, NURSE_DECIDE, TaskRequest, _ShiftSim, render_trace, run_shift
-from edsim.metrics import RunRecord, write_csvs
+from edsim.metrics import RunRecord, run_rows, write_csvs
 from edsim.policy import select_request_ca, select_request_fifo
 
 from conftest import COMBOS, make_config
@@ -179,8 +179,8 @@ def test_identical_seed_reproduces_bytes(tmp_path):
     a, b = run_shift(cfg), run_shift(cfg)
     assert render_trace(a) == render_trace(b)
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    write_csvs([RunRecord("run-42", a.config, a.metrics)], str(dir_a))
-    write_csvs([RunRecord("run-42", b.config, b.metrics)], str(dir_b))
+    write_csvs([run_rows(RunRecord("run-42", a.config, a.metrics))], str(dir_a))
+    write_csvs([run_rows(RunRecord("run-42", b.config, b.metrics))], str(dir_b))
     for name in ("runs.csv", "doctors.csv", "nurses.csv"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 

@@ -16,7 +16,7 @@ import pytest
 from edsim.cli import EXIT_OK, main
 from edsim.domain import config_echo
 from edsim.engine import render_trace, run_shift
-from edsim.metrics import RunRecord, write_csvs
+from edsim.metrics import RunRecord, run_rows, write_csvs
 
 from conftest import COMBOS, SEED_BASES, make_config
 
@@ -143,10 +143,11 @@ def _sha256(data: bytes) -> str:
 @pytest.mark.parametrize("seed_base", SEED_BASES)
 def test_csv_triplet_digests(acceptance_grids, seed_base, tmp_path):
     for combo in COMBOS:
-        records = [
-            RunRecord(f"{combo}-{r.config.seed:08d}", r.config, r.metrics) for r in acceptance_grids[seed_base][combo]
+        rows = [
+            run_rows(RunRecord(f"{combo}-{r.config.seed:08d}", r.config, r.metrics))
+            for r in acceptance_grids[seed_base][combo]
         ]
-        paths = write_csvs(records, str(tmp_path / combo))
+        paths = write_csvs(rows, str(tmp_path / combo))
         data = b"".join(Path(paths[name]).read_bytes() for name in ("runs", "doctors", "nurses"))
         assert _sha256(data) == CSV_DIGESTS[(seed_base, combo)], (seed_base, combo)
 
@@ -185,7 +186,8 @@ def grid_dirs(acceptance_grids, tmp_path_factory):
     root = tmp_path_factory.mktemp("grid")
     for combo, results in acceptance_grids[SEED_BASES[0]].items():
         out = root / combo
-        write_csvs([RunRecord(f"{combo}-{r.config.seed:08d}", r.config, r.metrics) for r in results], str(out))
+        rows = [run_rows(RunRecord(f"{combo}-{r.config.seed:08d}", r.config, r.metrics)) for r in results]
+        write_csvs(rows, str(out))
         (out / "config.echo").write_text(config_echo(results[0].config), encoding="utf-8", newline="\n")
     return root
 

@@ -17,6 +17,7 @@ from edsim.metrics import (
     read_nurses,
     read_runs,
     record_task_completion,
+    run_rows,
     write_csvs,
 )
 
@@ -132,7 +133,7 @@ def make_record(run_id="combo-00000007", seed=7, with_low_classified=True):
 
 
 def test_write_csvs_headers_and_shape(tmp_path):
-    paths = write_csvs([make_record()], str(tmp_path))
+    paths = write_csvs([run_rows(make_record())], str(tmp_path))
     runs = (tmp_path / "runs.csv").read_text().splitlines()
     doctors = (tmp_path / "doctors.csv").read_text().splitlines()
     nurses = (tmp_path / "nurses.csv").read_text().splitlines()
@@ -155,15 +156,15 @@ def test_write_csvs_empty_records(tmp_path):
 
 def test_write_csvs_deterministic_bytes(tmp_path):
     rec = make_record()
-    write_csvs([rec], str(tmp_path / "a"))
-    write_csvs([rec], str(tmp_path / "b"))
+    write_csvs([run_rows(rec)], str(tmp_path / "a"))
+    write_csvs([run_rows(rec)], str(tmp_path / "b"))
     for name in ("runs.csv", "doctors.csv", "nurses.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_rows_sorted_by_run_id_and_agent(tmp_path):
     records = [make_record(run_id="x-00000002", seed=2), make_record(run_id="x-00000001", seed=1)]
-    write_csvs(records, str(tmp_path))
+    write_csvs([run_rows(r) for r in records], str(tmp_path))
     rows = read_runs(str(tmp_path / "runs.csv"))
     assert [r["run_id"] for r in rows] == ["x-00000001", "x-00000002"]
     nurse_rows = read_nurses(str(tmp_path / "nurses.csv"))
@@ -172,9 +173,21 @@ def test_rows_sorted_by_run_id_and_agent(tmp_path):
     ]
 
 
+def test_rows_keep_run_id_text_order_at_width_change(tmp_path):
+    # Seeds 99999999 and 100000000 give ids of 8 and 9 digits.  The files sort
+    # by id text, so the later seed's row comes first, whatever order the runs
+    # arrive in.
+    ids = ["baseline-ca-99999999", "baseline-ca-100000000"]
+    write_csvs([run_rows(make_record(run_id=i, seed=int(i.rsplit("-", 1)[1]))) for i in ids], str(tmp_path))
+    expected = ["baseline-ca-100000000", "baseline-ca-99999999"]
+    assert [r["run_id"] for r in read_runs(str(tmp_path / "runs.csv"))] == expected
+    assert [r["run_id"] for r in read_doctors(str(tmp_path / "doctors.csv"))] == expected
+    assert [r["run_id"] for r in read_nurses(str(tmp_path / "nurses.csv"))] == [i for i in expected for _ in (1, 2)]
+
+
 def test_round_trip_preserves_fields(tmp_path):
     rec = make_record()
-    write_csvs([rec], str(tmp_path))
+    write_csvs([run_rows(rec)], str(tmp_path))
     run_row = read_runs(str(tmp_path / "runs.csv"))[0]
     assert run_row["seed"] == rec.config.seed
     assert run_row["patients_served"] == rec.metrics.patients_served
@@ -195,6 +208,6 @@ def test_round_trip_preserves_fields(tmp_path):
 
 
 def test_never_classified_field_is_empty(tmp_path):
-    write_csvs([make_record(with_low_classified=False)], str(tmp_path))
+    write_csvs([run_rows(make_record(with_low_classified=False))], str(tmp_path))
     lines = (tmp_path / "nurses.csv").read_text().splitlines()
     assert lines[1].endswith(",")  # empty classified_low_at_s cell
