@@ -5,10 +5,13 @@ consistent across reruns passes it.  These digests pin the bytes themselves:
 the runs/doctors/nurses CSV triplet of each (seed base, combo) grid cell, the
 event trace of one CA and one FIFO run, the traces of a crowded roster under
 every combo, the `run` stdout line and manifest, and the normalized config echo.
+A seeded sweep of random configs pins the same bytes in the corners the fixed
+configs never reach.
 """
 from __future__ import annotations
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -18,7 +21,7 @@ from edsim.domain import config_echo
 from edsim.engine import render_trace, run_shift
 from edsim.metrics import RunRecord, run_rows, write_csvs
 
-from conftest import COMBOS, SEED_BASES, make_config
+from conftest import COMBOS, SEED_BASES, make_config, run_with_invariant_checks
 
 CSV_DIGESTS = {
     (1000, "baseline-ca"): "fe8e0f7b570fa1dc604ddbb78176c3a803525865944faebc281d3dc5194b0d52",
@@ -201,3 +204,106 @@ def test_analyze_digests(grid_dirs, pair, tmp_path, capsys):
     assert capsys.readouterr().out.encode("utf-8") == report
     digests = (_sha256((out / "comparisons.csv").read_bytes()), _sha256(report))
     assert digests == ANALYZE_DIGESTS[pair]
+
+
+STYLES = ("correct", "over", "under")
+# Each fraction key with the range of its non-corner draws.  Trust starts high
+# and thresholds sit low, so most shifts run instead of stalling at once.
+FRACTION_KEYS = {
+    "trustInit": (0.4, 1.0),
+    "trustLearningRate": (0.0, 1.0),
+    "acceptThreshold": (0.0, 0.6),
+    "restrictedAcceptThreshold": (0.0, 0.6),
+    "reliabilityThreshold": (0.0, 1.0),
+    "trainerBonusPerTask": (0.0, 1.0),
+    "trainerExitBonus": (0.0, 1.0),
+    "highPerformerGoodChance": (0.0, 1.0),
+}
+
+
+def sweep_configs(seed: int = 2, count: int = 40) -> list[dict]:
+    """`count` valid raw configs drawn from one seeded generator.
+
+    Each interval is zero a third of the time, which makes many events tie on
+    time and exercises the `seq` tie-break; rosters are often a single doctor
+    or nurse; fractions are often exactly 0 or 1; patients carry 1-4 tasks;
+    and the level distribution is skewed, with some levels never drawn.
+    """
+    rng = random.Random(seed)
+
+    def interval(hi):
+        return "0" if rng.random() < 1 / 3 else repr(round(rng.uniform(0.5, hi), 3))
+
+    def fraction(lo=0.0, hi=1.0):
+        corner = rng.random()
+        return "0" if corner < 1 / 6 else "1" if corner < 1 / 3 else repr(round(rng.uniform(lo, hi), 3))
+
+    configs = []
+    for _ in range(count):
+        scenario, policy = COMBOS[rng.choice(sorted(COMBOS))]
+        n_doctors = rng.choice((1, 1, 2, 3, 5, 8))
+        beds = rng.randint(1, 4)
+        weights = [rng.choice((0, 0, 1, 2, 5)) for _ in range(5)]
+        weights[rng.randrange(5)] += 1
+        raw = {
+            "seed": str(rng.randrange(10**6)),
+            "scenario": scenario,
+            "policy": policy,
+            "shiftLength": str(rng.choice((50, 500, 2000, 5000))),
+            "doctors": ", ".join(f"{i}:{rng.choice(STYLES)}" for i in range(1, n_doctors + 1)),
+            "nurses": ", ".join(
+                f"{i}:{rng.choice(('low', 'high'))}" for i in range(1, rng.choice((1, 1, 2, 3, 6, 12)) + 1)
+            ),
+            "bedCount": str(n_doctors * beds),
+            "bedsPerDoctor": str(beds),
+            "examDuration": interval(20),
+            "travelTime": interval(10),
+            "prepTime": interval(10),
+            "initialSpawnInterval": interval(3),
+            "tasksPerPatient": str(rng.randint(1, 4)),
+            "trueLevelDistribution": ", ".join(repr(w / sum(weights)) for w in weights),
+            "easyLevelCap": str(rng.randint(1, 5)),
+            "utilityFailurePenalty": rng.choice(("on", "off")),
+        }
+        raw.update((key, fraction(*FRACTION_KEYS[key])) for key in FRACTION_KEYS)
+        configs.append(raw)
+    return configs
+
+
+SWEEP = sweep_configs()
+# SHA-256 over, for each sweep config in order, the runs/doctors/nurses CSVs
+# that `run` writes and its rendered trace.
+SWEEP_DIGEST = "c81e1659cb39456357bf49421da9261349ebbf64d8dd80ecca0ed073f90981b9"
+
+
+def test_sweep_covers_the_corners():
+    def count(pred):
+        return sum(1 for raw in SWEEP if pred(raw))
+
+    assert count(lambda raw: raw["initialSpawnInterval"] == raw["examDuration"] == "0") > 0
+    for key in ("examDuration", "travelTime", "prepTime", "initialSpawnInterval"):
+        assert count(lambda raw: raw[key] == "0") > 0, key
+    assert count(lambda raw: raw["doctors"].count(":") == 1) > 0
+    assert count(lambda raw: raw["nurses"].count(":") == 1) > 0
+    for key in FRACTION_KEYS:
+        assert count(lambda raw: raw[key] == "0") > 0 and count(lambda raw: raw[key] == "1") > 0, key
+    assert {raw["tasksPerPatient"] for raw in SWEEP} == {"1", "2", "3", "4"}
+    assert count(lambda raw: "0.0" in raw["trueLevelDistribution"].split(", ")) > 0
+    assert {(raw["scenario"], raw["policy"]) for raw in SWEEP} == set(COMBOS.values())
+
+
+def test_sweep_digest(tmp_path):
+    digest = hashlib.sha256()
+    for k, raw in enumerate(SWEEP):
+        result = run_shift(make_config(**raw))
+        paths = write_csvs([run_rows(RunRecord(f"run-{result.config.seed:08d}", result.config, result.metrics))],
+                           str(tmp_path / str(k)))
+        for name in ("runs", "doctors", "nurses"):
+            digest.update(Path(paths[name]).read_bytes())
+        digest.update(render_trace(result).encode("utf-8"))
+    assert digest.hexdigest() == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("k", range(len(SWEEP)))
+def test_sweep_invariants_hold_after_every_event(k, monkeypatch):
+    run_with_invariant_checks(make_config(**SWEEP[k]), monkeypatch)
