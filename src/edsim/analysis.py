@@ -158,9 +158,9 @@ def _zero_variance(xs: list[float]) -> bool:
     return len(xs) < 2 or min(xs) == max(xs)
 
 
-def _try_shapiro(xs: list[float], label: str) -> Optional[stats.TestResult]:
+def _try_shapiro(xs: list[float]) -> Optional[stats.TestResult]:
     try:
-        return stats.shapiro_wilk(xs, label)
+        return stats.shapiro_wilk(xs)
     except stats.DegenerateSample:
         return None
 
@@ -169,7 +169,7 @@ def _gated_row(metric: str, a: list[float], b: list[float], label_a: str, label_
     row = ComparisonRow(metric, label_a, label_b, sum(a) / len(a), sum(b) / len(b), _median(a), _median(b))
     if _zero_variance(a) and _zero_variance(b):
         return row._replace(degenerate=True, notes="no variance in either group; no test meaningful")
-    sw_a, sw_b = _try_shapiro(a, label_a), _try_shapiro(b, label_b)
+    sw_a, sw_b = _try_shapiro(a), _try_shapiro(b)
     normal = all(sw is not None and sw.p_value >= NORMALITY_ALPHA for sw in (sw_a, sw_b))
     chosen = stats.welch_t_test(a, b) if normal else stats.wilcoxon_rank_sum(a, b)
     return row._replace(sw_a=sw_a, sw_b=sw_b, chosen=chosen)
@@ -236,11 +236,13 @@ def _variance_row(a: ExperimentData, b: ExperimentData) -> ComparisonRow:
         mean_b=sum(var_b) / len(var_b),
         median_a=_median(var_a),
         median_b=_median(var_b),
-        sw_a=_try_shapiro(var_a, a.label),
-        sw_b=_try_shapiro(var_b, b.label),
+        sw_a=_try_shapiro(var_a),
+        sw_b=_try_shapiro(var_b),
     )
     if len(var_a) != len(var_b):
         return row._replace(degenerate=True, notes="paired variance test needs equal run counts")
+    if len(var_a) < 2:
+        return row._replace(degenerate=True, notes="fewer than two runs per group; paired test undefined")
     try:
         return row._replace(chosen=stats.paired_t_test(var_a, var_b))
     except stats.DegenerateSample:

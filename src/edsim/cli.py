@@ -19,7 +19,7 @@ from .domain import (
     validate_seed,
 )
 from .engine import render_trace, run_shift
-from .metrics import RunRecord, SchemaError, run_rows, write_csvs
+from .metrics import SchemaError, run_rows, write_csvs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,11 +39,11 @@ def _default_out_root() -> str:
     return os.environ.get("EDSIM_OUT", "out")
 
 
-def _manifest(name: str, seeds: list[int], runs: int) -> str:
+def _manifest(name: str, seeds: list[int]) -> str:
     lines = [
         f"tool = edsim {__version__}",
         f"experiment = {name}",
-        f"runs = {runs}",
+        f"runs = {len(seeds)}",
         f"seeds = {seeds[0]}..{seeds[-1]}",
     ]
     return "\n".join(lines) + "\n"
@@ -64,7 +64,7 @@ def _config_error(exc: ConfigError) -> int:
 def _write_experiment_dir(out_dir: str, rows: list[tuple], cfg: SimConfig, name: str, seeds: list[int]) -> None:
     write_csvs(rows, out_dir)
     _write_text(out_dir, "config.echo", config_echo(cfg))
-    _write_text(out_dir, "manifest.txt", _manifest(name, seeds, len(rows)))
+    _write_text(out_dir, "manifest.txt", _manifest(name, seeds))
 
 
 def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[str]) -> int:
@@ -79,7 +79,7 @@ def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[st
 
     out_dir = out or os.path.join(_default_out_root(), "run")
     result = run_shift(cfg)
-    rows = run_rows(RunRecord(f"run-{cfg.seed:08d}", result.config, result.metrics))
+    rows = run_rows(f"run-{cfg.seed:08d}", result)
     try:
         _write_experiment_dir(out_dir, [rows], cfg, "run", [cfg.seed])
         if trace:
@@ -110,7 +110,7 @@ def _run_slice(jobs: list[tuple[SimConfig, str]]) -> tuple[list[tuple], Optional
             result = run_shift(cfg)
         except Exception as exc:  # noqa: BLE001 - a failed run is reported, not raised
             return rows, str(exc)
-        rows.append(run_rows(RunRecord(run_id, result.config, result.metrics)))
+        rows.append(run_rows(run_id, result))
     return rows, None
 
 
@@ -166,33 +166,16 @@ def _map_runs(jobs: list[tuple[SimConfig, str]], parallel: int) -> tuple[list[tu
             os.waitpid(pid, 0)
 
 
-def run_experiment(
-    base_raw: dict,
-    combo: str,
-    runs: int,
-    seed_base: int,
-    out_dir: str,
-    parallel: int = 1,
-    jobs: Optional[list[tuple[SimConfig, str]]] = None,
-    rows: Optional[list[tuple]] = None,
-) -> None:
-    """Run one scenario-policy combination's `runs` consecutive seeds and write its directory.
+def run_experiment(out_dir: str, combo: str, jobs: list[tuple[SimConfig, str]], rows: list[tuple]) -> None:
+    """Write one scenario-policy combination's directory; the one writer of a combo's outputs.
 
     `jobs` is the combo's `_combo_jobs` list and `rows` its runs' finished CSV
-    rows (`metrics.run_rows`) in job order, when the caller has already built
-    or run them, as `experiment` does for the whole grid at once.  Without
-    `rows`, the jobs are mapped here on `parallel` workers, which send back
-    finished rows; a failed run raises RuntimeError with its error text.
-    config.echo is the first job's config.  The directory's bytes do not
-    depend on where the rows were made.
+    rows (`metrics.run_rows`) in job order: `experiment` maps the whole grid
+    first, then calls this once per combo.  config.echo is the first job's
+    config and the manifest's seeds are the jobs'.  The directory's bytes do
+    not depend on where the rows were made.
     """
-    if jobs is None:
-        jobs = _combo_jobs(base_raw, combo, runs, seed_base)
-    if rows is None:
-        rows, error = _map_runs(jobs, parallel)
-        if error is not None:
-            raise RuntimeError(error)
-    _write_experiment_dir(out_dir, rows, jobs[0][0], combo, [seed_base + i for i in range(runs)])
+    _write_experiment_dir(out_dir, rows, jobs[0][0], combo, [cfg.seed for cfg, _ in jobs])
 
 
 def cmd_experiment(
@@ -237,7 +220,7 @@ def cmd_experiment(
             return EXIT_RUN_FAILED
         out_dir = os.path.join(out_root, name)
         try:
-            run_experiment(base_raw, name, runs, seed_base, out_dir, jobs=jobs, rows=done)
+            run_experiment(out_dir, name, jobs, done)
         except OSError as exc:
             print(f"cannot write outputs: {exc}", file=sys.stderr)
             return EXIT_IO

@@ -18,20 +18,20 @@ O(levels) however many requests the shift has issued.
 A request lives only where its work is still open.  It waits in its level's
 queue; a claim moves it into the claiming nurse's hands
 (`NurseRuntime.current_request`), where it stays through execution; on
-completion it is folded into `ShiftMetrics` and dropped.  A patient lives only
-in its bed (`_ShiftSim.beds`), from its spawn until its last task is done, and
-points at its doctor; a request points at its patient.  A patient who lies down
-while its doctor examines another waits in the doctor's `waiting` queue.
-Finished work is not kept, so the end-of-shift census and the horizon delay
-come from the queues, the nurses' hands and the metrics.
+completion its outcome is folded into the totals and it is dropped.  A patient
+lives only in its bed (`_ShiftSim.beds`), from its spawn until its last task is
+done, and points at its doctor; a request points at its patient.  A patient who
+lies down while its doctor examines another waits in the doctor's `waiting`
+queue.  Finished work is not kept, so the end-of-shift census and the horizon
+delay come from the queues, the nurses' hands and the agents' totals.
 
-Each doctor and nurse is one object from the event loop to the CSV row.
-`DoctorRuntime` and `NurseRuntime` carry the agent's own totals, and
-`ShiftMetrics.doctors` / `.nurses` are the simulation's agent dicts themselves.
-A nurse's `classified_low_at` is read from its `TrustState`, the only place it
-is stored.  A `RunRecord` is `(run_id, config, metrics)`: the CSV formatter
-(`metrics.run_rows`) reads style, quality and role off the agents and the run's
-fields off its config, in the process that ran the shift.
+The engine keeps every total of the run itself.  Each doctor and nurse is one
+object from the event loop to the CSV row: `DoctorRuntime` and `NurseRuntime`
+carry the agent's own totals, and `_ShiftSim` keeps the shift's delay and time
+damage.  A nurse's `classified_low_at` is read from its `TrustState`, the only
+place it is stored.  A run has one record, its `ShiftResult`; the CSV formatter
+(`metrics.run_rows`) reads style, quality and role off its agents and the
+run's fields off its config, in the process that ran the shift.
 
 Event args carry the agents themselves (the doctor, nurse or patient), so no
 handler looks an id up.  The event log keeps each event's actor and object as
@@ -51,7 +51,6 @@ from typing import NamedTuple, Optional
 
 from .behavior import evaluate_performance_level, get_task_duration, judge_outcome
 from .domain import LEVELS, EvaluationStyle, NurseQuality, Policy, Rng, Scenario, SimConfig, sample_true_level
-from .metrics import ShiftMetrics, accrue_delay, record_task_completion
 from .policy import (
     Reason,
     ScenarioSignal,
@@ -86,7 +85,7 @@ _ATTACH_TRAINER = ScenarioSignal.ATTACH_TRAINER
 
 
 class DoctorRuntime:
-    """One doctor: its beds, the patients waiting for its exam, and its share of the shift's metrics."""
+    """One doctor: its beds, the patients waiting for its exam, and its share of the shift's totals."""
 
     __slots__ = ("id", "style", "beds", "waiting", "examining", "served", "time_damage", "delay", "eval_hits",
                  "eval_count")
@@ -138,7 +137,7 @@ class TaskRequest:
 
 
 class NurseRuntime:
-    """One nurse: its trust state, the request in its hands, and its share of the shift's metrics."""
+    """One nurse: its trust state, the request in its hands, and its share of the shift's totals."""
 
     __slots__ = ("id", "quality", "role", "trust", "observed_tasks", "busy", "trainer_attached", "current_request",
                  "decisions", "tasks_success", "tasks_failed", "utility", "time_damage")
@@ -165,10 +164,18 @@ class NurseRuntime:
 
 
 class ShiftResult(NamedTuple):
-    """Everything one run produced; fully determined by (config, seed)."""
+    """One run's only record, from the event loop to its CSV rows; fully determined by (config, seed).
+
+    `doctors` and `nurses` map ids to the agents the shift ran on, in id
+    order, each carrying its own totals; the shift's totals sit beside them.
+    """
 
     config: SimConfig
-    metrics: ShiftMetrics
+    doctors: dict[int, DoctorRuntime]
+    nurses: dict[int, NurseRuntime]
+    patients_served: int
+    time_damage: float
+    delay: float
     events: list  # (time, seq, kind, actor, object), actor and object as raw ids
     audit: dict
 
@@ -208,7 +215,8 @@ class _ShiftSim:
             nurse_id: NurseRuntime(nurse_id, quality, ROLE_REGULAR, TrustState.fresh(cfg))
             for nurse_id, quality in cfg.nurses
         }
-        self.metrics = ShiftMetrics(self.doctors, self.nurses)
+        self.time_damage = 0.0
+        self.delay = 0.0
 
         # The only home of a live patient: spawned and not yet served.
         self.beds: dict[int, Optional[Patient]] = {bed: None for doctor in self.doctors.values() for bed in doctor.beds}
@@ -299,7 +307,7 @@ class _ShiftSim:
     def _handle_execution_start(self, nurse: NurseRuntime) -> tuple:
         request = nurse.current_request
         request.execution_start_at = self.now
-        accrue_delay(self.metrics, request, self.cfg.shift_length)
+        self._charge_wait(request, self.now)
         request.actual_duration = get_task_duration(
             nurse.quality,
             self._training_mode(nurse),
@@ -314,6 +322,28 @@ class _ShiftSim:
         self._schedule(self.now + request.actual_duration, TASK_COMPLETE, (nurse, int(request_observed)))
         return nurse.id, request.id
 
+    def _charge_wait(self, request: TaskRequest, until: float) -> None:
+        """Charge a request's wait from its issue `until` its execution start (or the horizon)."""
+        waited = until - request.issued_at
+        self.delay += waited
+        request.patient.doctor.delay += waited
+
+    def _fold_outcome(self, nurse: NurseRuntime, request: TaskRequest) -> None:
+        """Add a completed request's outcome to the nurse's, its doctor's and the shift's totals."""
+        outcome = request.outcome
+        doctor = request.patient.doctor
+        self.time_damage += outcome.time_damage
+        nurse.time_damage += outcome.time_damage
+        doctor.time_damage += outcome.time_damage
+        if outcome.success:
+            nurse.tasks_success += 1
+        else:
+            nurse.tasks_failed += 1
+        nurse.utility += outcome.utility_delta
+        doctor.eval_count += 1
+        if request.requested_level == request.patient.true_level:
+            doctor.eval_hits += 1
+
     def _spawn_replacement(self) -> None:
         nurse = NurseRuntime(max(self.nurses) + 1, NurseQuality.HIGH, ROLE_REPLACEMENT, TrustState.fresh(self.cfg))
         self.nurses[nurse.id] = nurse
@@ -322,7 +352,7 @@ class _ShiftSim:
     def _handle_task_complete(self, nurse: NurseRuntime, observed: int) -> tuple:
         request = nurse.current_request
         request.outcome = judge_outcome(request.actual_duration, request.requested_level, self.cfg)
-        record_task_completion(self.metrics, request)
+        self._fold_outcome(nurse, request)
 
         if not self._fifo:
             nurse.trust, signal = update_trust(
@@ -342,7 +372,7 @@ class _ShiftSim:
         patient = request.patient
         patient.open_tasks -= 1
         if not patient.open_tasks:
-            self.metrics.mark_served(patient.doctor)
+            patient.doctor.served += 1
             self.beds[patient.bed] = None
             self._schedule(self.now, PATIENT_SPAWN, (patient.doctor, patient.bed))
 
@@ -399,7 +429,7 @@ class _ShiftSim:
         # in id order, the order the shift issued them, so the float sums stay
         # the same whichever queue or hand holds them.
         for request in sorted(itertools.chain(claimed, *self._pending), key=attrgetter("id")):
-            accrue_delay(self.metrics, request, self.cfg.shift_length)
+            self._charge_wait(request, self.cfg.shift_length)
 
         census = {
             "pending": sum(map(len, self._pending)),
@@ -407,11 +437,12 @@ class _ShiftSim:
             "executing": len(in_hand) - len(claimed),
             "done": sum(n.tasks_success + n.tasks_failed for n in self.nurses.values()),
         }
+        served = sum(doctor.served for doctor in self.doctors.values())
         # A live patient is a bed's occupant, so these two counts agree by definition.
         occupied = sum(patient is not None for patient in self.beds.values())
         audit = {
             "patients_spawned": self._next_patient_id - 1,
-            "patients_served": self.metrics.patients_served,
+            "patients_served": served,
             "patients_in_system": occupied,
             "beds_occupied": occupied,
             "requests": census,
@@ -422,7 +453,9 @@ class _ShiftSim:
             },
             "stalled_at": self.stalled_at,
         }
-        return ShiftResult(config=self.cfg, metrics=self.metrics, events=self.events, audit=audit)
+        return ShiftResult(
+            self.cfg, self.doctors, self.nurses, served, self.time_damage, self.delay, self.events, audit
+        )
 
 
 def run_shift(cfg: SimConfig) -> ShiftResult:

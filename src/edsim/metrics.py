@@ -1,82 +1,19 @@
-"""Per-shift metric accumulation and the CSV export/import layer.
+"""The CSV layer: each table's columns declared once, one formatter, one writer, one reader.
 
-A finished run becomes text once, in `run_rows`, wherever it ran: a forked
-`experiment` worker formats its own runs and sends only those strings back.
-`write_csvs` is the one writer; it orders the rows and adds the headers, so the
-files are the same bytes however the runs were spread over processes.
+A finished run's `ShiftResult` becomes text once, in `run_rows`, wherever it
+ran: a forked `experiment` worker formats its own runs and sends only those
+strings back.  `write_csvs` is the one writer; it orders the rows and adds the
+headers, so the files are the same bytes however the runs were spread over
+processes.
 """
 from __future__ import annotations
 
 import os
 from typing import Any, Callable, NamedTuple
 
-from .domain import SimConfig
-
 
 class SchemaError(ValueError):
-    """A CSV file or run record does not match the expected schema."""
-
-
-class ShiftMetrics:
-    """One shift's running totals plus its agents, each carrying its own share.
-
-    `doctors` and `nurses` map ids to the engine's `DoctorRuntime` and
-    `NurseRuntime` objects, the same dicts the simulation runs on.
-    """
-
-    __slots__ = ("patients_served", "time_damage", "delay", "doctors", "nurses")
-
-    def __init__(self, doctors: dict, nurses: dict):
-        self.patients_served = 0
-        self.time_damage = 0.0
-        self.delay = 0.0
-        self.doctors = doctors
-        self.nurses = nurses
-
-    def mark_served(self, doctor) -> None:
-        self.patients_served += 1
-        doctor.served += 1
-
-
-def accrue_delay(metrics: ShiftMetrics, request, shift_length: float) -> float:
-    """Add one request's waiting time to the doctor and shift totals.
-
-    A request waits from issue until its execution starts; requests that never
-    start (still pending or claimed at shift end) wait until the horizon.
-    """
-    if request.execution_start_at is not None:
-        waited = request.execution_start_at - request.issued_at
-    else:
-        waited = shift_length - request.issued_at
-    metrics.delay += waited
-    request.patient.doctor.delay += waited
-    return waited
-
-
-def record_task_completion(metrics: ShiftMetrics, request) -> None:
-    """Fold one completed request's outcome into the shift metrics."""
-    outcome = request.outcome
-    nurse = metrics.nurses[request.executed_by]
-    doctor = request.patient.doctor
-    metrics.time_damage += outcome.time_damage
-    nurse.time_damage += outcome.time_damage
-    doctor.time_damage += outcome.time_damage
-    if outcome.success:
-        nurse.tasks_success += 1
-    else:
-        nurse.tasks_failed += 1
-    nurse.utility += outcome.utility_delta
-    doctor.eval_count += 1
-    if request.requested_level == request.patient.true_level:
-        doctor.eval_hits += 1
-
-
-class RunRecord(NamedTuple):
-    """One run's identity, validated config, and metrics."""
-
-    run_id: str
-    config: SimConfig
-    metrics: ShiftMetrics
+    """A CSV file does not match the expected schema."""
 
 
 class _Cell(NamedTuple):
@@ -93,47 +30,47 @@ _OPT_REAL = _Cell(lambda v: "" if v is None else f"{v:.6f}", lambda c: None if c
 class Column(NamedTuple):
     """One CSV column: header name, cell kind, and the value getter.
 
-    Every getter takes (record, subject): an agent for a doctors or nurses
-    row, the shift's own metrics for a runs row.
+    Every getter takes (run_id, subject): an agent for a doctors or nurses
+    row, the run's `ShiftResult` for a runs row.
     """
 
     name: str
     cell: _Cell
-    get: Callable[[RunRecord, Any], Any]
+    get: Callable[[str, Any], Any]
 
 
-_RUN_ID = Column("run_id", _STR, lambda rec, t: rec.run_id)
+_RUN_ID = Column("run_id", _STR, lambda run_id, t: run_id)
 
 RUNS_COLUMNS = (
     _RUN_ID,
-    Column("seed", _INT, lambda rec, t: rec.config.seed),
-    Column("scenario", _STR, lambda rec, t: rec.config.scenario.value),
-    Column("policy", _STR, lambda rec, t: rec.config.policy.value),
-    Column("shift_length_s", _REAL, lambda rec, t: rec.config.shift_length),
-    Column("patients_served", _INT, lambda rec, t: t.patients_served),
-    Column("total_time_damage_s", _REAL, lambda rec, t: t.time_damage),
-    Column("total_delay_s", _REAL, lambda rec, t: t.delay),
+    Column("seed", _INT, lambda run_id, t: t.config.seed),
+    Column("scenario", _STR, lambda run_id, t: t.config.scenario.value),
+    Column("policy", _STR, lambda run_id, t: t.config.policy.value),
+    Column("shift_length_s", _REAL, lambda run_id, t: t.config.shift_length),
+    Column("patients_served", _INT, lambda run_id, t: t.patients_served),
+    Column("total_time_damage_s", _REAL, lambda run_id, t: t.time_damage),
+    Column("total_delay_s", _REAL, lambda run_id, t: t.delay),
 )
 DOCTORS_COLUMNS = (
     _RUN_ID,
-    Column("doctor_id", _INT, lambda rec, t: t.id),
-    Column("style", _STR, lambda rec, t: t.style.value),
-    Column("patients_served", _INT, lambda rec, t: t.served),
-    Column("time_damage_s", _REAL, lambda rec, t: t.time_damage),
-    Column("delay_s", _REAL, lambda rec, t: t.delay),
-    Column("eval_accuracy", _OPT_REAL, lambda rec, t: t.eval_accuracy),
+    Column("doctor_id", _INT, lambda run_id, t: t.id),
+    Column("style", _STR, lambda run_id, t: t.style.value),
+    Column("patients_served", _INT, lambda run_id, t: t.served),
+    Column("time_damage_s", _REAL, lambda run_id, t: t.time_damage),
+    Column("delay_s", _REAL, lambda run_id, t: t.delay),
+    Column("eval_accuracy", _OPT_REAL, lambda run_id, t: t.eval_accuracy),
 )
 NURSES_COLUMNS = (
     _RUN_ID,
-    Column("nurse_id", _INT, lambda rec, t: t.id),
-    Column("quality", _STR, lambda rec, t: t.quality.value),
-    Column("role", _STR, lambda rec, t: t.role),
-    Column("tasks_success", _INT, lambda rec, t: t.tasks_success),
-    Column("tasks_failed", _INT, lambda rec, t: t.tasks_failed),
-    Column("utility", _INT, lambda rec, t: t.utility),
-    Column("time_damage_s", _REAL, lambda rec, t: t.time_damage),
-    Column("observed_tasks", _INT, lambda rec, t: t.observed_tasks),
-    Column("classified_low_at_s", _OPT_REAL, lambda rec, t: t.classified_low_at),
+    Column("nurse_id", _INT, lambda run_id, t: t.id),
+    Column("quality", _STR, lambda run_id, t: t.quality.value),
+    Column("role", _STR, lambda run_id, t: t.role),
+    Column("tasks_success", _INT, lambda run_id, t: t.tasks_success),
+    Column("tasks_failed", _INT, lambda run_id, t: t.tasks_failed),
+    Column("utility", _INT, lambda run_id, t: t.utility),
+    Column("time_damage_s", _REAL, lambda run_id, t: t.time_damage),
+    Column("observed_tasks", _INT, lambda run_id, t: t.observed_tasks),
+    Column("classified_low_at_s", _OPT_REAL, lambda run_id, t: t.classified_low_at),
 )
 
 
@@ -146,26 +83,27 @@ DOCTORS_HEADER = _header(DOCTORS_COLUMNS)
 NURSES_HEADER = _header(NURSES_COLUMNS)
 
 
-def _row(columns: tuple[Column, ...], rec: RunRecord, subject) -> str:
-    return ",".join(c.cell.write(c.get(rec, subject)) for c in columns) + "\n"
+def _row(columns: tuple[Column, ...], run_id: str, subject) -> str:
+    return ",".join(c.cell.write(c.get(run_id, subject)) for c in columns) + "\n"
 
 
 _TABLES = (("runs", RUNS_COLUMNS), ("doctors", DOCTORS_COLUMNS), ("nurses", NURSES_COLUMNS))
 
 
-def run_rows(rec: RunRecord) -> tuple[str, str, str, str]:
+def run_rows(run_id: str, result) -> tuple[str, str, str, str]:
     """One finished run as CSV text: (run_id, runs text, doctors text, nurses text).
 
-    Each text is the run's lines of that file, agents in id order, every line
-    ending in \\n.  The tuple holds only strings, so a forked worker sends it
-    down its pipe instead of the run's object graph.
+    `result` is the run's `engine.ShiftResult`, its only record: the runs row
+    reads the config and the shift's totals off it, and each agent row reads
+    the agent's own totals.  Each text is the run's lines of that file, agents
+    in id order, every line ending in \\n.  The tuple holds only strings, so a
+    forked worker sends it down its pipe instead of the run's object graph.
     """
-    m = rec.metrics
     return (
-        rec.run_id,
-        _row(RUNS_COLUMNS, rec, m),
-        "".join(_row(DOCTORS_COLUMNS, rec, m.doctors[i]) for i in sorted(m.doctors)),
-        "".join(_row(NURSES_COLUMNS, rec, m.nurses[i]) for i in sorted(m.nurses)),
+        run_id,
+        _row(RUNS_COLUMNS, run_id, result),
+        "".join(_row(DOCTORS_COLUMNS, run_id, result.doctors[i]) for i in sorted(result.doctors)),
+        "".join(_row(NURSES_COLUMNS, run_id, result.nurses[i]) for i in sorted(result.nurses)),
     )
 
 

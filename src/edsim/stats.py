@@ -33,11 +33,6 @@ class EmptyCounts(StatsError):
     pass
 
 
-class Sample(NamedTuple):
-    values: tuple[float, ...]
-    label: str = ""
-
-
 class TestResult(NamedTuple):
     test_name: str
     statistic: float
@@ -48,7 +43,7 @@ class TestResult(NamedTuple):
 
 
 def _values(x) -> list[float]:
-    vals = [float(v) for v in (x.values if isinstance(x, Sample) else x)]
+    vals = [float(v) for v in x]
     if any(not math.isfinite(v) for v in vals):
         raise StatsError("samples must contain finite values only")
     return vals
@@ -204,7 +199,7 @@ def _sw_weights(n: int) -> list[float]:
     return a
 
 
-def shapiro_wilk(x, label: str = "") -> TestResult:
+def shapiro_wilk(x) -> TestResult:
     """Shapiro-Wilk normality test for 3 <= n <= 5000 (AS R94 approximation)."""
     vals = sorted(_values(x))
     n = len(vals)
@@ -224,13 +219,13 @@ def shapiro_wilk(x, label: str = "") -> TestResult:
     if n == 3:
         p = (6.0 / math.pi) * (math.asin(math.sqrt(w_stat)) - math.asin(math.sqrt(0.75)))
         p = min(max(p, 0.0), 1.0)
-        return TestResult("shapiro_wilk", w_stat, p, n, 0, label or "exact n=3")
+        return TestResult("shapiro_wilk", w_stat, p, n, 0, "exact n=3")
 
     w1 = 1.0 - w_stat
     if n <= 11:
         gamma = 0.459 * n - 2.273
         if gamma - math.log(w1) <= 0.0:
-            return TestResult("shapiro_wilk", w_stat, 1e-19, n, 0, label)
+            return TestResult("shapiro_wilk", w_stat, 1e-19, n, 0)
         y = -math.log(gamma - math.log(w1))
         mu = _polyval(_SW_C3, float(n))
         sigma = math.exp(_polyval(_SW_C4, float(n)))
@@ -240,7 +235,7 @@ def shapiro_wilk(x, label: str = "") -> TestResult:
         mu = _polyval(_SW_C5, ln_n)
         sigma = math.exp(_polyval(_SW_C6, ln_n))
     p = norm_sf((y - mu) / sigma)
-    return TestResult("shapiro_wilk", w_stat, p, n, 0, label)
+    return TestResult("shapiro_wilk", w_stat, p, n, 0)
 
 
 # -- rank-sum ----------------------------------------------------------------
@@ -300,7 +295,7 @@ def _normal_two_sided_p(u1: float, n1: int, n2: int, pooled: Sequence[float]) ->
     return min(1.0, 2.0 * norm_sf(abs(z))), tie_term
 
 
-def wilcoxon_rank_sum(x, y, label: str = "") -> TestResult:
+def wilcoxon_rank_sum(x, y) -> TestResult:
     """Two-sided Wilcoxon rank-sum (Mann-Whitney U) test.
 
     Small tie-free samples (min size <= 8) get an exact enumeration p-value;
@@ -325,10 +320,10 @@ def wilcoxon_rank_sum(x, y, label: str = "") -> TestResult:
     else:
         p, tie_term = _normal_two_sided_p(u1, n1, n2, pooled)
         notes = f"W1={w1:g}, U2={u2:g}, method=normal, tie_term={tie_term:g}"
-    return TestResult("wilcoxon_rank_sum", u1, p, n1, n2, (label + " " if label else "") + notes)
+    return TestResult("wilcoxon_rank_sum", u1, p, n1, n2, notes)
 
 
-def welch_t_test(x, y, label: str = "") -> TestResult:
+def welch_t_test(x, y) -> TestResult:
     """Welch's unequal-variance t-test with Satterthwaite degrees of freedom."""
     xs, ys = _values(x), _values(y)
     n1, n2 = len(xs), len(ys)
@@ -341,10 +336,10 @@ def welch_t_test(x, y, label: str = "") -> TestResult:
     t = (_mean(xs) - _mean(ys)) / math.sqrt(se1 + se2)
     df = (se1 + se2) ** 2 / (se1 ** 2 / (n1 - 1) + se2 ** 2 / (n2 - 1))
     p = t_sf_two_sided(t, df)
-    return TestResult("welch_t", t, p, n1, n2, (label + " " if label else "") + f"df={df:.4f}")
+    return TestResult("welch_t", t, p, n1, n2, f"df={df:.4f}")
 
 
-def paired_t_test(x, y, label: str = "") -> TestResult:
+def paired_t_test(x, y) -> TestResult:
     """Two-sided paired t-test on elementwise differences."""
     xs, ys = _values(x), _values(y)
     if len(xs) != len(ys):
@@ -362,7 +357,7 @@ def paired_t_test(x, y, label: str = "") -> TestResult:
         return TestResult("paired_t", t, 0.0, n, n, "constant non-zero differences")
     t = mean_d / math.sqrt(var_d / n)
     p = t_sf_two_sided(t, n - 1)
-    return TestResult("paired_t", t, p, n, n, (label + " " if label else "") + f"df={n - 1}")
+    return TestResult("paired_t", t, p, n, n, f"df={n - 1}")
 
 
 def chi_square_uniform_mc(counts: Sequence[int], draws: int = 10000, seed: int = 0) -> TestResult:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from edsim.behavior import base_duration_for_level, evaluate_performance_level
-from edsim.cli import run_experiment
+from edsim.cli import EXIT_OK, main
 from edsim.domain import EvaluationStyle
 from edsim.stats import chi_square_uniform_mc, shapiro_wilk, wilcoxon_rank_sum
 
@@ -23,28 +23,28 @@ from conftest import COMBOS, SEED_BASES
 def _nurse_ids(result, quality, original_only=False):
     return [
         i
-        for i, n in result.metrics.nurses.items()
+        for i, n in result.nurses.items()
         if n.quality.value == quality and (not original_only or n.role != "replacement")
     ]
 
 
 def served(results):
-    return [r.metrics.patients_served for r in results]
+    return [r.patients_served for r in results]
 
 
 def damage(results):
-    return [r.metrics.time_damage for r in results]
+    return [r.time_damage for r in results]
 
 
 def delay(results):
-    return [r.metrics.delay for r in results]
+    return [r.delay for r in results]
 
 
 def low_nurse(results, field):
     out = []
     for r in results:
         ids = _nurse_ids(r, "low")
-        out.append(sum(getattr(r.metrics.nurses[i], field) for i in ids))
+        out.append(sum(getattr(r.nurses[i], field) for i in ids))
     return out
 
 
@@ -52,7 +52,7 @@ def high_nurse(results, field):
     out = []
     for r in results:
         ids = _nurse_ids(r, "high", original_only=True)
-        out.append(sum(getattr(r.metrics.nurses[i], field) for i in ids))
+        out.append(sum(getattr(r.nurses[i], field) for i in ids))
     return out
 
 
@@ -222,9 +222,10 @@ def test_criterion_12_determinism(tmp_path):
     trees = {}
     for variant, parallel in (("serial1", 1), ("serial2", 1), ("parallel", 4)):
         root = tmp_path / variant
-        for combo in COMBOS:
-            run_experiment({}, combo, runs=60, seed_base=SEED_BASES[0], out_dir=str(root / combo), parallel=parallel)
+        args = ["experiment", "--runs", "60", "--seed-base", str(SEED_BASES[0]), "--parallel", str(parallel)]
+        assert main(args + ["--out", str(root)]) == EXIT_OK
         trees[variant] = _tree_bytes(root)
+    assert sorted({path.split(os.sep)[0] for path in trees["serial1"]}) == sorted(COMBOS)
     assert trees["serial1"] == trees["serial2"]
     assert trees["serial1"] == trees["parallel"]
     print("ACCEPTANCE 12 PASS - full 4x60 grid byte-identical across reruns, serial and parallel")
@@ -235,13 +236,13 @@ def test_criterion_13_conservation_suite(acceptance_grids):
     for grid in acceptance_grids.values():
         for results in grid.values():
             for r in results:
-                audit, m = r.audit, r.metrics
+                audit = r.audit
                 assert audit["patients_spawned"] == audit["patients_served"] + audit["patients_in_system"]
                 assert audit["patients_in_system"] == audit["beds_occupied"]
-                assert m.patients_served == sum(d.served for d in m.doctors.values())
-                assert abs(m.time_damage - sum(n.time_damage for n in m.nurses.values())) < 1e-9
-                assert abs(m.time_damage - sum(d.time_damage for d in m.doctors.values())) < 1e-9
-                assert abs(m.delay - sum(d.delay for d in m.doctors.values())) < 1e-9
+                assert r.patients_served == sum(d.served for d in r.doctors.values())
+                assert abs(r.time_damage - sum(n.time_damage for n in r.nurses.values())) < 1e-9
+                assert abs(r.time_damage - sum(d.time_damage for d in r.doctors.values())) < 1e-9
+                assert abs(r.delay - sum(d.delay for d in r.doctors.values())) < 1e-9
                 starts = [o for _, _, k, _, o in r.trace if k == "execution_start"]
                 assert len(starts) == len(set(starts))
                 census = audit["requests"]

@@ -16,19 +16,22 @@ from edsim.analysis import (
     metric_names,
     render_report,
 )
-from edsim.cli import run_experiment
+from edsim.cli import EXIT_OK, main
 from edsim.metrics import SchemaError
+
+
+def write_experiment(out_root, combo: str, runs: int, seed_base: int, config: str = "") -> str:
+    """Write one combo's directory under `out_root` through `edsim experiment`; returns its path."""
+    args = ["experiment", *([config] if config else []), "--combo", combo, "--runs", str(runs)]
+    assert main(args + ["--seed-base", str(seed_base), "--out", str(out_root)]) == EXIT_OK
+    return str(out_root / combo)
 
 
 @pytest.fixture(scope="module")
 def experiment_dirs(tmp_path_factory):
     root = tmp_path_factory.mktemp("experiments")
-    dirs = {}
-    for combo in ("baseline-ca", "baseline-fifo", "replacement-ca"):
-        out = root / combo
-        run_experiment({}, combo, runs=12, seed_base=400, out_dir=str(out))
-        dirs[combo] = str(out)
-    return dirs
+    combos = ("baseline-ca", "baseline-fifo", "replacement-ca")
+    return {combo: write_experiment(root, combo, 12, 400) for combo in combos}
 
 
 def test_load_experiment_reads_triplet(experiment_dirs):
@@ -95,6 +98,19 @@ def test_self_comparison_null(experiment_dirs):
         assert row.mean_a == row.mean_b
 
 
+def test_variance_notes_tell_single_runs_from_identical_variances(experiment_dirs, tmp_path):
+    # One run per group leaves the paired test undefined whatever the
+    # variances are; only a self-comparison has identical ones.
+    single = {combo: write_experiment(tmp_path, combo, 1, 1) for combo in ("baseline-ca", "baseline-fifo")}
+    row = compare_experiments(single["baseline-ca"], single["baseline-fifo"], metrics=[DOCTOR_VARIANCE_METRIC])[0]
+    assert (row.mean_a, row.mean_b) == (7.0, 1.0)
+    assert row.degenerate and row.notes == "fewer than two runs per group; paired test undefined"
+
+    row = compare_experiments(experiment_dirs["baseline-ca"], experiment_dirs["baseline-ca"],
+                              metrics=[DOCTOR_VARIANCE_METRIC])[0]
+    assert row.degenerate and row.notes == "identical per-run variances; paired test undefined"
+
+
 def test_unknown_metric(experiment_dirs):
     with pytest.raises(MetricUnknown):
         compare_experiments(
@@ -103,10 +119,11 @@ def test_unknown_metric(experiment_dirs):
 
 
 def test_roster_mismatch_names_agents(experiment_dirs, tmp_path):
-    other = tmp_path / "lowlow"
-    run_experiment({"nurses": "1:low, 2:low"}, "baseline-ca", runs=3, seed_base=1, out_dir=str(other))
+    config = tmp_path / "lowlow.cfg"
+    config.write_text("nurses = 1:low, 2:low\n", encoding="utf-8")
+    other = write_experiment(tmp_path / "lowlow", "baseline-ca", 3, 1, str(config))
     with pytest.raises(SchemaError) as err:
-        compare_experiments(experiment_dirs["baseline-ca"], str(other))
+        compare_experiments(experiment_dirs["baseline-ca"], other)
     assert "nurse 2" in str(err.value)
 
 

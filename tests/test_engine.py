@@ -7,7 +7,7 @@ import pytest
 import edsim.engine as engine
 from edsim.domain import LEVELS
 from edsim.engine import _ShiftSim, render_trace, run_shift
-from edsim.metrics import RunRecord, run_rows, write_csvs
+from edsim.metrics import run_rows, write_csvs
 from edsim.policy import select_request_ca, select_request_fifo
 
 from conftest import COMBOS, make_config, record_requests, run_with_invariant_checks
@@ -70,15 +70,13 @@ def test_hand_traced_single_bed_timeline(monkeypatch):
         (100.0, "shift_end", "", ""),
     ]
     assert [(t, k, a, o) for t, _, k, a, o in result.trace] == expected
-
-    m = result.metrics
-    assert m.patients_served == 2
+    assert result.patients_served == 2
     assert result.audit["patients_spawned"] == 3
-    assert m.delay == pytest.approx(15.0)
-    assert m.time_damage == 0.0
-    assert m.nurses[1].tasks_success == 2
-    assert m.nurses[1].tasks_failed == 0
-    assert m.nurses[1].utility == 10
+    assert result.delay == pytest.approx(15.0)
+    assert result.time_damage == 0.0
+    assert result.nurses[1].tasks_success == 2
+    assert result.nurses[1].tasks_failed == 0
+    assert result.nurses[1].utility == 10
     assert result.audit["requests"] == {"pending": 0, "claimed": 0, "executing": 1, "done": 2}
     assert result.audit["requests_issued"] == 3
     # Draw order: one per spawn, one good roll per execution start.
@@ -88,7 +86,7 @@ def test_hand_traced_single_bed_timeline(monkeypatch):
 def test_zero_length_shift_is_empty():
     result = run_shift(one_bed_config(shiftLength=0))
     assert [e[2] for e in result.trace] == ["shift_end"]
-    assert result.metrics.patients_served == 0
+    assert result.patients_served == 0
     assert result.audit["patients_spawned"] == 0
     assert result.audit["rng_draws"] == 0
 
@@ -162,8 +160,8 @@ def test_identical_seed_reproduces_bytes(tmp_path):
     a, b = run_shift(cfg), run_shift(cfg)
     assert render_trace(a) == render_trace(b)
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    write_csvs([run_rows(RunRecord("run-42", a.config, a.metrics))], str(dir_a))
-    write_csvs([run_rows(RunRecord("run-42", b.config, b.metrics))], str(dir_b))
+    write_csvs([run_rows("run-42", a)], str(dir_a))
+    write_csvs([run_rows("run-42", b)], str(dir_b))
     for name in ("runs.csv", "doctors.csv", "nurses.csv"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
@@ -185,9 +183,9 @@ def test_replacement_spawns_on_third_failure():
         seed=3,
     )
     result = run_shift(cfg)
-    assert (result.metrics.nurses[2].quality.value, result.metrics.nurses[2].role) == ("high", "replacement")
+    assert (result.nurses[2].quality.value, result.nurses[2].role) == ("high", "replacement")
     completions = [t for t, _, k, a, _ in result.trace if k == "task_complete" and a == "1"]
-    classified_at = result.metrics.nurses[1].classified_low_at
+    classified_at = result.nurses[1].classified_low_at
     # Reliability walks 1.0 -> 0.7 -> 0.49 -> 0.343: the third completion trips it.
     assert classified_at == completions[2]
     first_decide_n2 = min(t for t, _, k, a, _ in result.trace if k == "nurse_decide" and a == "2")
@@ -197,11 +195,10 @@ def test_replacement_spawns_on_third_failure():
 def test_replacement_nurse_starts_fresh_and_executes():
     cfg = make_config(scenario="replacement", seed=11)
     result = run_shift(cfg)
-    repl_ids = [i for i, n in result.metrics.nurses.items() if n.role == "replacement"]
+    repl_ids = [i for i, n in result.nurses.items() if n.role == "replacement"]
     assert repl_ids, "expected a replacement nurse with the case-study roster"
     nid = repl_ids[0]
-    m = result.metrics
-    assert m.nurses[nid].tasks_success + m.nurses[nid].tasks_failed > 0
+    assert result.nurses[nid].tasks_success + result.nurses[nid].tasks_failed > 0
 
 
 def test_trainer_attaches_observes_nine_and_exits():
@@ -214,13 +211,13 @@ def test_trainer_attaches_observes_nine_and_exits():
         seed=5,
     )
     result = run_shift(cfg)
-    assert (result.metrics.nurses[1].quality.value, result.metrics.nurses[1].role) == ("low", "trainee")
+    assert (result.nurses[1].quality.value, result.nurses[1].role) == ("low", "trainee")
     exits = [t for t, _, k, a, _ in result.trace if k == "trainer_exit"]
     assert len(exits) == 1
     # Exit fires once the bonus chance reaches 0.9, i.e. the ninth observation,
     # and the observation count persists afterwards.
-    assert result.metrics.nurses[1].observed_tasks == 9
-    classified_at = result.metrics.nurses[1].classified_low_at
+    assert result.nurses[1].observed_tasks == 9
+    classified_at = result.nurses[1].classified_low_at
     assert classified_at is not None and classified_at < exits[0]
 
 
@@ -236,9 +233,9 @@ def test_classifying_completion_is_not_observed():
     )
     result = run_shift(cfg)
     completions = [t for t, _, k, a, _ in result.trace if k == "task_complete" and a == "1"]
-    classified_at = result.metrics.nurses[1].classified_low_at
+    classified_at = result.nurses[1].classified_low_at
     observed_after = sum(1 for t in completions if t > classified_at)
-    assert result.metrics.nurses[1].observed_tasks == min(observed_after, 9)
+    assert result.nurses[1].observed_tasks == min(observed_after, 9)
 
 
 @pytest.mark.parametrize("combo", list(COMBOS))
@@ -246,17 +243,17 @@ def test_classifying_completion_is_not_observed():
 def test_conservation_and_consistency(combo, seed):
     scenario, policy = COMBOS[combo]
     result = run_shift(make_config(scenario=scenario, policy=policy, seed=seed))
-    audit, m = result.audit, result.metrics
+    audit = result.audit
 
     assert audit["patients_spawned"] == audit["patients_served"] + audit["patients_in_system"]
     assert audit["patients_in_system"] == audit["beds_occupied"]
     census = audit["requests"]
     assert sum(census.values()) == audit["requests_issued"]
 
-    assert m.patients_served == sum(d.served for d in m.doctors.values())
-    assert m.time_damage == pytest.approx(sum(d.time_damage for d in m.doctors.values()))
-    assert m.time_damage == pytest.approx(sum(n.time_damage for n in m.nurses.values()))
-    assert m.delay == pytest.approx(sum(d.delay for d in m.doctors.values()))
+    assert result.patients_served == sum(d.served for d in result.doctors.values())
+    assert result.time_damage == pytest.approx(sum(d.time_damage for d in result.doctors.values()))
+    assert result.time_damage == pytest.approx(sum(n.time_damage for n in result.nurses.values()))
+    assert result.delay == pytest.approx(sum(d.delay for d in result.doctors.values()))
     accepted = sum(d["accepted"] for d in audit["decisions"].values())
     assert accepted == census["claimed"] + census["executing"] + census["done"]
 
@@ -270,7 +267,7 @@ def test_conservation_and_consistency(combo, seed):
 def test_correct_doctors_have_perfect_eval_accuracy():
     result = run_shift(make_config(seed=9))
     for doctor_id in (1, 2, 3):
-        acc = result.metrics.doctors[doctor_id].eval_accuracy
+        acc = result.doctors[doctor_id].eval_accuracy
         if acc is not None:
             assert acc == 1.0
 
@@ -288,7 +285,7 @@ def test_unstarted_requests_accrue_horizon_delay():
     result = run_shift(cfg)
     # Request 1: issued 10, started 15 -> 5 s. Request 2: issued 20, never
     # started -> 30 - 20 = 10 s.
-    assert result.metrics.delay == pytest.approx(15.0)
+    assert result.delay == pytest.approx(15.0)
 
 
 STYLES = ("correct", "over", "under")
@@ -368,12 +365,12 @@ def test_delay_sums_in_start_order_then_issue_order(combo, monkeypatch):
 
     waits = [(r, r.execution_start_at - r.issued_at) for r in started]
     waits += [(r, cfg.shift_length - r.issued_at) for r in unstarted]
-    total, per_doctor = 0.0, dict.fromkeys(result.metrics.doctors, 0.0)
+    total, per_doctor = 0.0, dict.fromkeys(result.doctors, 0.0)
     for r, waited in waits:
         total += waited
         per_doctor[r.patient.doctor.id] += waited
-    assert result.metrics.delay == total
-    assert {i: d.delay for i, d in result.metrics.doctors.items()} == per_doctor
+    assert result.delay == total
+    assert {i: d.delay for i, d in result.doctors.items()} == per_doctor
 
 
 def test_broadcast_visits_idle_nurses_in_ascending_id_order():
@@ -397,7 +394,7 @@ def test_broadcast_visits_idle_nurses_in_ascending_id_order():
 
     sim._broadcast = recording_broadcast
     result = sim.run()
-    assert [n.role for n in result.metrics.nurses.values()].count("replacement") >= 2
+    assert [n.role for n in result.nurses.values()].count("replacement") >= 2
     assert seen["after_replacement"] > 0
 
 
@@ -411,7 +408,7 @@ def test_invariants_hold_after_every_event(state, combo, monkeypatch):
 def test_decision_counts_show_trust_collapse():
     result = run_shift(make_config(trustInit=0.1, acceptThreshold=0.5))
     decisions = result.audit["decisions"]
-    assert set(decisions) == set(result.metrics.nurses)
+    assert set(decisions) == set(result.nurses)
     for counts in decisions.values():
         assert counts["accepted"] == 0
         assert counts["none_eligible"] > 0

@@ -19,7 +19,7 @@ import pytest
 from edsim.cli import EXIT_OK, main
 from edsim.domain import config_echo
 from edsim.engine import render_trace, run_shift
-from edsim.metrics import RunRecord, run_rows, write_csvs
+from edsim.metrics import run_rows, write_csvs
 
 from conftest import COMBOS, SEED_BASES, make_config, run_with_invariant_checks
 
@@ -147,7 +147,7 @@ def _sha256(data: bytes) -> str:
 def test_csv_triplet_digests(acceptance_grids, seed_base, tmp_path):
     for combo in COMBOS:
         rows = [
-            run_rows(RunRecord(f"{combo}-{r.config.seed:08d}", r.config, r.metrics))
+            run_rows(f"{combo}-{r.config.seed:08d}", r)
             for r in acceptance_grids[seed_base][combo]
         ]
         paths = write_csvs(rows, str(tmp_path / combo))
@@ -166,8 +166,8 @@ def test_crowded_trace_digest(combo):
     scenario, policy = COMBOS[combo]
     result = run_shift(make_config(scenario=scenario, policy=policy, **CROWDED_CONFIG))
     digest, classified_low, replacements, trainees = CROWDED_TRACES[combo]
-    roles = [n.role for n in result.metrics.nurses.values()]
-    assert sum(n.classified_low_at is not None for n in result.metrics.nurses.values()) == classified_low
+    roles = [n.role for n in result.nurses.values()]
+    assert sum(n.classified_low_at is not None for n in result.nurses.values()) == classified_low
     assert (roles.count("replacement"), roles.count("trainee")) == (replacements, trainees)
     assert _sha256(render_trace(result).encode("utf-8")) == digest
 
@@ -189,7 +189,7 @@ def grid_dirs(acceptance_grids, tmp_path_factory):
     root = tmp_path_factory.mktemp("grid")
     for combo, results in acceptance_grids[SEED_BASES[0]].items():
         out = root / combo
-        rows = [run_rows(RunRecord(f"{combo}-{r.config.seed:08d}", r.config, r.metrics)) for r in results]
+        rows = [run_rows(f"{combo}-{r.config.seed:08d}", r) for r in results]
         write_csvs(rows, str(out))
         (out / "config.echo").write_text(config_echo(results[0].config), encoding="utf-8", newline="\n")
     return root
@@ -234,7 +234,7 @@ def sweep_configs(seed: int = 2, count: int = 40) -> list[dict]:
     def interval(hi):
         return "0" if rng.random() < 1 / 3 else repr(round(rng.uniform(0.5, hi), 3))
 
-    def fraction(lo=0.0, hi=1.0):
+    def fraction(lo, hi):
         corner = rng.random()
         return "0" if corner < 1 / 6 else "1" if corner < 1 / 3 else repr(round(rng.uniform(lo, hi), 3))
 
@@ -296,8 +296,7 @@ def test_sweep_digest(tmp_path):
     digest = hashlib.sha256()
     for k, raw in enumerate(SWEEP):
         result = run_shift(make_config(**raw))
-        paths = write_csvs([run_rows(RunRecord(f"run-{result.config.seed:08d}", result.config, result.metrics))],
-                           str(tmp_path / str(k)))
+        paths = write_csvs([run_rows(f"run-{result.config.seed:08d}", result)], str(tmp_path / str(k)))
         for name in ("runs", "doctors", "nurses"):
             digest.update(Path(paths[name]).read_bytes())
         digest.update(render_trace(result).encode("utf-8"))

@@ -206,7 +206,7 @@ def test_high_performer_rarely_classifies_low(acceptance_grids):
     for grid in acceptance_grids.values():
         for results in grid.values():
             for r in results:
-                for nurse in r.metrics.nurses.values():
+                for nurse in r.nurses.values():
                     if nurse.quality.value == "high":
                         total += 1
                         if nurse.classified_low_at is not None:

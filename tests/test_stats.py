@@ -12,7 +12,6 @@ from edsim.stats import (
     EmptyCounts,
     EmptySample,
     LengthMismatch,
-    Sample,
     StatsError,
     _exact_two_sided_p,
     _normal_two_sided_p,
@@ -84,12 +83,6 @@ def test_shapiro_degenerate_and_range_errors():
         shapiro_wilk([1.0, 2.0])
     with pytest.raises(StatsError):
         shapiro_wilk(np.zeros(5001) + np.arange(5001))
-
-
-def test_shapiro_accepts_sample_type():
-    x = np.random.default_rng(5).normal(size=50)
-    res = shapiro_wilk(Sample(tuple(x), label="check"))
-    assert 0.0 <= res.p_value <= 1.0
 
 
 # -- Wilcoxon rank-sum --------------------------------------------------------
