@@ -155,7 +155,7 @@ def _median(xs: list[float]) -> float:
 
 
 def _zero_variance(xs: list[float]) -> bool:
-    return len(xs) < 2 or min(xs) == max(xs)
+    return min(xs) == max(xs)
 
 
 def _try_shapiro(xs: list[float]) -> Optional[stats.TestResult]:
@@ -168,7 +168,10 @@ def _try_shapiro(xs: list[float]) -> Optional[stats.TestResult]:
 def _gated_row(metric: str, a: list[float], b: list[float], label_a: str, label_b: str) -> ComparisonRow:
     row = ComparisonRow(metric, label_a, label_b, sum(a) / len(a), sum(b) / len(b), _median(a), _median(b))
     if _zero_variance(a) and _zero_variance(b):
-        return row._replace(degenerate=True, notes="no variance in either group; no test meaningful")
+        # A single run has no spread to measure, which is not the same as
+        # runs that all agree.
+        reason = "fewer than two runs per group" if min(len(a), len(b)) < 2 else "no variance in either group"
+        return row._replace(degenerate=True, notes=f"{reason}; no test meaningful")
     sw_a, sw_b = _try_shapiro(a), _try_shapiro(b)
     normal = all(sw is not None and sw.p_value >= NORMALITY_ALPHA for sw in (sw_a, sw_b))
     chosen = stats.welch_t_test(a, b) if normal else stats.wilcoxon_rank_sum(a, b)

@@ -442,7 +442,6 @@ class _ShiftSim:
         occupied = sum(patient is not None for patient in self.beds.values())
         audit = {
             "patients_spawned": self._next_patient_id - 1,
-            "patients_served": served,
             "patients_in_system": occupied,
             "beds_occupied": occupied,
             "requests": census,

@@ -368,6 +368,14 @@ def chi_square_uniform_mc(counts: Sequence[int], draws: int = 10000, seed: int =
     so it is never exactly zero.  The statistic is k/T * sum(c^2) - T for a
     total T, so each draw is compared on its exact integer sum of squares, at
     most T^2: int64 holds it while T^2 < 2^63, and larger totals are refused.
+
+    With q, r = divmod(T, k), no k non-negative integers summing to T have a
+    sum of squares below r*(q+1)^2 + (k-r)*q^2, the sum of the most even
+    split: moving one unit from a cell a to a cell b <= a - 2 lowers the sum
+    by 2(a - b - 1) > 0, so only a split whose cells differ by at most one
+    can be minimal, and that split is unique up to order.  Every draw sums to
+    T, so when the observed counts reach this bound every draw counts as
+    exceeding them and p is exactly 1, whatever the seed; nothing is drawn.
     """
     counts = [int(c) for c in counts]
     k = len(counts)
@@ -378,14 +386,21 @@ def chi_square_uniform_mc(counts: Sequence[int], draws: int = 10000, seed: int =
         raise EmptyCounts("counts must be non-negative")
     if total * total >= 2**63:
         raise StatsError(f"total {total} is too large: its square must fit in int64")
+    if draws < 1:
+        raise StatsError(f"draws must be at least 1, got {draws}")
     import numpy as np  # deferred: only this test needs numpy, and importing it dominates CLI start-up
 
     expected = total / k
     observed = float(((np.asarray(counts, dtype=float) - expected) ** 2 / expected).sum())
-    gen = np.random.default_rng(seed)
-    sims = gen.multinomial(total, [1.0 / k] * k, size=draws)
-    exceed = int((np.einsum("ij,ij->i", sims, sims) >= sum(c * c for c in counts)).sum())
-    p = (1 + exceed) / (draws + 1)
+    sum_sq = sum(c * c for c in counts)
+    q, r = divmod(total, k)
+    if sum_sq <= r * (q + 1) ** 2 + (k - r) * q * q:
+        p = 1.0
+    else:
+        gen = np.random.default_rng(seed)
+        sims = gen.multinomial(total, [1.0 / k] * k, size=draws)
+        exceed = int((np.einsum("ij,ij->i", sims, sims) >= sum_sq).sum())
+        p = (1 + exceed) / (draws + 1)
     return TestResult(
         "chi_square_uniform_mc", observed, p, k, draws, f"total={total}, seed={seed}"
     )

@@ -237,7 +237,7 @@ def test_criterion_13_conservation_suite(acceptance_grids):
         for results in grid.values():
             for r in results:
                 audit = r.audit
-                assert audit["patients_spawned"] == audit["patients_served"] + audit["patients_in_system"]
+                assert audit["patients_spawned"] == r.patients_served + audit["patients_in_system"]
                 assert audit["patients_in_system"] == audit["beds_occupied"]
                 assert r.patients_served == sum(d.served for d in r.doctors.values())
                 assert abs(r.time_damage - sum(n.time_damage for n in r.nurses.values())) < 1e-9

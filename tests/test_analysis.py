@@ -111,6 +111,21 @@ def test_variance_notes_tell_single_runs_from_identical_variances(experiment_dir
     assert row.degenerate and row.notes == "identical per-run variances; paired test undefined"
 
 
+def test_gated_notes_tell_single_runs_from_zero_variance(experiment_dirs, tmp_path):
+    # One run per group cannot show spread, even when the two values differ.
+    single = {combo: write_experiment(tmp_path, combo, 1, 1) for combo in ("baseline-ca", "baseline-fifo")}
+    row = compare_experiments(single["baseline-ca"], single["baseline-fifo"], metrics=["patients_served"])[0]
+    assert (row.mean_a, row.mean_b) == (21.0, 36.0)
+    assert row.degenerate and row.chosen is None
+    assert row.notes == "fewer than two runs per group; no test meaningful"
+
+    # The untrained low performer never succeeds, so twelve runs agree on zero.
+    row = compare_experiments(experiment_dirs["baseline-ca"], experiment_dirs["baseline-fifo"],
+                              metrics=["low_nurse_tasks_success"])[0]
+    assert (row.mean_a, row.mean_b) == (0.0, 0.0)
+    assert row.degenerate and row.notes == "no variance in either group; no test meaningful"
+
+
 def test_unknown_metric(experiment_dirs):
     with pytest.raises(MetricUnknown):
         compare_experiments(

@@ -245,7 +245,7 @@ def test_conservation_and_consistency(combo, seed):
     result = run_shift(make_config(scenario=scenario, policy=policy, seed=seed))
     audit = result.audit
 
-    assert audit["patients_spawned"] == audit["patients_served"] + audit["patients_in_system"]
+    assert audit["patients_spawned"] == result.patients_served + audit["patients_in_system"]
     assert audit["patients_in_system"] == audit["beds_occupied"]
     census = audit["requests"]
     assert sum(census.values()) == audit["requests_issued"]

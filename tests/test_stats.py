@@ -318,6 +318,78 @@ def test_chi2_integer_statistic_matches_float_reference():
     assert tied > 0  # draws whose sum of squares equals the observed one were compared
 
 
+def _balanced(k, total, rng):
+    """The most even split of `total` over k cells, in a random order."""
+    q, r = divmod(total, k)
+    counts = [q + 1] * r + [q] * (k - r)
+    rng.shuffle(counts)
+    return counts
+
+
+def _balanced_cases():
+    rng = random.Random(1414)
+    for k in range(2, 21):
+        for total in sorted({1, k - 1, k, k + 1, 3 * k + 2, 61}):
+            if total:
+                yield _balanced(k, total, rng)
+
+
+def test_chi2_balanced_counts_match_float_reference():
+    for counts in _balanced_cases():
+        for draws in (1, 7, 300):
+            for seed in (0, 5, 2**62 + 3):
+                res = chi_square_uniform_mc(counts, draws=draws, seed=seed)
+                assert (res.statistic, res.p_value) == _chi2_float_reference(counts, draws, seed), (counts, draws, seed)
+                assert res.p_value == 1.0
+
+
+def test_chi2_balanced_counts_draw_nothing(monkeypatch):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("balanced counts must not build a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    for counts in _balanced_cases():
+        res = chi_square_uniform_mc(counts, draws=10000, seed=1)
+        assert (res.p_value, res.n2) == (1.0, 10000)
+
+
+def test_chi2_one_step_from_balanced_still_samples(monkeypatch):
+    generators = []
+    real_default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        generators.append(seed)
+        return real_default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    below_one = 0
+    for counts in _balanced_cases():
+        if sum(counts) < 2:
+            continue
+        # One unit onto a largest cell from another non-empty one leaves two
+        # cells at least two apart, so the counts are no longer balanced.
+        dest = counts.index(max(counts))
+        source = next(i for i, c in enumerate(counts) if c and i != dest)
+        step = list(counts)
+        step[dest] += 1
+        step[source] -= 1
+        for draws, seed in ((1, 0), (300, 5), (300, 2**62 + 3)):
+            expected = _chi2_float_reference(step, draws, seed)
+            generators.clear()
+            res = chi_square_uniform_mc(step, draws=draws, seed=seed)
+            assert generators == [seed], step
+            assert (res.statistic, res.p_value) == expected, (step, draws, seed)
+            below_one += res.p_value < 1.0
+    assert below_one > 0
+
+
+@pytest.mark.parametrize("draws", [0, -1])
+@pytest.mark.parametrize("counts", [[5, 5, 5], [6, 5, 5], [30, 0, 0]])
+def test_chi2_needs_at_least_one_draw(counts, draws):
+    with pytest.raises(StatsError, match="draws"):
+        chi_square_uniform_mc(counts, draws=draws)
+
+
 def test_all_p_values_in_unit_interval():
     rng = np.random.default_rng(55)
     for _ in range(25):
