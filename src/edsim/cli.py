@@ -249,6 +249,9 @@ def cmd_analyze(
 ) -> int:
     from .analysis import MetricUnknown, MissingFile, comparisons_csv, render_report
 
+    # numpy, first imported by the chi-square test, loads OpenBLAS, which
+    # starts a worker thread that spins beside the main one; edsim calls no BLAS.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if mc_draws < 1:
         print("config error: --mc-draws must be >= 1", file=sys.stderr)
         return EXIT_CONFIG

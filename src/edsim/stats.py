@@ -3,8 +3,11 @@
 Implements the Shapiro-Wilk W test (Royston's AS R94 approximation), the
 Wilcoxon rank-sum / Mann-Whitney U test with an exact small-sample branch,
 Welch's t-test, the paired t-test, and a Monte Carlo chi-square uniformity
-test.  Only elementary numerics are used: an inverse-normal rational
-approximation and a continued-fraction regularized incomplete beta.
+test.  The first four use elementary numerics only: an inverse-normal rational
+approximation and a continued-fraction regularized incomplete beta.  The
+chi-square test draws its multinomial samples from numpy's `Generator`, and
+for small totals reproduces those draws exactly from inversion tables built
+here (see `chi_square_uniform_mc`).
 """
 from __future__ import annotations
 
@@ -360,6 +363,136 @@ def paired_t_test(x, y) -> TestResult:
     return TestResult("paired_t", t, p, n, n, f"df={n - 1}")
 
 
+# -- multinomial draws by table ------------------------------------------------
+#
+# numpy's `Generator.multinomial(n, pvals)` draws a row as k - 1 conditional
+# binomials: column j gets the count n left in the row and p = pvals[j] / rest,
+# where rest starts at 1.0 and loses each pvals[j] in turn.  While
+# n * min(p, 1 - p) <= 30 a binomial is drawn by inversion from one uniform
+# U = m / 2**53 (numpy's `random_binomial_inversion`): with q = 1 - p and
+# px = exp(n * log(q)), `while U > px: X += 1; U -= px;
+# px = (n - X + 1) * p * px / (X * q)`, restarting with a new uniform once X
+# passes a bound.  For p > 1/2 it returns n - inversion(n, 1 - p).  Every
+# rounded step is monotone in U, so the count returned is the number of
+# integer thresholds at or below m, and a table of them draws a whole column
+# at once.
+
+_FAST_MAX_TOTAL = 60  # n <= 60 keeps n * min(p, 1 - p) <= 30: inversion in every column
+_FAST_MIN_DRAWS = 1000  # fewer draws do not pay for the tables
+_UNIT = 2**53  # Generator.random() returns m / 2**53 for an integer m
+_GUIDE_BITS = 8  # the top bits of m index a guide to the first threshold to test
+_SLOT = _FAST_MAX_TOTAL + 2  # bound + 1 <= n + 1 thresholds, then a separator
+_RESTART = -1  # the count of a uniform numpy would not map in one pass
+_columns: dict = {}  # (p, mirrored) -> _Column, kept for the life of the process
+
+
+def _inversion_thresholds(n: int, p: float) -> list[int]:
+    """For X = 1 .. bound + 1, the least m at which numpy's inversion loop
+    started from U = m / 2**53 reaches X (at bound + 1 it restarts).
+
+    The loop reaches X when U_i = fl(U_{i-1} - px_{i-1}) > px_i for every
+    i < X.  A rounded cumulative sum is not that chain, so each threshold walks
+    it backwards: from the least double above px_{X-1}, each step finds the
+    least U whose rounded difference still reaches the level above, one ulp at
+    a time.
+    """
+    q = 1.0 - p
+    px = [math.exp(n * math.log(q))]
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    for x in range(1, bound + 1):
+        px.append((n - x + 1) * p * px[-1] / (x * q))
+    up, down = math.inf, -math.inf
+    thresholds = []
+    for x in range(1, bound + 2):
+        low = math.nextafter(px[x - 1], up)
+        for prob in reversed(px[: x - 1]):
+            u = low + prob
+            while u - prob < low:
+                u = math.nextafter(u, up)
+            while math.nextafter(u, down) - prob >= low:
+                u = math.nextafter(u, down)
+            low = u
+        thresholds.append(min(math.ceil(low * _UNIT), _UNIT))
+    return thresholds
+
+
+class _Column:
+    """One column's inversion tables, for every row count n up to _FAST_MAX_TOTAL.
+
+    Row count n owns the _SLOT slots from n * _SLOT: its thresholds, then
+    separators no m reaches.  `values` holds the count drawn for each number
+    of thresholds passed (n minus it when mirrored), and _RESTART where all of
+    them were passed: numpy restarts there.  A row count not built yet maps
+    every m to _RESTART, and so does n = 0, which a row reaches before its
+    last column only where numpy stops drawing the row.  `guide` holds, for
+    each n and each value of the top _GUIDE_BITS bits of m, the first slot
+    `draw` tests.
+    """
+
+    __slots__ = ("p", "mirrored", "built", "thresholds", "values", "guide")
+
+    def __init__(self, p: float, mirrored: bool):
+        import numpy as np
+
+        self.p, self.mirrored = p, mirrored
+        self.built = [False] * (_FAST_MAX_TOTAL + 1)
+        self.thresholds = np.full((_FAST_MAX_TOTAL + 1) * _SLOT, _UNIT, dtype=np.int64)
+        self.values = np.full(len(self.thresholds), _RESTART, dtype=np.int64)
+        self.guide = np.repeat(np.arange(0, len(self.thresholds), _SLOT), 1 << _GUIDE_BITS)
+
+    def build(self, n: int) -> None:
+        import numpy as np
+
+        at, table = n * _SLOT, np.array(_inversion_thresholds(n, self.p), dtype=np.int64)
+        passed = np.arange(len(table))  # passing all len(table) is the restart: _RESTART stays
+        self.thresholds[at : at + len(table)] = table
+        self.values[at : at + len(table)] = n - passed if self.mirrored else passed
+        starts = np.arange(1 << _GUIDE_BITS, dtype=np.int64) << (53 - _GUIDE_BITS)
+        self.guide[n << _GUIDE_BITS : (n + 1) << _GUIDE_BITS] = at + table.searchsorted(starts, side="right")
+        self.built[n] = True
+
+    def draw(self, n, m):
+        """The counts drawn for row counts `n` from uniforms `m / 2**53`."""
+        import numpy as np
+
+        for size in range(max(int(n.min()), 1), int(n.max()) + 1):
+            if not self.built[size]:
+                self.build(size)
+        pos = self.guide[(n << _GUIDE_BITS) | (m >> (53 - _GUIDE_BITS))]
+        ahead = np.flatnonzero(self.thresholds[pos] <= m)
+        while ahead.size:
+            pos[ahead] += 1
+            ahead = ahead[self.thresholds[pos[ahead]] <= m[ahead]]
+        return self.values[pos]
+
+
+def _multinomial_by_inversion(gen, total: int, k: int, draws: int):
+    """`gen.multinomial(total, [1/k]*k, size=draws)`, or None where numpy
+    would draw some row otherwise (a restart, or a row stopped early); the
+    generator has then moved on.  Needs total <= _FAST_MAX_TOTAL."""
+    import numpy as np
+
+    # Fortran order makes each column's uniforms contiguous in the transpose.
+    m = (gen.random((draws, k - 1)) * _UNIT).astype(np.int64, order="F").T
+    rows = np.empty((k, draws), dtype=np.int64)
+    left = np.full(draws, total, dtype=np.int64)
+    share, rest = 1.0 / k, 1.0
+    for j in range(k - 1):
+        p = share / rest
+        rest -= share
+        key = (1.0 - p, True) if p > 0.5 else (p, False)
+        column = _columns.get(key)
+        if column is None:
+            column = _columns[key] = _Column(*key)
+        rows[j] = column.draw(left, m[j])
+        if rows[j].min() < 0:
+            return None
+        left -= rows[j]
+    rows[k - 1] = left
+    return rows.T
+
+
 def chi_square_uniform_mc(counts: Sequence[int], draws: int = 10000, seed: int = 0) -> TestResult:
     """Chi-square goodness of fit against uniform, with a Monte Carlo p-value.
 
@@ -376,6 +509,25 @@ def chi_square_uniform_mc(counts: Sequence[int], draws: int = 10000, seed: int =
     can be minimal, and that split is unique up to order.  Every draw sums to
     T, so when the observed counts reach this bound every draw counts as
     exceeding them and p is exactly 1, whatever the seed; nothing is drawn.
+
+    The draws are those of `default_rng(seed).multinomial(T, [1/k]*k,
+    size=draws)`, bit for bit.  When draws >= 1000, T <= 60 and
+    draws * (1 - 2/k)**T < 1/2, they are made from inversion tables instead
+    (`_multinomial_by_inversion`): the same uniforms are taken from the same
+    generator with `Generator.random`, and each column's conditional binomial
+    is looked up in a table of the thresholds at which numpy's inversion loop
+    returns each count.  T <= 60 keeps n * min(p, 1 - p) <= 30 in every
+    column, numpy's inversion domain (above it numpy switches to BTPE), and
+    bounds the tables; (1 - 2/k)**T is the chance that a row's last two cells
+    are both empty, where numpy stops drawing the row early and later rows
+    take other uniforms, so the bound keeps fallbacks rare; fewer draws do not
+    pay for the tables.  If any row is drawn otherwise (that early stop, or a
+    restart past the inversion bound) the generator's state is restored and
+    `Generator.multinomial` draws all rows, so each test still builds one
+    generator.  The tables assume that Python's `math.exp` and `math.log`
+    call the libm numpy's C code calls, and that numpy does the rest of the
+    loop in plain double arithmetic; tests/test_stats.py compares the draws
+    with numpy's, row for row.
     """
     counts = [int(c) for c in counts]
     k = len(counts)
@@ -398,7 +550,14 @@ def chi_square_uniform_mc(counts: Sequence[int], draws: int = 10000, seed: int =
         p = 1.0
     else:
         gen = np.random.default_rng(seed)
-        sims = gen.multinomial(total, [1.0 / k] * k, size=draws)
+        sims = None
+        if draws >= _FAST_MIN_DRAWS and total <= _FAST_MAX_TOTAL and draws * (1.0 - 2.0 / k) ** total < 0.5:
+            state = gen.bit_generator.state
+            sims = _multinomial_by_inversion(gen, total, k, draws)
+            if sims is None:
+                gen.bit_generator.state = state
+        if sims is None:
+            sims = gen.multinomial(total, [1.0 / k] * k, size=draws)
         exceed = int((np.einsum("ij,ij->i", sims, sims) >= sum_sq).sum())
         p = (1 + exceed) / (draws + 1)
     return TestResult(

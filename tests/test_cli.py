@@ -165,6 +165,39 @@ def test_analyze_end_to_end(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("Comparison:")
 
 
+# Runs `analyze` in a child, then reports on stderr the exit code, the
+# OPENBLAS_NUM_THREADS the child saw and its thread count (None off Linux).
+_ANALYZE_AND_REPORT = """
+import os, sys
+from edsim.cli import main
+code = main(sys.argv[1:])
+tasks = len(os.listdir("/proc/self/task")) if sys.platform.startswith("linux") else None
+print(code, os.environ.get("OPENBLAS_NUM_THREADS"), tasks, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_analyze_keeps_openblas_to_one_thread_unless_set(tmp_path, capsys, preset):
+    out = tmp_path / "exp"
+    for combo in ("baseline-ca", "baseline-fifo"):
+        main(["experiment", "--runs", "4", "--combo", combo, "--out", str(out)])
+    capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(edsim.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run(
+        [sys.executable, "-c", _ANALYZE_AND_REPORT, "analyze", str(out / "baseline-ca"), str(out / "baseline-fifo"),
+         "--mc-draws", "50", "--out", str(tmp_path / "analysis")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, seen, tasks = done.stderr.split()
+    assert (code, seen) == (str(EXIT_OK), preset or "1")
+    if preset is None and sys.platform.startswith("linux"):
+        assert tasks == "1"  # OpenBLAS, loaded with numpy, started no thread
+
+
 def test_analyze_self_comparison(tmp_path):
     out = tmp_path / "exp"
     main(["experiment", "--runs", "5", "--seed-base", "3", "--combo", "baseline-ca", "--out", str(out)])

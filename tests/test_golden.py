@@ -138,6 +138,66 @@ ANALYZE_DIGESTS = {
     ),
 }
 
+# The same four comparisons with a short Monte Carlo and another analyzer
+# seed, and over the seed-base-20001 grid at both settings.
+# (seed base, --mc-draws, --mc-seed) -> (group a, group b) -> digests as above
+ANALYZE_MORE_DIGESTS = {
+    (1000, 50, 7): {
+        ("baseline-ca", "baseline-fifo"): (
+            "35952106de28b16dffc02d195db01a55030213c8925ce3d0791d719f4ebfae30",
+            "9899f4f876d222653d50e4a6ae4bca26c96fea87e7e0bbeb23e49f7ce04b56bc",
+        ),
+        ("baseline-ca", "replacement-ca"): (
+            "784548f2d7923a5d1e506f4cb24cd8478ad9e28795a20d59e4302737a7074b98",
+            "62257b3bf075080ce38f8546f0a6d2e12d783c3e8d28777ea2ef7ec3526e1b3f",
+        ),
+        ("baseline-ca", "training-ca"): (
+            "d05c04b30fe2d03b18c698b88da009ad694c7b016758e6eb564da5860aae3278",
+            "66801cdb8bb9801148acaa8e0ebbcfd09f1ecdb3082fd6b0323b0c65e808a62a",
+        ),
+        ("replacement-ca", "training-ca"): (
+            "34dc41c91392bdc060b1c128fd516cda79704eef1ec5c4fe592b13d1a7767361",
+            "50cf622250e3f7d2eeae76a7f1585af2ab9d27bd1f873f7f1e95e2153342b14e",
+        ),
+    },
+    (20001, 10000, 0): {
+        ("baseline-ca", "baseline-fifo"): (
+            "7df5c4ff92daf4c0c0980be87d032b74218f7c4eaf400bd4ea5e122dd1908610",
+            "0c76bf664cd924eb74ca65ccf62d3203391bbce6be99716f9e25623eb4d69384",
+        ),
+        ("baseline-ca", "replacement-ca"): (
+            "2df81623957e7397f6774f98ea0ae3327a8dcacf9acce00a0a557b4b110829be",
+            "1b15c5db32dd1f4f2ace5153391f2795c565c211ea1878ddc9fc948ce8572ea3",
+        ),
+        ("baseline-ca", "training-ca"): (
+            "838e9aa6986ca0e36351cd710fbb9bd34b2bea873137c414b2c2cfbb79c3806b",
+            "93c8b93685fc349a749dca2cb98e49eb2f577939a734d2deac66f19b3efea007",
+        ),
+        ("replacement-ca", "training-ca"): (
+            "0cb5d64db057cb4d7f06e449a714ebaa77152ff60ba3d8d9f6218553d8a453c4",
+            "51fd59a2150839319d0d9de697924974450900db0cead5041caae2401a449f88",
+        ),
+    },
+    (20001, 50, 7): {
+        ("baseline-ca", "baseline-fifo"): (
+            "e05022603b145d7f2f8f0efb0d6fef89dbe44f5f7b0296369c2d32c907e0d403",
+            "222122614d6d6f3e43e4c3478615ab2961a2777e9256da32802b3ab9b9646096",
+        ),
+        ("baseline-ca", "replacement-ca"): (
+            "196a2321227a61740b462695c721e7926837ef4590d9f18b4feb61c2cb8dfd5c",
+            "96e17a0ce6da577e1858696b03f11ff85f1ba7f078d4fb338f382199c83de4c3",
+        ),
+        ("baseline-ca", "training-ca"): (
+            "e2f663118372f8b4047ab3255742fa2bc9a013913c795d4f2d0b3d537e341e2a",
+            "0883e66cfbdc11d3598e20efa3491bf4633e003d488e2e977590b060e3d52a57",
+        ),
+        ("replacement-ca", "training-ca"): (
+            "8ff76e9cbd23f456723396581ceefff4536e87955d9d7411d6c84c4c906b62d1",
+            "05f2c929d27847473b9cb7d207b7412870ed65c077574bbe71a372a45d1e2e07",
+        ),
+    },
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -186,24 +246,46 @@ def test_config_echo_literal():
 
 @pytest.fixture(scope="module")
 def grid_dirs(acceptance_grids, tmp_path_factory):
-    root = tmp_path_factory.mktemp("grid")
-    for combo, results in acceptance_grids[SEED_BASES[0]].items():
-        out = root / combo
-        rows = [run_rows(f"{combo}-{r.config.seed:08d}", r) for r in results]
-        write_csvs(rows, str(out))
-        (out / "config.echo").write_text(config_echo(results[0].config), encoding="utf-8", newline="\n")
-    return root
+    """The grids of the first two seed bases, each combo in its own directory."""
+    roots = {}
+    for base in SEED_BASES[:2]:
+        root = roots[base] = tmp_path_factory.mktemp(f"grid{base}")
+        for combo, results in acceptance_grids[base].items():
+            out = root / combo
+            rows = [run_rows(f"{combo}-{r.config.seed:08d}", r) for r in results]
+            write_csvs(rows, str(out))
+            (out / "config.echo").write_text(config_echo(results[0].config), encoding="utf-8", newline="\n")
+    return roots
+
+
+def _analyze_digests(root, pair, out, capsys, *options):
+    """(comparisons.csv digest, report.txt digest) of one `analyze` run."""
+    group_a, group_b = pair
+    assert main(["analyze", str(root / group_a), str(root / group_b), "--out", str(out), *options]) == EXIT_OK
+    report = (out / "report.txt").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == report
+    return _sha256((out / "comparisons.csv").read_bytes()), _sha256(report)
 
 
 @pytest.mark.parametrize("pair", sorted(ANALYZE_DIGESTS))
 def test_analyze_digests(grid_dirs, pair, tmp_path, capsys):
-    group_a, group_b = pair
-    out = tmp_path / "analysis"
-    assert main(["analyze", str(grid_dirs / group_a), str(grid_dirs / group_b), "--out", str(out)]) == EXIT_OK
-    report = (out / "report.txt").read_bytes()
-    assert capsys.readouterr().out.encode("utf-8") == report
-    digests = (_sha256((out / "comparisons.csv").read_bytes()), _sha256(report))
+    digests = _analyze_digests(grid_dirs[SEED_BASES[0]], pair, tmp_path / "analysis", capsys)
     assert digests == ANALYZE_DIGESTS[pair]
+
+
+ANALYZE_MORE_CASES = [
+    (*setting, pair) for setting, digests in sorted(ANALYZE_MORE_DIGESTS.items()) for pair in sorted(digests)
+]
+
+
+@pytest.mark.parametrize(
+    "seed_base, mc_draws, mc_seed, pair", ANALYZE_MORE_CASES,
+    ids=[f"{base}-{draws}-{seed}-{a}-vs-{b}" for base, draws, seed, (a, b) in ANALYZE_MORE_CASES],
+)
+def test_analyze_digests_other_settings(grid_dirs, seed_base, mc_draws, mc_seed, pair, tmp_path, capsys):
+    options = ("--mc-draws", str(mc_draws), "--mc-seed", str(mc_seed))
+    digests = _analyze_digests(grid_dirs[seed_base], pair, tmp_path / "analysis", capsys, *options)
+    assert digests == ANALYZE_MORE_DIGESTS[(seed_base, mc_draws, mc_seed)][pair]
 
 
 STYLES = ("correct", "over", "under")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from edsim import stats
 from edsim.stats import (
     DegenerateSample,
     EmptyCounts,
@@ -398,3 +399,158 @@ def test_all_p_values_in_unit_interval():
         assert 0.0 <= wilcoxon_rank_sum(x, y).p_value <= 1.0
         assert 0.0 <= welch_t_test(x, y).p_value <= 1.0
         assert 0.0 <= shapiro_wilk(x).p_value <= 1.0
+
+
+# -- multinomial draws by inversion table --------------------------------------
+
+# Rosters whose last conditional binomial has p > 1/2: numpy draws it as
+# n - inversion(n, 1 - p).
+MIRRORED_ROSTERS = (9, 11, 12, 17, 18, 20)
+
+
+def _column_ps(k):
+    """The p of each of numpy's conditional binomials for k equal cells, in its order."""
+    share, rest, ps = 1.0 / k, 1.0, []
+    for _ in range(k - 1):
+        ps.append(share / rest)
+        rest -= share
+    return ps
+
+
+def _numpy_inversion(n, p, u):
+    """numpy's `random_binomial_inversion` fed the uniform u; None where it restarts."""
+    q = 1.0 - p
+    qn = math.exp(n * math.log(q))
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    x, px = 0, qn
+    while u > px:
+        x += 1
+        if x > bound:
+            return None
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+def test_mirrored_rosters_reach_numpys_upper_branch():
+    assert [k for k in range(2, 21) if _column_ps(k)[-1] > 0.5] == list(MIRRORED_ROSTERS)
+
+
+def _reached(n, p, m, table):
+    """The count numpy's loop reaches from U = m / 2**53, len(table) for a restart."""
+    x = _numpy_inversion(n, p, m / stats._UNIT) if m < stats._UNIT else None
+    return len(table) if x is None else x
+
+
+def test_inversion_thresholds_match_numpys_loop():
+    ps = {min(p, 1.0 - p) for k in (2, 3, 4, 7, *MIRRORED_ROSTERS) for p in _column_ps(k)}
+    checked = 0
+    for p in sorted(ps):
+        for n in (1, 2, 3, 8, 17, 31, 44, 60):
+            table = stats._inversion_thresholds(n, p)
+            for x, m in enumerate(table, start=1):
+                assert _reached(n, p, m - 1, table) < x <= _reached(n, p, m, table), (n, p, x, m)
+                checked += 1
+    assert checked > 3000
+
+
+def _draw_cases():
+    rng = random.Random(4242)
+    seeds = (0, 5, 2**62 + 3)
+    for k in range(2, 21):
+        for total in range(1, 61):
+            for draws in (1, 2, 300):
+                yield k, total, draws, seeds[(k + total + draws) % 3]
+            yield k, total, 2, rng.randrange(2**63)
+        for total in (7, 24, 45, 60):
+            yield k, total, 10000, rng.choice(seeds + (rng.randrange(2**63),))
+
+
+def test_inversion_draws_match_numpys_multinomial():
+    drawn = fallbacks = mirrored = 0
+    for k, total, draws, seed in _draw_cases():
+        sims = stats._multinomial_by_inversion(np.random.default_rng(seed), total, k, draws)
+        if sims is None:
+            fallbacks += 1
+            continue
+        expected = np.random.default_rng(seed).multinomial(total, [1.0 / k] * k, size=draws)
+        assert np.array_equal(sims, expected), (k, total, draws, seed)
+        drawn += 1
+        mirrored += k in MIRRORED_ROSTERS
+    assert drawn > 3000 and mirrored > 500 and fallbacks > 100
+
+
+def _spy_on_inversion(monkeypatch):
+    """Record each result of the table sampler and each generator built."""
+    results, generators = [], []
+    real_sampler, real_default_rng = stats._multinomial_by_inversion, np.random.default_rng
+
+    def sampler(*args):
+        results.append(real_sampler(*args))
+        return results[-1]
+
+    def counting_rng(seed):
+        generators.append(seed)
+        return real_default_rng(seed)
+
+    monkeypatch.setattr(stats, "_multinomial_by_inversion", sampler)
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    return results, generators
+
+
+def _assert_like_numpy(counts, draws, seed, generators):
+    expected = _chi2_float_reference(counts, draws, seed)
+    generators.clear()
+    res = chi_square_uniform_mc(counts, draws=draws, seed=seed)
+    assert generators == [seed], counts
+    assert (res.statistic, res.p_value) == expected, (counts, draws, seed)
+
+
+def test_chi2_draws_by_table_for_small_totals(monkeypatch):
+    results, generators = _spy_on_inversion(monkeypatch)
+    for counts in ([14, 9, 7], [20, 11], [9, 3, 5, 8, 6], [40, 2, 0]):
+        _assert_like_numpy(counts, 10000, 11, generators)
+    assert len(results) == 4 and all(r is not None for r in results)
+
+
+def test_chi2_falls_back_where_numpy_stops_a_row_early(monkeypatch):
+    # k = 3, total 11: about one seed in twenty has a row whose last two cells
+    # are both empty.
+    seeds = [
+        s for s in range(80)
+        if (np.random.default_rng(s).multinomial(11, [1 / 3] * 3, size=10000)[:, 1:].sum(axis=1) == 0).any()
+    ]
+    assert seeds
+    results, generators = _spy_on_inversion(monkeypatch)
+    for seed in seeds:
+        _assert_like_numpy([6, 1, 4], 10000, seed, generators)
+    assert results == [None] * len(seeds)
+
+
+def test_chi2_falls_back_on_a_restart(monkeypatch):
+    # Every threshold past the first at the second one's value: each uniform
+    # that reaches count 2 runs past the loop's bound.
+    real_thresholds = stats._inversion_thresholds
+
+    def restarting_thresholds(n, p):
+        table = real_thresholds(n, p)
+        return table[:1] + table[1:2] * (len(table) - 1)
+
+    monkeypatch.setattr(stats, "_inversion_thresholds", restarting_thresholds)
+    monkeypatch.setattr(stats, "_columns", {})
+    results, generators = _spy_on_inversion(monkeypatch)
+    for counts in ([14, 9, 7], [20, 11]):
+        _assert_like_numpy(counts, 10000, 11, generators)
+    assert results == [None, None]
+
+
+def test_chi2_draws_by_numpy_outside_the_table_domain(monkeypatch):
+    results, generators = _spy_on_inversion(monkeypatch)
+    # Past total 60 (numpy's BTPE branch), too few draws, and rosters whose
+    # rows would often stop early.
+    cases = [([40, 21], 10000), ([50, 30, 10], 10000), ([14, 9, 7], 999), ([3, 2, 1, 1, 1], 10000),
+             ([2] * 19 + [22], 10000)]
+    for counts, draws in cases:
+        _assert_like_numpy(counts, draws, 3, generators)
+    assert results == []
