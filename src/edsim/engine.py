@@ -438,12 +438,10 @@ class _ShiftSim:
             "done": sum(n.tasks_success + n.tasks_failed for n in self.nurses.values()),
         }
         served = sum(doctor.served for doctor in self.doctors.values())
-        # A live patient is a bed's occupant, so these two counts agree by definition.
-        occupied = sum(patient is not None for patient in self.beds.values())
         audit = {
             "patients_spawned": self._next_patient_id - 1,
-            "patients_in_system": occupied,
-            "beds_occupied": occupied,
+            # A live patient is a bed's occupant.
+            "patients_in_system": sum(patient is not None for patient in self.beds.values()),
             "requests": census,
             "requests_issued": self._next_request_id - 1,
             "rng_draws": self.rng.draw_count,

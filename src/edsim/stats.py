@@ -12,6 +12,7 @@ here (see `chi_square_uniform_mc`).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple, Optional, Sequence
 
@@ -181,10 +182,17 @@ def _polyval(coeffs: Sequence[float], x: float) -> float:
     return acc
 
 
-def _sw_weights(n: int) -> list[float]:
+@lru_cache(maxsize=64)
+def _sw_weights(n: int) -> tuple[float, ...]:
+    """The Shapiro-Wilk coefficients for a sample of `n`, computed once per `n`.
+
+    Every group of one comparison has the same size, so the `n` normal
+    quantiles are computed once rather than once per test.  The tuple cannot
+    be changed by a caller; the bound caps what sweeps over many sizes keep.
+    """
     if n == 3:
         r = math.sqrt(0.5)
-        return [-r, 0.0, r]
+        return (-r, 0.0, r)
     m = [norm_ppf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)]
     ssq = sum(v * v for v in m)
     u = 1.0 / math.sqrt(n)
@@ -199,7 +207,7 @@ def _sw_weights(n: int) -> list[float]:
         phi = (ssq - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * a_n ** 2)
         a = [v / math.sqrt(phi) for v in m]
         a[-1], a[0] = a_n, -a_n
-    return a
+    return tuple(a)
 
 
 def shapiro_wilk(x) -> TestResult:

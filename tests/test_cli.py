@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import io
 import json
 import os
@@ -693,3 +694,91 @@ def test_out_root_env_default(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "shift.cfg", "shiftLength = 20\n")
     assert main(["run", cfg]) == EXIT_OK
     assert (tmp_path / "envroot" / "run" / "runs.csv").exists()
+
+
+def python(args, cwd):
+    """`python <args>` in a child at `cwd`, importing this checkout's edsim."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(edsim.__file__)))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120
+    )
+
+
+def _grid(root):
+    """A small baseline-ca / baseline-fifo grid under `root`; returns the two combo dirs."""
+    main(["experiment", "--runs", "6", "--seed-base", "3", "--combo", "baseline-ca", "--out", str(root)])
+    main(["experiment", "--runs", "6", "--seed-base", "3", "--combo", "baseline-fifo", "--out", str(root)])
+    return str(root / "baseline-ca"), str(root / "baseline-fifo")
+
+
+@pytest.mark.parametrize("command", ["run", "experiment", "analyze"])
+def test_process_entry_matches_in_process_main(tmp_path, capsys, monkeypatch, command):
+    cfg = write_config(tmp_path / "shift.cfg", "seed = 5\nshiftLength = 400\n")
+    if command == "run":
+        args = ["run", cfg, "--trace"]
+    elif command == "experiment":
+        args = ["experiment", cfg, "--runs", "3", "--combo", "all", "--parallel", "2"]
+    else:
+        args = ["analyze", *_grid(tmp_path / "grid"), "--mc-draws", "200"]
+    capsys.readouterr()
+    # Both sides write to the relative `out`, so stdout that names it matches.
+    inproc, child = tmp_path / "inproc", tmp_path / "child"
+    inproc.mkdir()
+    child.mkdir()
+    monkeypatch.chdir(inproc)
+    assert main(args + ["--out", "out"]) == EXIT_OK
+    captured = capsys.readouterr()
+    # main() leaves the collector alone; only the process entry freezes it.
+    assert gc.get_freeze_count() == 0
+    done = python(["-m", "edsim", *args, "--out", "out"], child)
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, captured.out, captured.err)
+    written = tree_bytes(inproc / "out")
+    assert written and tree_bytes(child / "out") == written
+
+
+def _bad_config(tmp_path):
+    return ["run", write_config(tmp_path / "bad.cfg", "policy = fifo\nscenario = training\n")]
+
+
+def _unwritable_out(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    return ["run", write_config(tmp_path / "shift.cfg", "shiftLength = 50\n"), "--out", str(blocker / "o")]
+
+
+def _roster_mismatch(tmp_path):
+    cfg_b = write_config(tmp_path / "b.cfg", "nurses = 1:high, 2:high\n")
+    main(["experiment", "--runs", "3", "--combo", "baseline-ca", "--out", str(tmp_path / "a")])
+    main(["experiment", cfg_b, "--runs", "3", "--combo", "baseline-ca", "--out", str(tmp_path / "b")])
+    return ["analyze", str(tmp_path / "a" / "baseline-ca"), str(tmp_path / "b" / "baseline-ca"),
+            "--out", str(tmp_path / "x")]
+
+
+@pytest.mark.parametrize(
+    "make_args, code", [(_bad_config, EXIT_CONFIG), (_unwritable_out, EXIT_IO), (_roster_mismatch, EXIT_SCHEMA)]
+)
+def test_process_entry_keeps_exit_codes(tmp_path, capsys, make_args, code):
+    args = make_args(tmp_path)
+    capsys.readouterr()
+    assert main(args) == code
+    captured = capsys.readouterr()
+    done = python(["-m", "edsim", *args], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+    assert captured.err
+    assert gc.get_freeze_count() == 0
+
+
+# Runs edsim's `__main__` as `python -m edsim` does, with an atexit handler
+# registered first: it must still run, and see the heap the entry froze.
+_MAIN_WITH_ATEXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("edsim", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_process_entry_freezes_the_heap_and_keeps_atexit(tmp_path):
+    cfg = write_config(tmp_path / "shift.cfg", "shiftLength = 50\n")
+    done = python(["-c", _MAIN_WITH_ATEXIT, "run", cfg, "--out", str(tmp_path / "o")], tmp_path)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "frozen True\n")
+    assert done.stdout == (tmp_path / "o" / "runs.csv").read_text(encoding="utf-8").splitlines(keepends=True)[1]

@@ -77,6 +77,21 @@ def test_shapiro_rejects_seeded_exponentials():
     assert rejected >= 18
 
 
+def test_shapiro_weights_are_computed_once_per_size(monkeypatch):
+    stats._sw_weights.cache_clear()
+    quantiles = []
+    ppf = stats.norm_ppf
+    monkeypatch.setattr(stats, "norm_ppf", lambda p: quantiles.append(p) or ppf(p))
+    rng = np.random.default_rng(5)
+    first = [shapiro_wilk(rng.normal(size=60)) for _ in range(3)]
+    assert len(quantiles) == 60
+    assert isinstance(stats._sw_weights(60), tuple)
+    # A cached weight vector gives the same result as a fresh one.
+    stats._sw_weights.cache_clear()
+    rng = np.random.default_rng(5)
+    assert [shapiro_wilk(rng.normal(size=60)) for _ in range(3)] == first
+
+
 def test_shapiro_degenerate_and_range_errors():
     with pytest.raises(DegenerateSample):
         shapiro_wilk([1.0] * 10)
