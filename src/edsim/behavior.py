@@ -72,8 +72,8 @@ def get_task_duration(
     High performers hit the base duration with probability
     `highPerformerGoodChance`.  Low performers always overrun, unless they are
     the trainee of the training scenario, where accumulated observations grant
-    a growing chance of hitting the base duration.  `training_active` may only
-    be set for a low-performing nurse.
+    a growing chance of hitting the base duration.  Only a low performer's draw
+    reads `training_active`.
     """
     if quality is _LOW:
         hit = training_active and rng.uniform_unit() <= training_bonus_chance(observed_tasks, cfg)

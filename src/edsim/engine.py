@@ -49,18 +49,9 @@ from collections import deque
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from .behavior import evaluate_performance_level, get_task_duration, judge_outcome
+from .behavior import evaluate_performance_level, get_task_duration, judge_outcome, training_bonus_chance
 from .domain import LEVELS, EvaluationStyle, NurseQuality, Policy, Rng, Scenario, SimConfig, sample_true_level
-from .policy import (
-    Reason,
-    ScenarioSignal,
-    SelectionDecision,
-    TrustState,
-    select_request_ca,
-    select_request_fifo,
-    trainer_should_exit,
-    update_trust,
-)
+from .policy import Reason, SelectionDecision, TrustState, select_request_ca, select_request_fifo, update_trust
 
 PATIENT_SPAWN = "patient_spawn"
 EXAM_COMPLETE = "exam_complete"
@@ -79,9 +70,6 @@ ROLE_TRAINEE = "trainee"
 # the class (`Reason.ACCEPTED`) on a slow path; the handlers run once per event,
 # so they use these module constants.
 _ACCEPTED = Reason.ACCEPTED
-_LOW = NurseQuality.LOW
-_SPAWN_REPLACEMENT = ScenarioSignal.SPAWN_REPLACEMENT
-_ATTACH_TRAINER = ScenarioSignal.ATTACH_TRAINER
 
 
 class DoctorRuntime:
@@ -205,7 +193,8 @@ class _ShiftSim:
         self._seq = itertools.count()
         self.events: list = []
         self._fifo = cfg.policy is Policy.FIFO
-        self._training = cfg.scenario is Scenario.TRAINING and not self._fifo
+        # Config validation admits FIFO only under the baseline scenario.
+        self._training = cfg.scenario is Scenario.TRAINING
 
         self.doctors: dict[int, DoctorRuntime] = {}
         for idx, (doctor_id, style) in enumerate(cfg.doctors):
@@ -276,8 +265,7 @@ class _ShiftSim:
         pending = [queue[0] for queue in self._pending if queue]
         if self._fifo:
             return select_request_fifo(pending)
-        restricted = nurse.trust.classified_low_at is not None and not nurse.trainer_attached
-        return select_request_ca(nurse.trust, restricted, nurse.trainer_attached, pending, self.cfg)
+        return select_request_ca(nurse.trust, nurse.trainer_attached, pending, self.cfg)
 
     def _handle_nurse_decide(self, nurse: NurseRuntime, make_idle: int) -> tuple:
         if make_idle:
@@ -297,24 +285,14 @@ class _ShiftSim:
         self._schedule(self.now + self.cfg.travel_time, EXECUTION_START, (nurse,))
         return nurse.id, request.id
 
-    def _training_mode(self, nurse: NurseRuntime) -> bool:
-        # Mirrors the duration algorithm's dispatch: the training-time bonus
-        # branch belongs to the low performer whenever the training scenario
-        # runs under the trust policy; with zero observations it is inert, and
-        # the accumulated bonus persists after the trainer leaves.
-        return nurse.quality is _LOW and self._training
-
     def _handle_execution_start(self, nurse: NurseRuntime) -> tuple:
         request = nurse.current_request
         request.execution_start_at = self.now
         self._charge_wait(request, self.now)
+        # Only a low performer's draw reads the training flag; its bonus is inert
+        # before the first observation and persists after the trainer leaves.
         request.actual_duration = get_task_duration(
-            nurse.quality,
-            self._training_mode(nurse),
-            nurse.observed_tasks,
-            request.patient.true_level,
-            self.cfg,
-            self.rng,
+            nurse.quality, self._training, nurse.observed_tasks, request.patient.true_level, self.cfg, self.rng
         )
         # Observation credit requires the trainer to witness the execution from
         # its start; attach events later in time do not count this task.
@@ -355,18 +333,23 @@ class _ShiftSim:
         self._fold_outcome(nurse, request)
 
         if not self._fifo:
-            nurse.trust, signal = update_trust(
+            classified_before = nurse.trust.classified_low_at
+            nurse.trust = update_trust(
                 nurse.trust, request.requested_level, request.outcome.success, self.cfg, self.now
             )
-            if signal is _SPAWN_REPLACEMENT:
-                self._spawn_replacement()
-            elif signal is _ATTACH_TRAINER:
-                nurse.trainer_attached = True
-                nurse.role = ROLE_TRAINEE
+            # The scenario responds once, when the nurse first classifies itself low.
+            if classified_before is None and nurse.trust.classified_low_at is not None:
+                if self.cfg.scenario is Scenario.REPLACEMENT:
+                    self._spawn_replacement()
+                elif self._training:
+                    nurse.trainer_attached = True
+                    nurse.role = ROLE_TRAINEE
 
         if observed:
             nurse.observed_tasks += 1
-            if nurse.trainer_attached and trainer_should_exit(nurse.observed_tasks, self.cfg):
+            # Training ends once the accumulated bonus chance reaches the exit threshold.
+            bonus = training_bonus_chance(nurse.observed_tasks, self.cfg)
+            if nurse.trainer_attached and bonus >= self.cfg.trainer_exit_bonus:
                 self._schedule(self.now, TRAINER_EXIT, (nurse,))
 
         patient = request.patient
@@ -431,11 +414,11 @@ class _ShiftSim:
         for request in sorted(itertools.chain(claimed, *self._pending), key=attrgetter("id")):
             self._charge_wait(request, self.cfg.shift_length)
 
+        # Open requests only: each nurse counts the ones it finished.
         census = {
             "pending": sum(map(len, self._pending)),
             "claimed": len(claimed),
             "executing": len(in_hand) - len(claimed),
-            "done": sum(n.tasks_success + n.tasks_failed for n in self.nurses.values()),
         }
         served = sum(doctor.served for doctor in self.doctors.values())
         audit = {
@@ -445,9 +428,6 @@ class _ShiftSim:
             "requests": census,
             "requests_issued": self._next_request_id - 1,
             "rng_draws": self.rng.draw_count,
-            "decisions": {
-                n.id: {reason.value: count for reason, count in n.decisions.items()} for n in self.nurses.values()
-            },
             "stalled_at": self.stalled_at,
         }
         return ShiftResult(

@@ -1,11 +1,10 @@
-"""Nurse decision policies: FIFO selection and the trustee-side trust model."""
+"""Nurse decision policies: FIFO selection and the trust model; the engine owns the scenario response."""
 from __future__ import annotations
 
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
-from .behavior import training_bonus_chance
-from .domain import LEVELS, RELIABILITY_INIT, Scenario, SimConfig
+from .domain import LEVELS, RELIABILITY_INIT, SimConfig
 
 
 class TrustState(NamedTuple):
@@ -43,20 +42,13 @@ class SelectionDecision(NamedTuple):
     reason: Reason
 
 
-class ScenarioSignal(Enum):
-    NONE = "none"
-    SPAWN_REPLACEMENT = "spawn_replacement"
-    ATTACH_TRAINER = "attach_trainer"
-
-
 # Enum's metaclass defines `__getattr__`, which puts every member lookup through
-# the class (`Reason.ACCEPTED`) on a slow path; the selectors and `update_trust`
-# run once per decision or task, so they use these module constants.  A decline
-# carries no request, so its decision is shared.
+# the class (`Reason.ACCEPTED`) on a slow path; the selectors run once per
+# decision, so they use these module constants.  A decline carries no request,
+# so its decision is shared.
 _ACCEPTED = Reason.ACCEPTED
 _QUEUE_EMPTY = SelectionDecision(None, Reason.QUEUE_EMPTY)
 _NONE_ELIGIBLE = SelectionDecision(None, Reason.NONE_ELIGIBLE)
-_NO_SIGNAL = ScenarioSignal.NONE
 
 
 def select_request_fifo(pending: Iterable) -> SelectionDecision:
@@ -74,17 +66,17 @@ def select_request_fifo(pending: Iterable) -> SelectionDecision:
 
 def select_request_ca(
     trust: TrustState,
-    restricted: bool,
-    training_active: bool,
+    trainer_attached: bool,
     pending: Iterable,
     cfg: SimConfig,
 ) -> SelectionDecision:
     """Pick the pending request the nurse trusts itself most on, if any.
 
-    While a trainer is attached every request is eligible.  A restricted
-    (self-classified low) nurse only considers levels up to the easy cap and
-    only while its weight there clears the restricted threshold.  Otherwise a
-    request is eligible when its level's weight clears the accept threshold.
+    While a trainer is attached every request is eligible.  Otherwise a nurse
+    that has classified itself low (`trust.classified_low_at` is set) is
+    restricted: it only considers levels up to the easy cap and only while its
+    weight there clears the restricted threshold.  Any other nurse takes a
+    request when its level's weight clears the accept threshold.
     Ties on weight break on the earlier issue time, then the smaller id.
 
     `pending` may be every pending request or only the oldest one of each
@@ -93,7 +85,7 @@ def select_request_ca(
     same decision, including NONE_ELIGIBLE versus QUEUE_EMPTY.
     """
     weights = trust.weights
-    if restricted:
+    if trust.classified_low_at is not None:
         cap, threshold = cfg.easy_level_cap, cfg.restricted_accept_threshold
     else:
         cap, threshold = len(LEVELS), cfg.accept_threshold
@@ -103,7 +95,7 @@ def select_request_ca(
         seen = True
         level = r.requested_level
         w = weights[level - 1]
-        if not training_active and (level > cap or w < threshold):
+        if not trainer_attached and (level > cap or w < threshold):
             continue
         if best is None or w > best_w or (w == best_w and (r.issued_at, r.id) < (best.issued_at, best.id)):
             best, best_w = r, w
@@ -118,13 +110,13 @@ def update_trust(
     success: bool,
     cfg: SimConfig,
     now: float,
-) -> tuple[TrustState, ScenarioSignal]:
-    """Fold one task outcome into the trust state and raise any scenario signal.
+) -> TrustState:
+    """Fold one task outcome into the trust state.
 
     Both the per-level weight and the reliability score move by an exponential
     moving average toward 1 on success and 0 on failure.  The first time
     reliability drops below the threshold the nurse classifies itself as a low
-    performer, emitting the signal the active scenario responds to.
+    performer: `classified_low_at` latches `now` and is never cleared.
     """
     alpha = cfg.trust_learning_rate
     fb = 1.0 if success else 0.0
@@ -133,18 +125,7 @@ def update_trust(
     weights = weights[:idx] + ((1.0 - alpha) * weights[idx] + alpha * fb,) + weights[idx + 1 :]
     reliability = (1.0 - alpha) * trust.reliability + alpha * fb
 
-    signal = _NO_SIGNAL
     classified_at = trust.classified_low_at
     if reliability < cfg.reliability_threshold and classified_at is None:
         classified_at = now
-        if cfg.scenario is Scenario.REPLACEMENT:
-            signal = ScenarioSignal.SPAWN_REPLACEMENT
-        elif cfg.scenario is Scenario.TRAINING:
-            signal = ScenarioSignal.ATTACH_TRAINER
-
-    return TrustState(weights, reliability, classified_at), signal
-
-
-def trainer_should_exit(observed_tasks: int, cfg: SimConfig) -> bool:
-    """Training ends once the accumulated bonus chance reaches the exit threshold."""
-    return training_bonus_chance(observed_tasks, cfg) >= cfg.trainer_exit_bonus
+    return TrustState(weights, reliability, classified_at)

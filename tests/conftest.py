@@ -152,6 +152,6 @@ def run_with_invariant_checks(cfg, monkeypatch):
 
     # No request is executed twice.
     assert len(started) == len(set(started))
-    census = result.audit["requests"]
-    assert len(started) == census["executing"] + census["done"]
+    done = sum(n.tasks_success + n.tasks_failed for n in result.nurses.values())
+    assert len(started) == result.audit["requests"]["executing"] + done
     return result

@@ -245,7 +245,8 @@ def test_criterion_13_conservation_suite(acceptance_grids):
                 starts = [o for _, _, k, _, o in r.trace if k == "execution_start"]
                 assert len(starts) == len(set(starts))
                 census = audit["requests"]
-                assert census["done"] + census["executing"] + census["claimed"] + census["pending"] == audit["requests_issued"]
+                done = sum(n.tasks_success + n.tasks_failed for n in r.nurses.values())
+                assert done + census["executing"] + census["claimed"] + census["pending"] == audit["requests_issued"]
                 runs_checked += 1
     assert runs_checked == len(SEED_BASES) * len(COMBOS) * 60
     print(f"ACCEPTANCE 13 PASS - conservation and consistency hold in all {runs_checked} runs")

@@ -8,9 +8,9 @@ import edsim.engine as engine
 from edsim.domain import LEVELS
 from edsim.engine import _ShiftSim, render_trace, run_shift
 from edsim.metrics import run_rows, write_csvs
-from edsim.policy import select_request_ca, select_request_fifo
+from edsim.policy import Reason, select_request_ca, select_request_fifo
 
-from conftest import COMBOS, make_config, record_requests, run_with_invariant_checks
+from conftest import COMBOS, SEED_BASES, make_config, record_requests, run_with_invariant_checks
 
 
 class AllHalfRng:
@@ -77,7 +77,7 @@ def test_hand_traced_single_bed_timeline(monkeypatch):
     assert result.nurses[1].tasks_success == 2
     assert result.nurses[1].tasks_failed == 0
     assert result.nurses[1].utility == 10
-    assert result.audit["requests"] == {"pending": 0, "claimed": 0, "executing": 1, "done": 2}
+    assert result.audit["requests"] == {"pending": 0, "claimed": 0, "executing": 1}
     assert result.audit["requests_issued"] == 3
     # Draw order: one per spawn, one good roll per execution start.
     assert result.audit["rng_draws"] == 6
@@ -238,6 +238,33 @@ def test_classifying_completion_is_not_observed():
     assert result.nurses[1].observed_tasks == min(observed_after, 9)
 
 
+@pytest.mark.parametrize("base", SEED_BASES)
+def test_scenario_response_follows_the_latch(base, acceptance_grids):
+    # The engine responds once per nurse, when its latch first sets: replacement
+    # spawns one nurse, training attaches one trainer that leaves at most once.
+    classified = Counter()
+    for combo, results in acceptance_grids[base].items():
+        for r in results:
+            nurses = r.nurses.values()
+            roles = Counter(n.role for n in nurses)
+            latched = [n for n in nurses if n.classified_low_at is not None]
+            classified[combo] += len(latched)
+            exits = Counter(actor for _, _, kind, actor, _ in r.events if kind == "trainer_exit")
+            if combo == "replacement-ca":
+                assert roles["replacement"] == len(latched) and not roles["trainee"]
+            elif combo == "training-ca":
+                assert all((n.role == "trainee") == (n.classified_low_at is not None) for n in nurses)
+                # One exit at most, and exactly when the trainer has left.
+                assert all(exits[n.id] == (n.role == "trainee" and not n.trainer_attached) for n in nurses)
+                assert not roles["replacement"]
+            else:
+                assert roles == {"regular": len(r.nurses)}
+            if combo != "training-ca":
+                assert not exits
+    assert classified["replacement-ca"] > 0 and classified["baseline-ca"] > 0
+    assert classified["training-ca"] > 0 and classified["baseline-fifo"] == 0
+
+
 @pytest.mark.parametrize("combo", list(COMBOS))
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_conservation_and_consistency(combo, seed):
@@ -247,14 +274,15 @@ def test_conservation_and_consistency(combo, seed):
 
     assert audit["patients_spawned"] == result.patients_served + audit["patients_in_system"]
     census = audit["requests"]
-    assert sum(census.values()) == audit["requests_issued"]
+    done = sum(n.tasks_success + n.tasks_failed for n in result.nurses.values())
+    assert census["pending"] + census["claimed"] + census["executing"] + done == audit["requests_issued"]
 
     assert result.patients_served == sum(d.served for d in result.doctors.values())
     assert result.time_damage == pytest.approx(sum(d.time_damage for d in result.doctors.values()))
     assert result.time_damage == pytest.approx(sum(n.time_damage for n in result.nurses.values()))
     assert result.delay == pytest.approx(sum(d.delay for d in result.doctors.values()))
-    accepted = sum(d["accepted"] for d in audit["decisions"].values())
-    assert accepted == census["claimed"] + census["executing"] + census["done"]
+    accepted = sum(n.decisions[Reason.ACCEPTED] for n in result.nurses.values())
+    assert accepted == census["claimed"] + census["executing"] + done
 
     # No request is executed twice and the clock never runs backwards.
     starts = [o for _, _, k, _, o in result.trace if k == "execution_start"]
@@ -326,20 +354,20 @@ def test_decisions_match_full_rescan(combo, monkeypatch):
     def fifo(pending):
         return same(pending, select_request_fifo(pending), select_request_fifo(all_pending()))
 
-    def ca(trust, restricted, training_active, pending, cfg):
-        seen["restricted"] += restricted
-        seen["training"] += training_active
+    def ca(trust, trainer_attached, pending, cfg):
+        seen["restricted"] += trust.classified_low_at is not None and not trainer_attached
+        seen["training"] += trainer_attached
         return same(
             pending,
-            select_request_ca(trust, restricted, training_active, pending, cfg),
-            select_request_ca(trust, restricted, training_active, all_pending(), cfg),
+            select_request_ca(trust, trainer_attached, pending, cfg),
+            select_request_ca(trust, trainer_attached, all_pending(), cfg),
         )
 
     monkeypatch.setattr(engine, "select_request_fifo", fifo)
     monkeypatch.setattr(engine, "select_request_ca", ca)
     result = sim.run()
 
-    assert seen["decisions"] == sum(sum(d.values()) for d in result.audit["decisions"].values())
+    assert seen["decisions"] == sum(sum(n.decisions.values()) for n in result.nurses.values())
     assert seen["max_backlog"] > 10 * len(LEVELS)
     if combo in ("baseline-ca", "replacement-ca"):
         assert seen["restricted"] > 0
@@ -406,11 +434,9 @@ def test_invariants_hold_after_every_event(state, combo, monkeypatch):
 
 def test_decision_counts_show_trust_collapse():
     result = run_shift(make_config(trustInit=0.1, acceptThreshold=0.5))
-    decisions = result.audit["decisions"]
-    assert set(decisions) == set(result.nurses)
-    for counts in decisions.values():
-        assert counts["accepted"] == 0
-        assert counts["none_eligible"] > 0
+    for nurse in result.nurses.values():
+        assert nurse.decisions[Reason.ACCEPTED] == 0
+        assert nurse.decisions[Reason.NONE_ELIGIBLE] > 0
 
 
 def test_stall_is_recorded_when_no_nurse_accepts():

@@ -5,16 +5,9 @@ from dataclasses import dataclass
 
 import pytest
 
+from edsim.behavior import training_bonus_chance
 from edsim.domain import validate_config
-from edsim.policy import (
-    Reason,
-    ScenarioSignal,
-    TrustState,
-    select_request_ca,
-    select_request_fifo,
-    trainer_should_exit,
-    update_trust,
-)
+from edsim.policy import Reason, TrustState, select_request_ca, select_request_fifo, update_trust
 
 
 @dataclass(frozen=True)
@@ -33,6 +26,11 @@ def trust_with(cfg, **weights):
     for key, value in weights.items():
         base[int(key[1:]) - 1] = value
     return TrustState(weights=tuple(base), reliability=1.0)
+
+
+def classified(trust, at=1.0):
+    """The same trust state after the nurse classified itself low at `at`."""
+    return trust._replace(classified_low_at=at)
 
 
 CFG = validate_config({})
@@ -68,20 +66,20 @@ def test_fifo_ignores_trust_weights():
 
 def test_ca_equal_weights_picks_earlier_issue():
     pending = [Req(1, 10.0, 2), Req(2, 11.0, 5)]
-    decision = select_request_ca(fresh_trust(CFG), False, False, pending, CFG)
+    decision = select_request_ca(fresh_trust(CFG), False, pending, CFG)
     assert decision.chosen.id == 1
 
 
 def test_ca_prefers_higher_weight():
     trust = trust_with(CFG, w4=0.9)
     pending = [Req(1, 10.0, 2), Req(2, 11.0, 4)]
-    assert select_request_ca(trust, False, False, pending, CFG).chosen.id == 2
+    assert select_request_ca(trust, False, pending, CFG).chosen.id == 2
 
 
 def test_ca_threshold_excludes_low_weight_levels():
     trust = trust_with(CFG, w2=0.49)
     pending = [Req(1, 10.0, 2)]
-    decision = select_request_ca(trust, False, False, pending, CFG)
+    decision = select_request_ca(trust, False, pending, CFG)
     assert decision.reason is Reason.NONE_ELIGIBLE
 
 
@@ -89,22 +87,22 @@ def test_restricted_easy_task_allowed():
     trust = trust_with(CFG, w1=0.3)
     cfg = validate_config({"restrictedAcceptThreshold": "0.2"})
     pending = [Req(1, 10.0, 1), Req(2, 10.0, 4)]
-    decision = select_request_ca(trust, True, False, pending, cfg)
-    assert decision.chosen.id == 1
+    assert select_request_ca(trust, False, pending, cfg).chosen.id == 2
+    assert select_request_ca(classified(trust), False, pending, cfg).chosen.id == 1
 
 
 def test_restricted_rejects_levels_above_cap():
     pending = [Req(1, 10.0, 3)]
-    decision = select_request_ca(fresh_trust(CFG), True, False, pending, CFG)
+    decision = select_request_ca(classified(fresh_trust(CFG)), False, pending, CFG)
     assert decision.reason is Reason.NONE_ELIGIBLE
 
 
 def test_restricted_never_returns_barred_requests():
     rng = random.Random(42)
     for _ in range(500):
-        trust = TrustState(weights=tuple(rng.random() for _ in range(5)), reliability=1.0)
+        trust = TrustState(tuple(rng.random() for _ in range(5)), 1.0, classified_low_at=rng.random() * 100)
         pending = [Req(i, rng.random() * 100, rng.randint(1, 5)) for i in range(1, 6)]
-        decision = select_request_ca(trust, True, False, pending, CFG)
+        decision = select_request_ca(trust, False, pending, CFG)
         if decision.reason is Reason.ACCEPTED:
             assert decision.chosen.requested_level <= CFG.easy_level_cap
             assert trust.weight(decision.chosen.requested_level) >= CFG.restricted_accept_threshold
@@ -113,59 +111,40 @@ def test_restricted_never_returns_barred_requests():
 def test_training_bypasses_all_gates():
     trust = TrustState(weights=(0.0,) * 5, reliability=0.1, classified_low_at=5.0)
     pending = [Req(1, 10.0, 5)]
-    decision = select_request_ca(trust, False, True, pending, CFG)
+    decision = select_request_ca(trust, True, pending, CFG)
     assert decision.chosen.id == 1
 
 
 def test_update_trust_ema_arithmetic():
     trust = trust_with(CFG, w3=0.5)
-    updated, signal = update_trust(trust, 3, True, CFG, now=1.0)
+    updated = update_trust(trust, 3, True, CFG, now=1.0)
     assert updated.weight(3) == pytest.approx(0.65)
-    assert signal is ScenarioSignal.NONE
+    assert updated.classified_low_at is None
 
 
 def test_reliability_classifies_on_third_consecutive_failure():
     # Brute-force replay of the EMA: 1.0 -> 0.7 -> 0.49 -> 0.343 < 0.4.
     trust = fresh_trust(CFG)
     times = [10.0, 20.0, 30.0]
-    classified = []
+    latched = []
     for now in times:
-        trust, _ = update_trust(trust, 3, False, CFG, now)
-        classified.append(trust.classified_low_at)
-    assert classified == [None, None, 30.0]
+        trust = update_trust(trust, 3, False, CFG, now)
+        latched.append(trust.classified_low_at)
+    assert latched == [None, None, 30.0]
     assert trust.reliability == pytest.approx(0.343)
 
 
 def test_classification_latch_emits_once():
-    cfg = validate_config({"scenario": "replacement"})
-    trust = fresh_trust(cfg)
-    signals = []
+    # The latch sets once, at the third failure, and later failures keep its time.
+    trust = fresh_trust(CFG)
+    latched = []
     for now in (1.0, 2.0, 3.0, 4.0, 5.0):
-        trust, signal = update_trust(trust, 2, False, cfg, now)
-        signals.append(signal)
-    assert signals.count(ScenarioSignal.SPAWN_REPLACEMENT) == 1
-    assert trust.classified_low_at == 3.0
+        trust = update_trust(trust, 2, False, CFG, now)
+        latched.append(trust.classified_low_at)
+    assert latched == [None, None, 3.0, 3.0, 3.0]
     # Later successes never clear the latch.
-    trust, signal = update_trust(trust, 2, True, cfg, 6.0)
+    trust = update_trust(trust, 2, True, CFG, 6.0)
     assert trust.classified_low_at == 3.0
-    assert signal is ScenarioSignal.NONE
-
-
-@pytest.mark.parametrize(
-    "scenario,expected",
-    [
-        ("baseline", ScenarioSignal.NONE),
-        ("replacement", ScenarioSignal.SPAWN_REPLACEMENT),
-        ("training", ScenarioSignal.ATTACH_TRAINER),
-    ],
-)
-def test_signal_matches_scenario(scenario, expected):
-    cfg = validate_config({"scenario": scenario})
-    trust = fresh_trust(cfg)
-    last = None
-    for now in (1.0, 2.0, 3.0):
-        trust, last = update_trust(trust, 1, False, cfg, now)
-    assert last is expected
 
 
 def test_weights_stay_in_unit_interval():
@@ -173,7 +152,7 @@ def test_weights_stay_in_unit_interval():
     trust = fresh_trust(CFG)
     for step in range(2000):
         level = rng.randint(1, 5)
-        trust, _ = update_trust(trust, level, rng.random() < 0.5, CFG, float(step))
+        trust = update_trust(trust, level, rng.random() < 0.5, CFG, float(step))
         assert all(0.0 <= w <= 1.0 for w in trust.weights)
         assert 0.0 <= trust.reliability <= 1.0
 
@@ -185,17 +164,21 @@ def test_update_replay_is_deterministic():
     def replay():
         trust = fresh_trust(CFG)
         for now, (level, success) in enumerate(outcomes):
-            trust, _ = update_trust(trust, level, success, CFG, float(now))
+            trust = update_trust(trust, level, success, CFG, float(now))
         return trust
 
     assert replay() == replay()
 
 
 def test_trainer_exit_threshold():
-    assert not trainer_should_exit(0, CFG)
-    assert not trainer_should_exit(8, CFG)  # 0.8 < 0.9
-    assert trainer_should_exit(9, CFG)  # 0.9 >= 0.9
-    assert trainer_should_exit(15, CFG)
+    # The engine ends training once the bonus chance reaches the exit bonus.
+    def exits(observed):
+        return training_bonus_chance(observed, CFG) >= CFG.trainer_exit_bonus
+
+    assert not exits(0)
+    assert not exits(8)  # 0.8 < 0.9
+    assert exits(9)  # 0.9 >= 0.9
+    assert exits(15)
 
 
 def test_high_performer_rarely_classifies_low(acceptance_grids):
@@ -220,11 +203,11 @@ def test_reliability_needs_three_consecutive_failures_from_full_trust():
     # success pulls the score straight back up; only a third consecutive
     # failure crosses the threshold.
     trust = fresh_trust(CFG)
-    trust, _ = update_trust(trust, 1, False, CFG, 1.0)
-    trust, _ = update_trust(trust, 1, False, CFG, 2.0)
+    trust = update_trust(trust, 1, False, CFG, 1.0)
+    trust = update_trust(trust, 1, False, CFG, 2.0)
     assert trust.reliability == pytest.approx(0.49)
     assert trust.classified_low_at is None
-    recovered, _ = update_trust(trust, 1, True, CFG, 3.0)
+    recovered = update_trust(trust, 1, True, CFG, 3.0)
     assert recovered.reliability == pytest.approx(0.643)
     assert recovered.classified_low_at is None
 
@@ -237,13 +220,13 @@ def reference_fifo(pending):
     return (None, Reason.QUEUE_EMPTY) if best is None else (best, Reason.ACCEPTED)
 
 
-def reference_ca(trust, restricted, training_active, pending, cfg):
+def reference_ca(trust, trainer_attached, pending, cfg):
     pending = list(pending)
     if not pending:
         return None, Reason.QUEUE_EMPTY
-    if training_active:
+    if trainer_attached:
         eligible = pending
-    elif restricted:
+    elif trust.classified_low_at is not None:
         eligible = [
             r
             for r in pending
@@ -263,15 +246,10 @@ def reference_update_trust(trust, requested_level, success, cfg, now):
     idx = requested_level - 1
     weights = tuple((1.0 - alpha) * w + alpha * fb if i == idx else w for i, w in enumerate(trust.weights))
     reliability = (1.0 - alpha) * trust.reliability + alpha * fb
-    signal = ScenarioSignal.NONE
     classified_at = trust.classified_low_at
     if reliability < cfg.reliability_threshold and classified_at is None:
         classified_at = now
-        if cfg.scenario.value == "replacement":
-            signal = ScenarioSignal.SPAWN_REPLACEMENT
-        elif cfg.scenario.value == "training":
-            signal = ScenarioSignal.ATTACH_TRAINER
-    return (weights, reliability, classified_at), signal
+    return weights, reliability, classified_at
 
 
 def bits(trust):
@@ -300,27 +278,34 @@ def random_pending(rng):
 def test_selectors_match_reference_implementations():
     rng = random.Random(2024)
     reasons = set()
+    ca_reasons = {"restricted": set(), "unrestricted": set()}
     for _ in range(20000):
         cfg = rng.choice(DIFF_CFGS)
-        trust = TrustState(weights=tuple(rng.choice(TIE_WEIGHTS) for _ in range(5)), reliability=1.0)
-        restricted, training = rng.random() < 0.4, rng.random() < 0.2
+        # The restriction comes from the latch: unset, or set at some time.
+        classified_at = rng.choice((0.0, 5.0, 30.0)) if rng.random() < 0.4 else None
+        trust = TrustState(tuple(rng.choice(TIE_WEIGHTS) for _ in range(5)), 1.0, classified_at)
+        trainer_attached = rng.random() < 0.2
         pending = random_pending(rng)
-        decision = select_request_ca(trust, restricted, training, pending, cfg)
-        want_chosen, want_reason = reference_ca(trust, restricted, training, pending, cfg)
+        decision = select_request_ca(trust, trainer_attached, pending, cfg)
+        want_chosen, want_reason = reference_ca(trust, trainer_attached, pending, cfg)
         assert decision.chosen is want_chosen and decision.reason is want_reason
         reasons.add(want_reason)
+        if not trainer_attached:
+            ca_reasons["restricted" if classified_at is not None else "unrestricted"].add(want_reason)
         decision = select_request_fifo(pending)
         want_chosen, want_reason = reference_fifo(pending)
         assert decision.chosen is want_chosen and decision.reason is want_reason
         reasons.add(want_reason)
     assert reasons == set(Reason)
+    assert ca_reasons == {"restricted": set(Reason), "unrestricted": set(Reason)}
 
 
 @pytest.mark.parametrize("scenario", ["baseline", "replacement", "training"])
 def test_update_trust_matches_reference_bit_for_bit(scenario):
+    # The scenario does not enter the trust model: every scenario latches alike.
     rng = random.Random(99)
     cfg = validate_config({"scenario": scenario})
-    signals = set()
+    latches = 0
     for _ in range(300):
         trust = TrustState(
             weights=tuple(rng.choice((rng.random(),) + TIE_WEIGHTS) for _ in range(5)),
@@ -329,9 +314,8 @@ def test_update_trust_matches_reference_bit_for_bit(scenario):
         )
         for step in range(20):
             level, success, now = rng.randint(1, 5), rng.random() < 0.6, float(step)
-            updated, signal = update_trust(trust, level, success, cfg, now)
-            want, want_signal = reference_update_trust(trust, level, success, cfg, now)
-            assert bits(updated) == bits(TrustState(*want)) and signal is want_signal
-            signals.add(signal)
+            updated = update_trust(trust, level, success, cfg, now)
+            assert bits(updated) == bits(TrustState(*reference_update_trust(trust, level, success, cfg, now)))
+            latches += trust.classified_low_at is None and updated.classified_low_at is not None
             trust = updated
-    assert len(signals) == (1 if scenario == "baseline" else 2)
+    assert latches > 0
