@@ -1,7 +1,12 @@
-"""Experiment comparison pipeline: load CSV triplets, gate tests, render reports."""
+"""Experiment comparison pipeline: load CSV triplets, build each metric's row, render the report.
+
+Every metric is one `METRICS` entry; comparisons.csv is declared and written
+in `edsim.metrics`, beside the tables it is computed from.
+"""
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from . import stats
@@ -9,12 +14,6 @@ from .domain import ConfigError, parse_config_file, validate_config
 from .metrics import SchemaError, read_doctors, read_nurses, read_runs
 
 NORMALITY_ALPHA = 0.05
-
-COMPARISONS_HEADER = (
-    "metric,group_a,group_b,mean_a,mean_b,median_a,median_b,sw_p_a,sw_p_b,"
-    "test,statistic,p_value,degenerate"
-)
-
 
 class MissingFile(FileNotFoundError):
     pass
@@ -96,40 +95,22 @@ def check_rosters_match(a: ExperimentData, b: ExperimentData) -> None:
         raise SchemaError("experiment rosters differ: " + "; ".join(diffs))
 
 
-def _run_values(data: ExperimentData, key: str) -> list[float]:
-    return [float(r[key]) for r in data.runs]
+def _values(data: ExperimentData, metric: str) -> list[float]:
+    """Per-run values of a gated metric.
 
+    A metric is either a runs.csv column or `<quality>_nurse_<column>`: that
+    nurses.csv column summed over the run's configured nurses of that quality.
+    Replacements, always high performers, are left out.
+    """
+    quality, _, key = metric.partition("_nurse_")
+    if not key:
+        return [float(r[metric]) for r in data.runs]
+    by_run = (data.nurses_by_run[r["run_id"]] for r in data.runs)
+    return [float(sum(n[key] for n in ns if n["quality"] == quality and n["role"] != "replacement")) for ns in by_run]
 
-def _nurse_values(data: ExperimentData, key: str, quality: str, original_only: bool) -> list[float]:
-    values = []
-    for r in data.runs:
-        rows = [n for n in data.nurses_by_run[r["run_id"]] if n["quality"] == quality]
-        if original_only:
-            rows = [n for n in rows if n["role"] != "replacement"]
-        values.append(float(sum(n[key] for n in rows)))
-    return values
-
-
-def _nurse_metric(key: str, quality: str, original_only: bool) -> Callable[[ExperimentData], list[float]]:
-    return lambda data: _nurse_values(data, key, quality, original_only)
-
-
-METRICS: dict[str, Callable[[ExperimentData], list[float]]] = {
-    "patients_served": lambda d: _run_values(d, "patients_served"),
-    "total_time_damage_s": lambda d: _run_values(d, "total_time_damage_s"),
-    "total_delay_s": lambda d: _run_values(d, "total_delay_s"),
-}
-for _key in ("tasks_success", "tasks_failed", "utility", "time_damage_s"):
-    METRICS[f"low_nurse_{_key}"] = _nurse_metric(_key, "low", original_only=False)
-    METRICS[f"high_nurse_{_key}"] = _nurse_metric(_key, "high", original_only=True)
 
 DOCTOR_PREFERENCE_METRIC = "doctor_preference_chi2"
 DOCTOR_VARIANCE_METRIC = "patients_per_doctor_variance"
-SPECIAL_METRICS = (DOCTOR_PREFERENCE_METRIC, DOCTOR_VARIANCE_METRIC)
-
-
-def metric_names() -> list[str]:
-    return list(METRICS) + list(SPECIAL_METRICS)
 
 
 class ComparisonRow(NamedTuple):
@@ -146,6 +127,13 @@ class ComparisonRow(NamedTuple):
     degenerate: bool = False
     notes: str = ""
 
+    @property
+    def test(self) -> str:
+        """The test comparisons.csv names: the one chosen, else the preference row's per-run count."""
+        if self.chosen is not None:
+            return self.chosen.test_name
+        return "chi2_mc_count" if self.metric == DOCTOR_PREFERENCE_METRIC else ""
+
 
 def _median(xs: list[float]) -> float:
     s = sorted(xs)
@@ -154,8 +142,10 @@ def _median(xs: list[float]) -> float:
     return s[mid] if n % 2 else (s[mid - 1] + s[mid]) / 2.0
 
 
-def _zero_variance(xs: list[float]) -> bool:
-    return min(xs) == max(xs)
+def _summary(metric: str, a: ExperimentData, b: ExperimentData, xs_a: list[float], xs_b: list[float]) -> ComparisonRow:
+    """A row holding the two groups' means and medians, and no test yet."""
+    means = sum(xs_a) / len(xs_a), sum(xs_b) / len(xs_b)
+    return ComparisonRow(metric, a.label, b.label, *means, _median(xs_a), _median(xs_b))
 
 
 def _try_shapiro(xs: list[float]) -> Optional[stats.TestResult]:
@@ -165,16 +155,17 @@ def _try_shapiro(xs: list[float]) -> Optional[stats.TestResult]:
         return None
 
 
-def _gated_row(metric: str, a: list[float], b: list[float], label_a: str, label_b: str) -> ComparisonRow:
-    row = ComparisonRow(metric, label_a, label_b, sum(a) / len(a), sum(b) / len(b), _median(a), _median(b))
-    if _zero_variance(a) and _zero_variance(b):
+def _gated_row(metric: str, a: ExperimentData, b: ExperimentData, mc_draws: int, mc_seed: int) -> ComparisonRow:
+    xs_a, xs_b = _values(a, metric), _values(b, metric)
+    row = _summary(metric, a, b, xs_a, xs_b)
+    if min(xs_a) == max(xs_a) and min(xs_b) == max(xs_b):
         # A single run has no spread to measure, which is not the same as
         # runs that all agree.
-        reason = "fewer than two runs per group" if min(len(a), len(b)) < 2 else "no variance in either group"
+        reason = "fewer than two runs per group" if min(len(xs_a), len(xs_b)) < 2 else "no variance in either group"
         return row._replace(degenerate=True, notes=f"{reason}; no test meaningful")
-    sw_a, sw_b = _try_shapiro(a), _try_shapiro(b)
+    sw_a, sw_b = _try_shapiro(xs_a), _try_shapiro(xs_b)
     normal = all(sw is not None and sw.p_value >= NORMALITY_ALPHA for sw in (sw_a, sw_b))
-    chosen = stats.welch_t_test(a, b) if normal else stats.wilcoxon_rank_sum(a, b)
+    chosen = stats.welch_t_test(xs_a, xs_b) if normal else stats.wilcoxon_rank_sum(xs_a, xs_b)
     return row._replace(sw_a=sw_a, sw_b=sw_b, chosen=chosen)
 
 
@@ -197,25 +188,20 @@ def _preference_pvalues(data: ExperimentData, mc_draws: int, mc_seed: int) -> li
 
 
 def _preference_row(a: ExperimentData, b: ExperimentData, mc_draws: int, mc_seed: int) -> ComparisonRow:
-    p_a = _preference_pvalues(a, mc_draws, mc_seed)
-    p_b = _preference_pvalues(b, mc_draws, mc_seed)
-    sig_a = sum(1 for p in p_a if p is not None and p < 0.05)
-    sig_b = sum(1 for p in p_b if p is not None and p < 0.05)
-    usable_a = [p for p in p_a if p is not None]
-    usable_b = [p for p in p_b if p is not None]
-    return ComparisonRow(
-        metric=DOCTOR_PREFERENCE_METRIC,
-        group_a=a.label,
-        group_b=b.label,
-        mean_a=float(sig_a),
-        mean_b=float(sig_b),
-        median_a=_median(usable_a) if usable_a else 0.0,
-        median_b=_median(usable_b) if usable_b else 0.0,
-        notes=(
-            f"runs with per-run chi-square p<0.05: {sig_a}/{len(p_a)} vs {sig_b}/{len(p_b)}; "
-            "means hold counts, medians the per-run p"
-        ),
+    p_a, p_b = _preference_pvalues(a, mc_draws, mc_seed), _preference_pvalues(b, mc_draws, mc_seed)
+    usable_a, usable_b = [p for p in p_a if p is not None], [p for p in p_b if p is not None]
+    sig_a, sig_b = sum(p < 0.05 for p in usable_a), sum(p < 0.05 for p in usable_b)
+    row = ComparisonRow(
+        DOCTOR_PREFERENCE_METRIC, a.label, b.label, float(sig_a), float(sig_b),
+        _median(usable_a) if usable_a else 0.0, _median(usable_b) if usable_b else 0.0,
+        notes=f"runs with per-run chi-square p<0.05: {sig_a}/{len(p_a)} vs {sig_b}/{len(p_b)}; "
+        "means hold counts, medians the per-run p",
     )
+    if not (usable_a and usable_b):
+        # A run with one doctor, or with no patient served, has no test to run.
+        return row._replace(degenerate=True, notes="no run in a group has two doctors and a served patient; "
+                            "chi-square undefined")
+    return row
 
 
 def _doctor_variance(values: list[int]) -> float:
@@ -223,7 +209,7 @@ def _doctor_variance(values: list[int]) -> float:
     return sum((v - mean) ** 2 for v in values) / (len(values) - 1)
 
 
-def _variance_row(a: ExperimentData, b: ExperimentData) -> ComparisonRow:
+def _variance_row(a: ExperimentData, b: ExperimentData, mc_draws: int, mc_seed: int) -> ComparisonRow:
     counts_a = [_doctor_counts(a, r["run_id"]) for r in a.runs]
     counts_b = [_doctor_counts(b, r["run_id"]) for r in b.runs]
     if min(map(len, counts_a + counts_b)) < 2:
@@ -231,17 +217,8 @@ def _variance_row(a: ExperimentData, b: ExperimentData) -> ComparisonRow:
                              notes="fewer than two doctors in a run; variance undefined")
     var_a = [_doctor_variance(c) for c in counts_a]
     var_b = [_doctor_variance(c) for c in counts_b]
-    row = ComparisonRow(
-        metric=DOCTOR_VARIANCE_METRIC,
-        group_a=a.label,
-        group_b=b.label,
-        mean_a=sum(var_a) / len(var_a),
-        mean_b=sum(var_b) / len(var_b),
-        median_a=_median(var_a),
-        median_b=_median(var_b),
-        sw_a=_try_shapiro(var_a),
-        sw_b=_try_shapiro(var_b),
-    )
+    row = _summary(DOCTOR_VARIANCE_METRIC, a, b, var_a, var_b)
+    row = row._replace(sw_a=_try_shapiro(var_a), sw_b=_try_shapiro(var_b))
     if len(var_a) != len(var_b):
         return row._replace(degenerate=True, notes="paired variance test needs equal run counts")
     if len(var_a) < 2:
@@ -250,6 +227,22 @@ def _variance_row(a: ExperimentData, b: ExperimentData) -> ComparisonRow:
         return row._replace(chosen=stats.paired_t_test(var_a, var_b))
     except stats.DegenerateSample:
         return row._replace(degenerate=True, notes="identical per-run variances; paired test undefined")
+
+
+_NURSE_KEYS = ("tasks_success", "tasks_failed", "utility", "time_damage_s")
+_GATED = ("patients_served", "total_time_damage_s", "total_delay_s", *(
+    f"{quality}_nurse_{key}" for key in _NURSE_KEYS for quality in ("low", "high")))
+
+# Every metric's row builder, (a, b, mc_draws, mc_seed) -> ComparisonRow, in report order.
+METRICS: dict[str, Callable[[ExperimentData, ExperimentData, int, int], ComparisonRow]] = {
+    **{metric: partial(_gated_row, metric) for metric in _GATED},
+    DOCTOR_PREFERENCE_METRIC: _preference_row,
+    DOCTOR_VARIANCE_METRIC: _variance_row,
+}
+
+
+def metric_names() -> list[str]:
+    return list(METRICS)
 
 
 def compare_experiments(
@@ -265,48 +258,10 @@ def compare_experiments(
     check_rosters_match(data_a, data_b)
 
     wanted = metric_names() if metrics is None else list(metrics)
-    rows = []
     for name in wanted:
-        if name == DOCTOR_PREFERENCE_METRIC:
-            rows.append(_preference_row(data_a, data_b, mc_draws, mc_seed))
-        elif name == DOCTOR_VARIANCE_METRIC:
-            rows.append(_variance_row(data_a, data_b))
-        elif name in METRICS:
-            extractor = METRICS[name]
-            rows.append(_gated_row(name, extractor(data_a), extractor(data_b), data_a.label, data_b.label))
-        else:
-            raise MetricUnknown(f"unknown metric {name!r}; known: {', '.join(metric_names())}")
-    return rows
-
-
-def _fmt_p(p: Optional[float]) -> str:
-    return "" if p is None else f"{p:.6g}"
-
-
-def comparisons_csv(rows: list[ComparisonRow]) -> str:
-    lines = [COMPARISONS_HEADER]
-    for r in rows:
-        test_name = r.chosen.test_name if r.chosen else ("chi2_mc_count" if r.metric == DOCTOR_PREFERENCE_METRIC else "")
-        lines.append(
-            ",".join(
-                [
-                    r.metric,
-                    r.group_a,
-                    r.group_b,
-                    f"{r.mean_a:.6f}",
-                    f"{r.mean_b:.6f}",
-                    f"{r.median_a:.6f}",
-                    f"{r.median_b:.6f}",
-                    _fmt_p(r.sw_a.p_value if r.sw_a else None),
-                    _fmt_p(r.sw_b.p_value if r.sw_b else None),
-                    test_name,
-                    "" if r.chosen is None else f"{r.chosen.statistic:.6f}",
-                    _fmt_p(r.chosen.p_value if r.chosen else None),
-                    "true" if r.degenerate else "false",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        if name not in METRICS:
+            raise MetricUnknown(f"unknown metric {name!r}; known: {', '.join(METRICS)}")
+    return [METRICS[name](data_a, data_b, mc_draws, mc_seed) for name in wanted]
 
 
 def render_report(rows: list[ComparisonRow]) -> str:

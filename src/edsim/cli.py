@@ -20,7 +20,7 @@ from .domain import (
     validate_seed,
 )
 from .engine import render_trace, run_shift
-from .metrics import SchemaError, run_rows, write_csvs
+from .metrics import SchemaError, comparisons_csv, run_rows, write_csvs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -248,7 +248,7 @@ def cmd_analyze(
     mc_seed: int,
     out: Optional[str],
 ) -> int:
-    from .analysis import MetricUnknown, MissingFile, comparisons_csv, render_report
+    from .analysis import MetricUnknown, MissingFile, render_report
 
     # numpy, first imported by the chi-square test, loads OpenBLAS, which
     # starts a worker thread that spins beside the main one; edsim calls no BLAS.

@@ -1,13 +1,16 @@
-"""The CSV layer: each table's columns declared once, one formatter, one writer, one reader.
+"""The CSV layer: each table declared once as `Column`s, one row formatter, one reader.
 
 A finished run's `ShiftResult` becomes text once, in `run_rows`, wherever it
 ran: a forked `experiment` worker formats its own runs and sends only those
-strings back.  `write_csvs` is the one writer; it orders the rows and adds the
-headers, so the files are the same bytes however the runs were spread over
-processes.
+strings back.  `write_csvs` writes the runs/doctors/nurses triplet; it orders
+the rows and adds the headers, so the files are the same bytes however the
+runs were spread over processes.  `comparisons_csv` formats `analyze`'s table
+with the same `_row`; only the event trace is formatted elsewhere
+(`engine.render_trace`).  The reader rejects cells edsim never writes.
 """
 from __future__ import annotations
 
+import math
 import os
 from typing import Any, Callable, NamedTuple
 
@@ -21,17 +24,43 @@ class _Cell(NamedTuple):
     read: Callable[[str], Any]
 
 
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(cell)
+    return value
+
+
+def _count(cell: str) -> int:
+    value = int(cell)
+    if value < 0:
+        raise ValueError(cell)
+    return value
+
+
+def _quote(text: str) -> str:
+    """RFC 4180: a cell holding a comma, a quote, CR or LF is quoted, its quotes doubled."""
+    return '"' + text.replace('"', '""') + '"' if any(ch in text for ch in ',"\r\n') else text
+
+
+# A nurse's utility is an _INT, not a _COUNT: failures take it below zero.
 _STR = _Cell(str, str)
 _INT = _Cell(str, int)
-_REAL = _Cell("{:.6f}".format, float)  # six decimals keep the files byte-deterministic
-_OPT_REAL = _Cell(lambda v: "" if v is None else f"{v:.6f}", lambda c: None if c == "" else float(c))
+_COUNT = _Cell(str, _count)
+_REAL = _Cell("{:.6f}".format, _finite)  # six decimals keep the files byte-deterministic
+_OPT_REAL = _Cell(lambda v: "" if v is None else f"{v:.6f}", lambda c: None if c == "" else _finite(c))
+# Cells of comparisons.csv only, which edsim writes and never reads back.
+_LABEL = _Cell(_quote, str)
+_P = _Cell(lambda v: "" if v is None else f"{v:.6g}", _OPT_REAL.read)
+_BOOL = _Cell(lambda v: "true" if v else "false", lambda c: bool(("false", "true").index(c)))
 
 
 class Column(NamedTuple):
     """One CSV column: header name, cell kind, and the value getter.
 
     Every getter takes (run_id, subject): an agent for a doctors or nurses
-    row, the run's `ShiftResult` for a runs row.
+    row, the run's `ShiftResult` for a runs row, an `analysis.ComparisonRow`
+    for a comparisons row, which belongs to no run and is given run_id "".
     """
 
     name: str
@@ -47,7 +76,7 @@ RUNS_COLUMNS = (
     Column("scenario", _STR, lambda run_id, t: t.config.scenario.value),
     Column("policy", _STR, lambda run_id, t: t.config.policy.value),
     Column("shift_length_s", _REAL, lambda run_id, t: t.config.shift_length),
-    Column("patients_served", _INT, lambda run_id, t: t.patients_served),
+    Column("patients_served", _COUNT, lambda run_id, t: t.patients_served),
     Column("total_time_damage_s", _REAL, lambda run_id, t: t.time_damage),
     Column("total_delay_s", _REAL, lambda run_id, t: t.delay),
 )
@@ -55,7 +84,7 @@ DOCTORS_COLUMNS = (
     _RUN_ID,
     Column("doctor_id", _INT, lambda run_id, t: t.id),
     Column("style", _STR, lambda run_id, t: t.style.value),
-    Column("patients_served", _INT, lambda run_id, t: t.served),
+    Column("patients_served", _COUNT, lambda run_id, t: t.served),
     Column("time_damage_s", _REAL, lambda run_id, t: t.time_damage),
     Column("delay_s", _REAL, lambda run_id, t: t.delay),
     Column("eval_accuracy", _OPT_REAL, lambda run_id, t: t.eval_accuracy),
@@ -65,12 +94,28 @@ NURSES_COLUMNS = (
     Column("nurse_id", _INT, lambda run_id, t: t.id),
     Column("quality", _STR, lambda run_id, t: t.quality.value),
     Column("role", _STR, lambda run_id, t: t.role),
-    Column("tasks_success", _INT, lambda run_id, t: t.tasks_success),
-    Column("tasks_failed", _INT, lambda run_id, t: t.tasks_failed),
+    Column("tasks_success", _COUNT, lambda run_id, t: t.tasks_success),
+    Column("tasks_failed", _COUNT, lambda run_id, t: t.tasks_failed),
     Column("utility", _INT, lambda run_id, t: t.utility),
     Column("time_damage_s", _REAL, lambda run_id, t: t.time_damage),
-    Column("observed_tasks", _INT, lambda run_id, t: t.observed_tasks),
+    Column("observed_tasks", _COUNT, lambda run_id, t: t.observed_tasks),
     Column("classified_low_at_s", _OPT_REAL, lambda run_id, t: t.classified_low_at),
+)
+
+COMPARISONS_COLUMNS = (
+    Column("metric", _STR, lambda run_id, r: r.metric),
+    Column("group_a", _LABEL, lambda run_id, r: r.group_a),
+    Column("group_b", _LABEL, lambda run_id, r: r.group_b),
+    Column("mean_a", _REAL, lambda run_id, r: r.mean_a),
+    Column("mean_b", _REAL, lambda run_id, r: r.mean_b),
+    Column("median_a", _REAL, lambda run_id, r: r.median_a),
+    Column("median_b", _REAL, lambda run_id, r: r.median_b),
+    Column("sw_p_a", _P, lambda run_id, r: None if r.sw_a is None else r.sw_a.p_value),
+    Column("sw_p_b", _P, lambda run_id, r: None if r.sw_b is None else r.sw_b.p_value),
+    Column("test", _STR, lambda run_id, r: r.test),
+    Column("statistic", _OPT_REAL, lambda run_id, r: None if r.chosen is None else r.chosen.statistic),
+    Column("p_value", _P, lambda run_id, r: None if r.chosen is None else r.chosen.p_value),
+    Column("degenerate", _BOOL, lambda run_id, r: r.degenerate),
 )
 
 
@@ -81,6 +126,7 @@ def _header(columns: tuple[Column, ...]) -> str:
 RUNS_HEADER = _header(RUNS_COLUMNS)
 DOCTORS_HEADER = _header(DOCTORS_COLUMNS)
 NURSES_HEADER = _header(NURSES_COLUMNS)
+COMPARISONS_HEADER = _header(COMPARISONS_COLUMNS)
 
 
 def _row(columns: tuple[Column, ...], run_id: str, subject) -> str:
@@ -124,6 +170,11 @@ def write_csvs(rows: list[tuple[str, str, str, str]], out_dir: str) -> dict[str,
             fh.write(_header(columns) + "\n" + "".join(r[k] for r in ordered))
         paths[name] = path
     return paths
+
+
+def comparisons_csv(rows: list) -> str:
+    """The text of comparisons.csv: its header, then one line per `ComparisonRow`, in order."""
+    return COMPARISONS_HEADER + "\n" + "".join(_row(COMPARISONS_COLUMNS, "", r) for r in rows)
 
 
 def _split_csv(path: str, header: str) -> list[list[str]]:

@@ -5,19 +5,17 @@ import shutil
 import pytest
 
 from edsim.analysis import (
-    COMPARISONS_HEADER,
     DOCTOR_PREFERENCE_METRIC,
     DOCTOR_VARIANCE_METRIC,
     MetricUnknown,
     MissingFile,
     compare_experiments,
-    comparisons_csv,
     load_experiment,
     metric_names,
     render_report,
 )
 from edsim.cli import EXIT_OK, main
-from edsim.metrics import SchemaError
+from edsim.metrics import COMPARISONS_HEADER, SchemaError, comparisons_csv
 
 
 def write_experiment(out_root, combo: str, runs: int, seed_base: int, config: str = "") -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import errno
 import gc
 import io
@@ -265,14 +266,34 @@ def _header_only_runs(exp):
     return runs, []
 
 
-def _bad_seed_cell(exp):
-    runs = exp / "runs.csv"
-    lines = runs.read_text(encoding="utf-8").splitlines()
+def _replace_cell(path, column, cell):
+    """Put `cell` in `column` of line 3 of the CSV at `path`; returns the damage's path and phrases."""
+    lines = path.read_text(encoding="utf-8").splitlines()
     cells = lines[2].split(",")
-    cells[1] = "abc"
+    cells[lines[0].split(",").index(column)] = cell
     lines[2] = ",".join(cells)
-    runs.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return runs, ["line 3", "column seed", "'abc'"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, ["line 3", f"column {column}", repr(cell)]
+
+
+def _bad_seed_cell(exp):
+    return _replace_cell(exp / "runs.csv", "seed", "abc")
+
+
+def _nan_delay(exp):
+    return _replace_cell(exp / "runs.csv", "total_delay_s", "nan")
+
+
+def _inf_delay(exp):
+    return _replace_cell(exp / "runs.csv", "total_delay_s", "inf")
+
+
+def _negative_served(exp):
+    return _replace_cell(exp / "doctors.csv", "patients_served", "-3")
+
+
+def _negative_failures(exp):
+    return _replace_cell(exp / "nurses.csv", "tasks_failed", "-3")
 
 
 def _latin1_nurses(exp):
@@ -287,7 +308,10 @@ def _latin1_echo(exp):
     return echo, ["not UTF-8"]
 
 
-@pytest.mark.parametrize("damage", [_header_only_runs, _bad_seed_cell, _latin1_nurses, _latin1_echo])
+@pytest.mark.parametrize("damage", [
+    _header_only_runs, _bad_seed_cell, _latin1_nurses, _latin1_echo,
+    _nan_delay, _inf_delay, _negative_served, _negative_failures,
+])
 def test_analyze_malformed_directory_exits_5(tmp_path, capsys, damage):
     out = tmp_path / "exp"
     main(["experiment", "--runs", "3", "--seed-base", "1", "--combo", "baseline-ca", "--out", str(out)])
@@ -311,7 +335,29 @@ def test_analyze_one_doctor_marks_variance_degenerate(tmp_path, capsys):
     rows = {r.split(",")[0]: r.split(",") for r in (analysis / "comparisons.csv").read_text().splitlines()[1:]}
     assert rows["patients_per_doctor_variance"][-1] == "true"
     assert rows["doctor_preference_chi2"][3:5] == ["0.000000", "0.000000"]
-    assert "fewer than two doctors" in capsys.readouterr().out
+    # With one doctor no chi-square test runs, so the row must not read as a
+    # maximally significant p of zero.
+    assert rows["doctor_preference_chi2"][-1] == "true"
+    out = capsys.readouterr().out
+    assert "fewer than two doctors" in out
+    assert "no run in a group has two doctors and a served patient; chi-square undefined" in out
+
+
+def test_analyze_quotes_labels_holding_commas(tmp_path):
+    out = tmp_path / "g"
+    for combo in ("baseline-ca", "baseline-fifo"):
+        assert main(["experiment", "--runs", "3", "--seed-base", "1", "--combo", combo, "--out", str(out)]) == EXIT_OK
+    odd = out / 'base,"ca"'
+    (out / "baseline-ca").rename(odd)
+    analysis = tmp_path / "analysis"
+    args = ["analyze", str(odd), str(out / "baseline-fifo"), "--mc-draws", "200", "--out", str(analysis)]
+    assert main(args) == EXIT_OK
+    with open(analysis / "comparisons.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(row) == 13 for row in rows)
+    assert {(row[1], row[2]) for row in rows[1:]} == {('base,"ca"', "baseline-fifo")}
+    lines = (analysis / "comparisons.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1].split(",", 1)[1].startswith('"base,""ca""",baseline-fifo,')
 
 
 @pytest.mark.parametrize("command", [["run"], ["experiment", "--runs", "1", "--combo", "baseline-ca"]])

@@ -10,6 +10,7 @@ from edsim.metrics import (
     DOCTORS_HEADER,
     NURSES_HEADER,
     RUNS_HEADER,
+    SchemaError,
     read_doctors,
     read_nurses,
     read_runs,
@@ -262,3 +263,37 @@ def test_never_classified_field_is_empty(tmp_path):
     lines = (tmp_path / "nurses.csv").read_text().splitlines()
     assert lines[1].endswith(",")  # empty classified_low_at_s cell
     assert lines[2].endswith(",")
+
+
+def damaged(tmp_path, table, column, cell):
+    """A written table with `cell` in `column` of its first row; returns its path."""
+    write_csvs([run_rows(*make_record())], str(tmp_path))
+    path = tmp_path / f"{table}.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    path.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("reader, table, column, cell", [
+    (read_runs, "runs", "total_delay_s", "nan"),
+    (read_runs, "runs", "shift_length_s", "inf"),
+    (read_doctors, "doctors", "eval_accuracy", "-inf"),
+    (read_doctors, "doctors", "patients_served", "-3"),
+    (read_nurses, "nurses", "tasks_success", "-1"),
+    (read_nurses, "nurses", "tasks_failed", "-3"),
+    (read_nurses, "nurses", "observed_tasks", "-2"),
+])
+def test_reader_rejects_cells_never_written(tmp_path, reader, table, column, cell):
+    # A real must be finite and a count not negative; the message names the
+    # line and the column, so a damaged file never reaches the statistics.
+    path = damaged(tmp_path, table, column, cell)
+    with pytest.raises(SchemaError) as err:
+        reader(str(path))
+    assert str(err.value) == f"{path}: line 2, column {column}: cannot read {cell!r}"
+
+
+def test_reader_accepts_negative_utility(tmp_path):
+    # Failures take a nurse's utility below zero, so it is no count.
+    assert read_nurses(str(damaged(tmp_path, "nurses", "utility", "-3")))[0]["utility"] == -3
