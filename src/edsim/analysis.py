@@ -34,46 +34,32 @@ class ExperimentData(NamedTuple):
 
 
 def load_experiment(path: str) -> ExperimentData:
-    """Read the runs/doctors/nurses triplet (plus config echo) of one experiment."""
-    paths = {name: os.path.join(path, f"{name}.csv") for name in ("runs", "doctors", "nurses")}
+    """Read the runs/doctors/nurses triplet and the config echo of one experiment."""
+    paths = {name: os.path.join(path, name) for name in ("runs.csv", "doctors.csv", "nurses.csv", "config.echo")}
     for name, p in paths.items():
         if not os.path.isfile(p):
-            raise MissingFile(f"{path}: missing {name}.csv")
-    runs = sorted(read_runs(paths["runs"]), key=lambda r: r["run_id"])
+            raise MissingFile(f"{path}: missing {name}")
+    runs = sorted(read_runs(paths["runs.csv"]), key=lambda r: r["run_id"])
     if not runs:
-        raise SchemaError(f"{paths['runs']}: no runs")
+        raise SchemaError(f"{paths['runs.csv']}: no runs")
     doctors_by_run: dict = {}
-    for row in read_doctors(paths["doctors"]):
+    for row in read_doctors(paths["doctors.csv"]):
         doctors_by_run.setdefault(row["run_id"], []).append(row)
     nurses_by_run: dict = {}
-    for row in read_nurses(paths["nurses"]):
+    for row in read_nurses(paths["nurses.csv"]):
         nurses_by_run.setdefault(row["run_id"], []).append(row)
     for r in runs:
         if r["run_id"] not in doctors_by_run or r["run_id"] not in nurses_by_run:
             raise SchemaError(f"{path}: run {r['run_id']} lacks per-agent rows")
 
-    echo_path = os.path.join(path, "config.echo")
-    if os.path.isfile(echo_path):
-        try:
-            raw = parse_config_file(echo_path)
-            # Echoes written before the unused mcDraws key was removed still
-            # carry it; dropping it keeps those experiments loadable.
-            raw.pop("mcDraws", None)
-            cfg = validate_config(raw)
-        except ConfigError as exc:
-            raise SchemaError(f"{echo_path}: {exc}") from exc
-        roster = (
-            tuple((i, style.value) for i, style in cfg.doctors),
-            tuple((i, quality.value) for i, quality in cfg.nurses),
-        )
-    else:
-        # Fall back to the configured part of the observed roster: the first
-        # run's agents, which every run has (checked above), minus replacements.
-        first = runs[0]["run_id"]
-        roster = (
-            tuple((d["doctor_id"], d["style"]) for d in doctors_by_run[first]),
-            tuple((n["nurse_id"], n["quality"]) for n in nurses_by_run[first] if n["role"] != "replacement"),
-        )
+    try:
+        cfg = validate_config(parse_config_file(paths["config.echo"]))
+    except ConfigError as exc:
+        raise SchemaError(f"{paths['config.echo']}: {exc}") from exc
+    roster = (
+        tuple((i, style.value) for i, style in cfg.doctors),
+        tuple((i, quality.value) for i, quality in cfg.nurses),
+    )
     return ExperimentData(
         label=os.path.basename(os.path.normpath(path)) or path,
         runs=runs,
@@ -204,19 +190,14 @@ def _preference_row(a: ExperimentData, b: ExperimentData, mc_draws: int, mc_seed
     return row
 
 
-def _doctor_variance(values: list[int]) -> float:
-    mean = sum(values) / len(values)
-    return sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-
-
 def _variance_row(a: ExperimentData, b: ExperimentData, mc_draws: int, mc_seed: int) -> ComparisonRow:
     counts_a = [_doctor_counts(a, r["run_id"]) for r in a.runs]
     counts_b = [_doctor_counts(b, r["run_id"]) for r in b.runs]
     if min(map(len, counts_a + counts_b)) < 2:
         return ComparisonRow(DOCTOR_VARIANCE_METRIC, a.label, b.label, 0.0, 0.0, 0.0, 0.0, degenerate=True,
                              notes="fewer than two doctors in a run; variance undefined")
-    var_a = [_doctor_variance(c) for c in counts_a]
-    var_b = [_doctor_variance(c) for c in counts_b]
+    var_a = [stats.sample_var(c) for c in counts_a]
+    var_b = [stats.sample_var(c) for c in counts_b]
     row = _summary(DOCTOR_VARIANCE_METRIC, a, b, var_a, var_b)
     row = row._replace(sw_a=_try_shapiro(var_a), sw_b=_try_shapiro(var_b))
     if len(var_a) != len(var_b):
@@ -255,6 +236,10 @@ def compare_experiments(
     """Build the full comparison table between two experiment directories."""
     data_a = load_experiment(dir_a)
     data_b = load_experiment(dir_b)
+    if data_a.label == data_b.label and os.path.normpath(dir_a) != os.path.normpath(dir_b):
+        # Two directories of one base name: each group is labelled by its whole path.
+        data_a = data_a._replace(label=os.path.normpath(dir_a))
+        data_b = data_b._replace(label=os.path.normpath(dir_b))
     check_rosters_match(data_a, data_b)
 
     wanted = metric_names() if metrics is None else list(metrics)

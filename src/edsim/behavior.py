@@ -44,16 +44,6 @@ def evaluate_performance_level(true_level: int, style: EvaluationStyle) -> int:
     return true_level
 
 
-def base_duration_for_level(level: int) -> float:
-    return BASE_DURATIONS[level]
-
-
-def random_duration_above_base(level: int, rng: Rng) -> float:
-    """Sample a delayed execution time for `level`; consumes one draw."""
-    lo, hi = ABOVE_BASE_RANGES[level]
-    return rng.uniform_range(lo, hi)
-
-
 def training_bonus_chance(observed_tasks: int, cfg: SimConfig) -> float:
     """Chance a trainee hits the base duration after `observed_tasks` observations."""
     return min(max(observed_tasks * cfg.trainer_bonus_per_task, 0.0), 1.0)
@@ -79,7 +69,7 @@ def get_task_duration(
         hit = training_active and rng.uniform_unit() <= training_bonus_chance(observed_tasks, cfg)
     else:
         hit = rng.uniform_unit() <= cfg.high_performer_good_chance
-    return base_duration_for_level(true_level) if hit else random_duration_above_base(true_level, rng)
+    return BASE_DURATIONS[true_level] if hit else rng.uniform_range(*ABOVE_BASE_RANGES[true_level])
 
 
 def judge_outcome(actual: float, requested_level: int, cfg: SimConfig) -> TaskOutcome:
@@ -89,7 +79,7 @@ def judge_outcome(actual: float, requested_level: int, cfg: SimConfig) -> TaskOu
     damage.  Utility moves by the requested level, downward on failure when the
     failure penalty is enabled.
     """
-    requested_duration = base_duration_for_level(requested_level)
+    requested_duration = BASE_DURATIONS[requested_level]
     success = actual <= requested_duration
     damage = max(0.0, actual - requested_duration)
     if success:

@@ -62,12 +62,6 @@ def _config_error(exc: ConfigError) -> int:
     return EXIT_CONFIG
 
 
-def _write_experiment_dir(out_dir: str, rows: list[tuple], cfg: SimConfig, name: str, seeds: list[int]) -> None:
-    write_csvs(rows, out_dir)
-    _write_text(out_dir, "config.echo", config_echo(cfg))
-    _write_text(out_dir, "manifest.txt", _manifest(name, seeds))
-
-
 def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[str]) -> int:
     try:
         overrides = {} if seed is None else {"seed": str(seed)}
@@ -80,9 +74,10 @@ def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[st
 
     out_dir = out or os.path.join(_default_out_root(), "run")
     result = run_shift(cfg)
-    rows = run_rows(f"run-{cfg.seed:08d}", result)
+    run_id = f"run-{cfg.seed:08d}"
+    rows = run_rows(run_id, result)
     try:
-        _write_experiment_dir(out_dir, [rows], cfg, "run", [cfg.seed])
+        run_experiment(out_dir, "run", [(cfg, run_id)], [rows])
         if trace:
             _write_text(out_dir, "trace.csv", render_trace(result))
     except OSError as exc:
@@ -167,16 +162,19 @@ def _map_runs(jobs: list[tuple[SimConfig, str]], parallel: int) -> tuple[list[tu
             os.waitpid(pid, 0)
 
 
-def run_experiment(out_dir: str, combo: str, jobs: list[tuple[SimConfig, str]], rows: list[tuple]) -> None:
-    """Write one scenario-policy combination's directory; the one writer of a combo's outputs.
+def run_experiment(out_dir: str, name: str, jobs: list[tuple[SimConfig, str]], rows: list[tuple]) -> None:
+    """Write one `run` or scenario-policy combination's directory; the one writer of both.
 
-    `jobs` is the combo's `_combo_jobs` list and `rows` its runs' finished CSV
-    rows (`metrics.run_rows`) in job order: `experiment` maps the whole grid
-    first, then calls this once per combo.  config.echo is the first job's
-    config and the manifest's seeds are the jobs'.  The directory's bytes do
-    not depend on where the rows were made.
+    `jobs` is the (config, run id) list and `rows` its runs' finished CSV rows
+    (`metrics.run_rows`) in job order: `run` passes its one shift, and
+    `experiment` maps the whole grid first, then calls this once per combo.
+    config.echo is the first job's config, and the manifest names `name` and
+    the jobs' seeds.  The directory's bytes do not depend on where the rows
+    were made.
     """
-    _write_experiment_dir(out_dir, rows, jobs[0][0], combo, [cfg.seed for cfg, _ in jobs])
+    write_csvs(rows, out_dir)
+    _write_text(out_dir, "config.echo", config_echo(jobs[0][0]))
+    _write_text(out_dir, "manifest.txt", _manifest(name, [cfg.seed for cfg, _ in jobs]))
 
 
 def cmd_experiment(

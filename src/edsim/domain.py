@@ -7,7 +7,6 @@ from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional
 
 LEVELS = (1, 2, 3, 4, 5)
-LEVEL_MIN, LEVEL_MAX = 1, 5
 
 
 class ConfigError(ValueError):
@@ -50,13 +49,6 @@ class Scenario(Enum):
     BASELINE = "baseline"
     REPLACEMENT = "replacement"
     TRAINING = "training"
-
-
-def validate_level(value: int, key: str = "difficulty level") -> int:
-    """Check an integer difficulty level (1 easiest .. 5 hardest)."""
-    if not isinstance(value, int) or isinstance(value, bool) or not LEVEL_MIN <= value <= LEVEL_MAX:
-        raise RangeError(f"{key} must be an integer in 1..5, got {value!r}", key)
-    return value
 
 
 # Self-assessed reliability starts from a clean slate: a fresh provider has no
@@ -157,7 +149,7 @@ def sample_true_level(rng: Rng, dist: tuple[float, ...]) -> int:
         acc += p
         if u < acc:
             return level
-    return LEVEL_MAX
+    return LEVELS[-1]
 
 
 _U64_MAX = 2**64 - 1
@@ -306,7 +298,8 @@ def validate_config(raw: dict | None = None) -> SimConfig:
     for key in ("tasksPerPatient", "bedsPerDoctor"):
         if out[key] < 1:
             raise RangeError(f"{key} must be >= 1", key)
-    validate_level(out["easyLevelCap"], "easyLevelCap")
+    if out["easyLevelCap"] not in LEVELS:
+        raise RangeError(f"easyLevelCap must be an integer in 1..5, got {out['easyLevelCap']!r}", "easyLevelCap")
     expected_beds = out["bedsPerDoctor"] * len(out["doctors"])
     if out["bedCount"] != expected_beds:
         raise TopologyError(

@@ -34,12 +34,11 @@ place it is stored.  A run has one record, its `ShiftResult`; the CSV formatter
 run's fields off its config, in the process that ran the shift.
 
 Event args carry the agents themselves (the doctor, nurse or patient), so no
-handler looks an id up.  The event log keeps each event's actor and object as
-raw ids: ints, or "" where the event has none.  Every run records the log, but
-only `run --trace` prints it, and `experiment` throws it away with the result,
-so the handlers format nothing.  The ids become text once, in `render_trace`;
-`ShiftResult.trace` builds the string tuples on access for callers that read
-the log directly.
+handler looks an id up.  The event log, `ShiftResult.trace`, keeps each event's
+actor and object as raw ids: ints, or "" where the event has none.  Every run
+records the log, but only `run --trace` prints it, and `experiment` throws it
+away with the result, so the handlers format nothing.  The ids become text
+once, in `render_trace`.
 """
 from __future__ import annotations
 
@@ -64,12 +63,6 @@ SHIFT_END = "shift_end"
 ROLE_REGULAR = "regular"
 ROLE_REPLACEMENT = "replacement"
 ROLE_TRAINEE = "trainee"
-
-
-# Enum's metaclass defines `__getattr__`, which puts every member lookup through
-# the class (`Reason.ACCEPTED`) on a slow path; the handlers run once per event,
-# so they use these module constants.
-_ACCEPTED = Reason.ACCEPTED
 
 
 class DoctorRuntime:
@@ -164,23 +157,13 @@ class ShiftResult(NamedTuple):
     patients_served: int
     time_damage: float
     delay: float
-    events: list  # (time, seq, kind, actor, object), actor and object as raw ids
+    trace: list  # the event log: (time, seq, kind, actor, object), actor and object as raw ids
     audit: dict
-
-    @property
-    def trace(self) -> list:
-        """The event log as (time, seq, kind, actor, object) with ids as text.
-
-        Nothing in `src/edsim` reads it.  `bench/layers.py::_count_events` is its
-        last reader outside the tests; once that counts `len(result.events)`,
-        this view can go.
-        """
-        return [(t, seq, kind, str(actor), str(obj)) for t, seq, kind, actor, obj in self.events]
 
 
 def render_trace(result: ShiftResult) -> str:
     """Serialize the event log as `time,seq,kind,actor,object` lines."""
-    lines = ["%.6f,%s,%s,%s,%s" % event for event in result.events]
+    lines = ["%.6f,%s,%s,%s,%s" % event for event in result.trace]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -191,7 +174,7 @@ class _ShiftSim:
         self.now = 0.0
         self._heap: list = []
         self._seq = itertools.count()
-        self.events: list = []
+        self.trace: list = []
         self._fifo = cfg.policy is Policy.FIFO
         # Config validation admits FIFO only under the baseline scenario.
         self._training = cfg.scenario is Scenario.TRAINING
@@ -275,7 +258,7 @@ class _ShiftSim:
             return nurse.id, ""
         request, reason = self._select(nurse)
         nurse.decisions[reason] += 1
-        if reason is not _ACCEPTED:
+        if request is None:
             return nurse.id, ""
         head = self._pending[request.requested_level - 1].popleft()
         assert head is request and request.executed_by is None
@@ -389,7 +372,7 @@ class _ShiftSim:
             TRAINER_EXIT: self._handle_trainer_exit,
         }
         heap = self._heap
-        log = self.events.append
+        log = self.trace.append
         while heap:
             time, seq, kind, args = heapq.heappop(heap)
             last_event_at, self.now = self.now, time
@@ -431,7 +414,7 @@ class _ShiftSim:
             "stalled_at": self.stalled_at,
         }
         return ShiftResult(
-            self.cfg, self.doctors, self.nurses, served, self.time_damage, self.delay, self.events, audit
+            self.cfg, self.doctors, self.nurses, served, self.time_damage, self.delay, self.trace, audit
         )
 
 

@@ -197,14 +197,19 @@ def _split_csv(path: str, header: str) -> list[list[str]]:
 
 def _read(path: str, columns: tuple[Column, ...]) -> list[dict]:
     """Typed rows of one CSV file, each a dict keyed by header name."""
+    kinds = [(c.name, c.cell.read, c.cell.write) for c in columns]
     rows = []
     for lineno, cells in enumerate(_split_csv(path, _header(columns)), start=2):
         row = {}
-        for c, cell in zip(columns, cells):
+        for (name, read, write), cell in zip(kinds, cells):
             try:
-                row[c.name] = c.cell.read(cell)
+                value = read(cell)
+                # Only the spelling edsim writes: `int` and `float` also take `1_0`, ` 7 `, `+3`, `07` and `1e1`.
+                if write(value) != cell:
+                    raise ValueError(cell)
             except ValueError:
-                raise SchemaError(f"{path}: line {lineno}, column {c.name}: cannot read {cell!r}") from None
+                raise SchemaError(f"{path}: line {lineno}, column {name}: cannot read {cell!r}") from None
+            row[name] = value
         rows.append(row)
     return rows
 

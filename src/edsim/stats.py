@@ -57,7 +57,8 @@ def _mean(xs: Sequence[float]) -> float:
     return sum(xs) / len(xs)
 
 
-def _sample_var(xs: Sequence[float]) -> float:
+def sample_var(xs: Sequence[float]) -> float:
+    """The unbiased sample variance: squared deviations from the mean over n - 1."""
     m = _mean(xs)
     return sum((v - m) ** 2 for v in xs) / (len(xs) - 1)
 
@@ -340,7 +341,7 @@ def welch_t_test(x, y) -> TestResult:
     n1, n2 = len(xs), len(ys)
     if n1 < 2 or n2 < 2:
         raise DegenerateSample("Welch's t-test needs at least 2 observations per group")
-    v1, v2 = _sample_var(xs), _sample_var(ys)
+    v1, v2 = sample_var(xs), sample_var(ys)
     if v1 == 0.0 or v2 == 0.0:
         raise DegenerateSample("Welch's t-test is undefined for a zero-variance group")
     se1, se2 = v1 / n1, v2 / n2
@@ -362,7 +363,7 @@ def paired_t_test(x, y) -> TestResult:
     if all(v == 0.0 for v in d):
         raise DegenerateSample("paired t-test is undefined for identical samples")
     mean_d = _mean(d)
-    var_d = _sample_var(d)
+    var_d = sample_var(d)
     if var_d == 0.0:
         t = math.copysign(math.inf, mean_d)
         return TestResult("paired_t", t, 0.0, n, n, "constant non-zero differences")

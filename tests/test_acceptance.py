@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from edsim.behavior import base_duration_for_level, evaluate_performance_level
+from edsim.behavior import BASE_DURATIONS, evaluate_performance_level
 from edsim.cli import EXIT_OK, main
 from edsim.domain import EvaluationStyle
 from edsim.stats import chi_square_uniform_mc, shapiro_wilk, wilcoxon_rank_sum
@@ -74,7 +74,7 @@ def test_criterion_01_algorithm_tables():
     }
     for (level, style), expected in table.items():
         assert evaluate_performance_level(level, style) == expected
-    assert [base_duration_for_level(l) for l in (1, 2, 3, 4, 5)] == [60.0, 50.0, 40.0, 30.0, 20.0]
+    assert [BASE_DURATIONS[l] for l in (1, 2, 3, 4, 5)] == [60.0, 50.0, 40.0, 30.0, 20.0]
     print("ACCEPTANCE 01 PASS - estimation table (15 pairs) and duration table (5 levels) exact")
 
 

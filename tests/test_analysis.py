@@ -14,7 +14,7 @@ from edsim.analysis import (
     metric_names,
     render_report,
 )
-from edsim.cli import EXIT_OK, main
+from edsim.cli import EXIT_IO, EXIT_OK, main
 from edsim.metrics import COMPARISONS_HEADER, SchemaError, comparisons_csv
 
 
@@ -147,18 +147,18 @@ def test_replacement_roster_still_comparable(experiment_dirs):
     assert rows
 
 
-def test_roster_from_first_run_without_config_echo(experiment_dirs, tmp_path):
-    # Without a config echo the roster comes from the first run's rows, minus
-    # the replacement nurses spawned at run time; it must still match the
-    # baseline's configured roster.
+def test_missing_config_echo_exits_3(experiment_dirs, tmp_path, capsys):
+    # config.echo is the only roster source, and `run` and `experiment` always
+    # write it: a directory without one is missing an input.
     stripped = tmp_path / "replacement-ca"
     shutil.copytree(experiment_dirs["replacement-ca"], stripped)
     (stripped / "config.echo").unlink()
-    data = load_experiment(str(stripped))
-    assert any(n["role"] == "replacement" for n in data.nurses_by_run[data.runs[0]["run_id"]])
-
-    assert data.roster == load_experiment(experiment_dirs["baseline-ca"]).roster
-    assert [r.metric for r in compare_experiments(experiment_dirs["baseline-ca"], str(stripped))] == metric_names()
+    with pytest.raises(MissingFile, match="missing config.echo"):
+        load_experiment(str(stripped))
+    args = ["analyze", experiment_dirs["baseline-ca"], str(stripped), "--out", str(tmp_path / "x")]
+    assert main(args) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("missing input: ") and str(stripped) in err and "config.echo" in err
 
 
 def test_comparisons_csv_shape_and_determinism(experiment_dirs):

@@ -3,11 +3,10 @@ from __future__ import annotations
 import pytest
 
 from edsim.behavior import (
-    base_duration_for_level,
+    BASE_DURATIONS,
     evaluate_performance_level,
     get_task_duration,
     judge_outcome,
-    random_duration_above_base,
     training_bonus_chance,
 )
 from edsim.domain import EvaluationStyle, NurseQuality, Rng, validate_config
@@ -52,29 +51,35 @@ def test_estimation_image_per_style():
 
 
 def test_base_durations():
-    assert [base_duration_for_level(l) for l in (1, 2, 3, 4, 5)] == [60.0, 50.0, 40.0, 30.0, 20.0]
+    assert [BASE_DURATIONS[l] for l in (1, 2, 3, 4, 5)] == [60.0, 50.0, 40.0, 30.0, 20.0]
 
 
+# An untrained low performer always overruns, so each of its durations is one
+# draw above the base.
 def test_random_duration_ranges():
+    cfg = validate_config({})
     rng = Rng(11)
     expected = {1: (60, 70), 2: (50, 70), 3: (40, 50), 4: (30, 40), 5: (20, 30)}
     for level, (lo, hi) in expected.items():
         for _ in range(500):
-            v = random_duration_above_base(level, rng)
+            v = get_task_duration(NurseQuality.LOW, False, 0, level, cfg, rng)
             assert lo <= v < hi
 
 
 def test_random_duration_edges():
-    assert random_duration_above_base(3, ScriptedRng([0.0])) == 40.0
+    cfg = validate_config({})
+    assert get_task_duration(NurseQuality.LOW, False, 0, 3, cfg, ScriptedRng([0.0])) == 40.0
     # Linear map of the unit draw: 50 + 0.5 * (70 - 50).
-    assert random_duration_above_base(2, ScriptedRng([0.5])) == 60.0
+    assert get_task_duration(NurseQuality.LOW, False, 0, 2, cfg, ScriptedRng([0.5])) == 60.0
 
 
 def test_duration_always_at_least_base():
+    cfg = validate_config({})
     rng = Rng(13)
     for level in (1, 2, 3, 4, 5):
-        base = base_duration_for_level(level)
-        assert all(random_duration_above_base(level, rng) >= base for _ in range(2000))
+        base = BASE_DURATIONS[level]
+        for quality in NurseQuality:
+            assert all(get_task_duration(quality, False, 0, level, cfg, rng) >= base for _ in range(2000))
 
 
 def test_training_bonus_chance():

@@ -240,13 +240,18 @@ def test_analyze_mc_draws_below_one_exits_2(tmp_path, capsys):
     assert "--mc-draws" in capsys.readouterr().err
 
 
-def test_analyze_accepts_legacy_echo_with_mc_draws(tmp_path):
+def test_analyze_legacy_echo_with_mc_draws_exits_5(tmp_path, capsys):
+    # Echoes once carried an unused mcDraws key; edsim no longer writes it, so
+    # the echo is invalid and the message names the key.
     out = tmp_path / "exp"
     main(["experiment", "--runs", "3", "--seed-base", "1", "--combo", "baseline-ca", "--out", str(out)])
     echo = out / "baseline-ca" / "config.echo"
     echo.write_text(echo.read_text(encoding="utf-8") + "mcDraws = 10000\n", encoding="utf-8")
     exp = str(out / "baseline-ca")
-    assert main(["analyze", exp, exp, "--mc-draws", "200", "--out", str(tmp_path / "x")]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["analyze", exp, exp, "--mc-draws", "200", "--out", str(tmp_path / "x")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("schema mismatch: ") and str(echo) in err and "'mcDraws'" in err
 
 
 def test_analyze_malformed_echo_exits_5(tmp_path, capsys):
@@ -296,6 +301,27 @@ def _negative_failures(exp):
     return _replace_cell(exp / "nurses.csv", "tasks_failed", "-3")
 
 
+# Python's number syntax takes each of these; edsim writes none of them.
+def _underscored_served(exp):
+    return _replace_cell(exp / "doctors.csv", "patients_served", "1_0")
+
+
+def _padded_doctor_id(exp):
+    return _replace_cell(exp / "doctors.csv", "doctor_id", " 7 ")
+
+
+def _signed_failures(exp):
+    return _replace_cell(exp / "nurses.csv", "tasks_failed", "+3")
+
+
+def _zero_padded_seed(exp):
+    return _replace_cell(exp / "runs.csv", "seed", "07")
+
+
+def _exponent_delay(exp):
+    return _replace_cell(exp / "runs.csv", "total_delay_s", "1e1")
+
+
 def _latin1_nurses(exp):
     nurses = exp / "nurses.csv"
     nurses.write_bytes(nurses.read_bytes() + b"caf\xe9\n")
@@ -311,6 +337,7 @@ def _latin1_echo(exp):
 @pytest.mark.parametrize("damage", [
     _header_only_runs, _bad_seed_cell, _latin1_nurses, _latin1_echo,
     _nan_delay, _inf_delay, _negative_served, _negative_failures,
+    _underscored_served, _padded_doctor_id, _signed_failures, _zero_padded_seed, _exponent_delay,
 ])
 def test_analyze_malformed_directory_exits_5(tmp_path, capsys, damage):
     out = tmp_path / "exp"
@@ -358,6 +385,41 @@ def test_analyze_quotes_labels_holding_commas(tmp_path):
     assert {(row[1], row[2]) for row in rows[1:]} == {('base,"ca"', "baseline-fifo")}
     lines = (analysis / "comparisons.csv").read_text(encoding="utf-8").splitlines()
     assert lines[1].split(",", 1)[1].startswith('"base,""ca""",baseline-fifo,')
+
+
+@pytest.mark.parametrize("newline", ["\r", "\n"])
+def test_analyze_quotes_labels_holding_line_breaks(tmp_path, newline):
+    out = tmp_path / "g"
+    for combo in ("baseline-ca", "baseline-fifo"):
+        assert main(["experiment", "--runs", "3", "--seed-base", "1", "--combo", combo, "--out", str(out)]) == EXIT_OK
+    label = f"base{newline}ca"
+    (out / "baseline-ca").rename(out / label)
+    analysis = tmp_path / "analysis"
+    args = ["analyze", str(out / label), str(out / "baseline-fifo"), "--mc-draws", "200", "--out", str(analysis)]
+    assert main(args) == EXIT_OK
+    with open(analysis / "comparisons.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 14 and all(len(row) == 13 for row in rows)
+    assert {(row[1], row[2]) for row in rows[1:]} == {(label, "baseline-fifo")}
+
+
+def test_analyze_labels_colliding_directories_by_path(tmp_path, capsys):
+    # Two directories of one base name are labelled by their normalized
+    # paths; the same directory given twice keeps its base name.
+    for group in ("g1", "g2"):
+        args = ["experiment", "--runs", "3", "--seed-base", "1", "--combo", "baseline-ca"]
+        assert main(args + ["--out", str(tmp_path / group)]) == EXIT_OK
+    a, b = tmp_path / "g1" / "baseline-ca", tmp_path / "g2" / "baseline-ca"
+    for dir_a, dir_b, labels in (
+        (f"{a}/", f"{b}/./", (str(a), str(b))),
+        (str(a), f"{a}/", ("baseline-ca", "baseline-ca")),
+    ):
+        analysis = tmp_path / "analysis"
+        capsys.readouterr()
+        assert main(["analyze", dir_a, dir_b, "--mc-draws", "200", "--out", str(analysis)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"Comparison: {labels[0]} vs {labels[1]}\n")
+        with open(analysis / "comparisons.csv", encoding="utf-8", newline="") as fh:
+            assert {(row[1], row[2]) for row in list(csv.reader(fh))[1:]} == {labels}
 
 
 @pytest.mark.parametrize("command", [["run"], ["experiment", "--runs", "1", "--combo", "baseline-ca"]])

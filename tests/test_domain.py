@@ -17,7 +17,6 @@ from edsim.domain import (
     config_echo,
     sample_true_level,
     validate_config,
-    validate_level,
 )
 
 
@@ -128,10 +127,11 @@ def test_config_file_duplicate_key(tmp_path):
 
 def test_level_validation():
     for level in (1, 2, 3, 4, 5):
-        assert validate_level(level) == level
-    for bad in (0, 6, -1, 2.5, True):
-        with pytest.raises(RangeError):
-            validate_level(bad)
+        assert validate_config({"easyLevelCap": str(level)}).easy_level_cap == level
+    for bad in ("0", "6", "-1", "2.5", "true"):
+        with pytest.raises(RangeError) as err:
+            validate_config({"easyLevelCap": bad})
+        assert err.value.key == "easyLevelCap"
 
 
 def test_rng_determinism_over_a_million_draws():

@@ -51,22 +51,22 @@ def test_hand_traced_single_bed_timeline(monkeypatch):
     result = run_shift(one_bed_config())
 
     expected = [
-        (0.0, "patient_spawn", "1", "1"),
-        (10.0, "exam_complete", "1", "1"),
-        (10.0, "nurse_decide", "1", "1"),
-        (15.0, "execution_start", "1", "1"),
-        (35.0, "task_complete", "1", "1"),
-        (35.0, "patient_spawn", "2", "1"),
-        (40.0, "nurse_decide", "1", ""),
-        (45.0, "exam_complete", "1", "2"),
-        (45.0, "nurse_decide", "1", "2"),
-        (50.0, "execution_start", "1", "2"),
-        (70.0, "task_complete", "1", "2"),
-        (70.0, "patient_spawn", "3", "1"),
-        (75.0, "nurse_decide", "1", ""),
-        (80.0, "exam_complete", "1", "3"),
-        (80.0, "nurse_decide", "1", "3"),
-        (85.0, "execution_start", "1", "3"),
+        (0.0, "patient_spawn", 1, 1),
+        (10.0, "exam_complete", 1, 1),
+        (10.0, "nurse_decide", 1, 1),
+        (15.0, "execution_start", 1, 1),
+        (35.0, "task_complete", 1, 1),
+        (35.0, "patient_spawn", 2, 1),
+        (40.0, "nurse_decide", 1, ""),
+        (45.0, "exam_complete", 1, 2),
+        (45.0, "nurse_decide", 1, 2),
+        (50.0, "execution_start", 1, 2),
+        (70.0, "task_complete", 1, 2),
+        (70.0, "patient_spawn", 3, 1),
+        (75.0, "nurse_decide", 1, ""),
+        (80.0, "exam_complete", 1, 3),
+        (80.0, "nurse_decide", 1, 3),
+        (85.0, "execution_start", 1, 3),
         (100.0, "shift_end", "", ""),
     ]
     assert [(t, k, a, o) for t, _, k, a, o in result.trace] == expected
@@ -94,7 +94,7 @@ def test_zero_length_shift_is_empty():
 def test_initial_spawn_sequence_round_robins_across_doctors():
     cfg = make_config(seed=1)
     result = run_shift(cfg)
-    spawns = [(t, int(a), int(o)) for t, _, k, a, o in result.trace if k == "patient_spawn"][:9]
+    spawns = [(t, a, o) for t, _, k, a, o in result.trace if k == "patient_spawn"][:9]
     expected_beds = [1, 4, 7, 2, 5, 8, 3, 6, 9]
     assert [bed for _, _, bed in spawns] == expected_beds
     assert [t for t, _, _ in spawns] == [float(i) for i in range(9)]
@@ -119,7 +119,7 @@ def test_doctor_examines_in_lie_down_order(monkeypatch):
     )
     result = run_shift(cfg)
     exams = [(t, o) for t, _, k, a, o in result.trace if k == "exam_complete"]
-    assert exams == [(10.0, "1"), (20.0, "2"), (30.0, "3")]
+    assert exams == [(10.0, 1), (20.0, 2), (30.0, 3)]
 
 
 def test_smaller_nurse_id_claims_first(monkeypatch):
@@ -134,8 +134,8 @@ def test_smaller_nurse_id_claims_first(monkeypatch):
     )
     result = run_shift(cfg)
     decides = [(t, a, o) for t, _, k, a, o in result.trace if k == "nurse_decide"]
-    assert decides[0] == (10.0, "1", "1")  # nurse 1 claims the only request
-    assert decides[1] == (10.0, "2", "")  # nurse 2 finds the queue empty
+    assert decides[0] == (10.0, 1, 1)  # nurse 1 claims the only request
+    assert decides[1] == (10.0, 2, "")  # nurse 2 finds the queue empty
 
 
 def test_no_idle_nurse_means_request_waits(monkeypatch):
@@ -184,11 +184,11 @@ def test_replacement_spawns_on_third_failure():
     )
     result = run_shift(cfg)
     assert (result.nurses[2].quality.value, result.nurses[2].role) == ("high", "replacement")
-    completions = [t for t, _, k, a, _ in result.trace if k == "task_complete" and a == "1"]
+    completions = [t for t, _, k, a, _ in result.trace if k == "task_complete" and a == 1]
     classified_at = result.nurses[1].classified_low_at
     # Reliability walks 1.0 -> 0.7 -> 0.49 -> 0.343: the third completion trips it.
     assert classified_at == completions[2]
-    first_decide_n2 = min(t for t, _, k, a, _ in result.trace if k == "nurse_decide" and a == "2")
+    first_decide_n2 = min(t for t, _, k, a, _ in result.trace if k == "nurse_decide" and a == 2)
     assert first_decide_n2 == classified_at
 
 
@@ -232,7 +232,7 @@ def test_classifying_completion_is_not_observed():
         seed=5,
     )
     result = run_shift(cfg)
-    completions = [t for t, _, k, a, _ in result.trace if k == "task_complete" and a == "1"]
+    completions = [t for t, _, k, a, _ in result.trace if k == "task_complete" and a == 1]
     classified_at = result.nurses[1].classified_low_at
     observed_after = sum(1 for t in completions if t > classified_at)
     assert result.nurses[1].observed_tasks == min(observed_after, 9)
@@ -249,7 +249,7 @@ def test_scenario_response_follows_the_latch(base, acceptance_grids):
             roles = Counter(n.role for n in nurses)
             latched = [n for n in nurses if n.classified_low_at is not None]
             classified[combo] += len(latched)
-            exits = Counter(actor for _, _, kind, actor, _ in r.events if kind == "trainer_exit")
+            exits = Counter(actor for _, _, kind, actor, _ in r.trace if kind == "trainer_exit")
             if combo == "replacement-ca":
                 assert roles["replacement"] == len(latched) and not roles["trainee"]
             elif combo == "training-ca":
@@ -385,7 +385,7 @@ def test_delay_sums_in_start_order_then_issue_order(combo, monkeypatch):
     cfg = make_config(scenario=scenario, policy=policy, seed=2, **LARGE_ROSTER)
     result = run_shift(cfg)
     by_id = {r.id: r for r in issued}
-    started = [by_id[o] for _, _, k, _, o in result.events if k == "execution_start"]
+    started = [by_id[o] for _, _, k, _, o in result.trace if k == "execution_start"]
     unstarted = [r for r in issued if r.execution_start_at is None]
     assert len({r.requested_level for r in unstarted if r.executed_by is None}) > 1
     assert result.audit["requests"]["claimed"] > 0

@@ -147,6 +147,16 @@ def test_classification_latch_emits_once():
     assert trust.classified_low_at == 3.0
 
 
+def test_latch_needs_reliability_strictly_below_threshold():
+    # With both rates at 0.5, one failure leaves reliability at exactly the
+    # threshold, which is not below it; the second failure latches.
+    cfg = validate_config({"trustLearningRate": "0.5", "reliabilityThreshold": "0.5"})
+    trust = update_trust(fresh_trust(cfg), 2, False, cfg, 1.0)
+    assert trust.reliability == 0.5 and trust.classified_low_at is None
+    trust = update_trust(trust, 2, False, cfg, 2.0)
+    assert trust.reliability == 0.25 and trust.classified_low_at == 2.0
+
+
 def test_weights_stay_in_unit_interval():
     rng = random.Random(7)
     trust = fresh_trust(CFG)

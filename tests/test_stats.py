@@ -153,6 +153,27 @@ def test_wilcoxon_matches_scipy_asymptotic():
     assert ours.p_value == pytest.approx(float(ref.pvalue), rel=1e-9)
 
 
+@pytest.mark.parametrize("n1", [8, 9])
+def test_wilcoxon_exact_branch_ends_at_eight(n1):
+    # Tie-free groups whose smaller size is 8 get scipy's exact p; at 9 the
+    # normal approximation takes over and matches scipy's asymptotic p.
+    rng = np.random.default_rng(31 + n1)
+    for shift in (0.0, 0.8, 2.0):
+        x = list(rng.normal(shift, 1.0, size=n1))
+        y = list(rng.normal(0.0, 1.0, size=12))
+        ours = wilcoxon_rank_sum(x, y)
+        exact = scipy_stats.mannwhitneyu(x, y, alternative="two-sided", method="exact")
+        assert ours.statistic == float(exact.statistic)
+        if n1 == 8:
+            assert "method=exact" in ours.notes
+            assert ours.p_value == pytest.approx(float(exact.pvalue), rel=1e-12)
+        else:
+            ref = scipy_stats.mannwhitneyu(x, y, alternative="two-sided", method="asymptotic")
+            assert "method=normal" in ours.notes
+            assert ours.p_value == pytest.approx(float(ref.pvalue), rel=1e-9)
+            assert ours.p_value == pytest.approx(float(exact.pvalue), abs=0.02)
+
+
 def test_wilcoxon_invariant_under_monotone_transform():
     rng = np.random.default_rng(23)
     x = list(rng.normal(size=30))

@@ -1,0 +1,245 @@
+#!/usr/bin/env python3
+"""Mutation gate: each named one-line mutant of `src/edsim` must fail its tests.
+
+    python3 tools/mutants.py            # every mutant
+    python3 tools/mutants.py NAME ...   # only the named mutants
+    python3 tools/mutants.py --list     # names and what each one breaks
+
+Each mutant replaces one line of a module, found exactly once, in a
+temporary copy of `src/`, then runs the tests listed beside it, fastest
+killer first, in one pytest process that stops at the first failure.  The
+mutant is killed when a test fails.  A mutant that no input can tell apart
+from the original is marked equivalent with the reason; it is run as well,
+and a marked mutant that gets killed fails the gate, because its mark is
+wrong.  Before any mutant, the listed tests run once on an unmutated copy
+and must all pass, so a test that fails anyway cannot pass for a killer.
+
+Exit status 0 when every mutant is killed or marked equivalent and
+survives; 1 otherwise, or when a mutant's line is missing or repeated.
+A change that tests its code by mutating a copy adds its mutants here.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file under src/edsim
+    old: str  # the exact line, found once in the module
+    new: str
+    tests: tuple  # pytest node ids, fastest killer first
+    equivalent: str = ""  # why no input tells it apart, if none does
+
+
+MUTANTS = (
+    Mutant("fifo-ties-larger-id", "policy.py",
+           "        if best is None or (r.issued_at, r.id) < (best.issued_at, best.id):",
+           "        if best is None or (r.issued_at, -r.id) < (best.issued_at, -best.id):",
+           ("tests/test_policy.py::test_fifo_tie_breaks_exhaustively",)),
+    Mutant("waiting-served-lifo", "engine.py",
+           "            self._begin_exam(doctor.waiting.popleft())",
+           "            self._begin_exam(doctor.waiting.pop())",
+           ("tests/test_engine.py::test_doctor_examines_in_lie_down_order",)),
+    Mutant("broadcast-descending-ids", "engine.py",
+           "        for nurse in self.nurses.values():",
+           "        for nurse in reversed(self.nurses.values()):",
+           ("tests/test_engine.py::test_smaller_nurse_id_claims_first",
+            "tests/test_engine.py::test_broadcast_visits_idle_nurses_in_ascending_id_order")),
+    Mutant("horizon-charge-unsorted", "engine.py",
+           '        for request in sorted(itertools.chain(claimed, *self._pending), key=attrgetter("id")):',
+           "        for request in itertools.chain(claimed, *self._pending):",
+           ("tests/test_engine.py::test_delay_sums_in_start_order_then_issue_order",)),
+    Mutant("balanced-split-strict", "stats.py",
+           "    if sum_sq <= r * (q + 1) ** 2 + (k - r) * q * q:",
+           "    if sum_sq < r * (q + 1) ** 2 + (k - r) * q * q:",
+           ("tests/test_stats.py::test_chi2_balanced_counts_draw_nothing",)),
+    Mutant("response-on-every-update", "engine.py",
+           "            if classified_before is None and nurse.trust.classified_low_at is not None:",
+           "            if nurse.trust.classified_low_at is not None:",
+           ("tests/test_engine.py::test_trainer_attaches_observes_nine_and_exits",
+            "tests/test_engine.py::test_scenario_response_follows_the_latch")),
+    Mutant("response-reattaches-only-trainer", "engine.py",
+           "            if classified_before is None and nurse.trust.classified_low_at is not None:",
+           "            if nurse.trust.classified_low_at is not None and (classified_before is None or self._training):",
+           ("tests/test_engine.py::test_trainer_attaches_observes_nine_and_exits",
+            "tests/test_engine.py::test_scenario_response_follows_the_latch")),
+    Mutant("stalled-at-never-set", "engine.py",
+           "                    self.stalled_at = last_event_at",
+           "                    self.stalled_at = None",
+           ("tests/test_engine.py::test_stall_is_recorded_when_no_nurse_accepts",)),
+    Mutant("stall-without-empty-heap", "engine.py",
+           "                if not heap and any(self._pending):",
+           "                if any(self._pending):",
+           ("tests/test_engine.py::test_fifo_run_does_not_stall",
+            "tests/test_engine.py::test_stall_is_recorded_when_no_nurse_accepts")),
+    Mutant("reader-takes-non-finite-reals", "metrics.py",
+           "    if not math.isfinite(value):",
+           "    if False:",
+           ("tests/test_metrics.py::test_reader_rejects_cells_never_written",)),
+    Mutant("reader-takes-negative-counts", "metrics.py",
+           "    if value < 0:",
+           "    if False:",
+           ("tests/test_metrics.py::test_reader_rejects_cells_never_written",)),
+    Mutant("reader-takes-any-spelling", "metrics.py",
+           "                if write(value) != cell:",
+           "                if False:",
+           ("tests/test_cli.py::test_analyze_malformed_directory_exits_5",)),
+    Mutant("missing-echo-let-past-the-input-check", "analysis.py",
+           "        if not os.path.isfile(p):",
+           '        if not os.path.isfile(p) and name != "config.echo":',
+           ("tests/test_analysis.py::test_missing_config_echo_exits_3",)),
+    Mutant("colliding-labels-kept", "analysis.py",
+           "    if data_a.label == data_b.label and os.path.normpath(dir_a) != os.path.normpath(dir_b):",
+           "    if False:",
+           ("tests/test_cli.py::test_analyze_labels_colliding_directories_by_path",)),
+    Mutant("trainer-exit-strict", "engine.py",
+           "            if nurse.trainer_attached and bonus >= self.cfg.trainer_exit_bonus:",
+           "            if nurse.trainer_attached and bonus > self.cfg.trainer_exit_bonus:",
+           ("tests/test_engine.py::test_trainer_attaches_observes_nine_and_exits",)),
+    Mutant("shapiro-large-branch-at-5", "stats.py",
+           "    if n > 5:",
+           "    if n >= 5:",
+           ("tests/test_stats.py::test_shapiro_matches_scipy",)),
+    Mutant("threshold-inclusive", "policy.py",
+           "        if not trainer_attached and (level > cap or w < threshold):",
+           "        if not trainer_attached and (level > cap or w <= threshold):",
+           ("tests/test_policy.py::test_selectors_match_reference_implementations",)),
+    Mutant("success-strict", "behavior.py",
+           "    success = actual <= requested_duration",
+           "    success = actual < requested_duration",
+           ("tests/test_behavior.py::test_judge_outcome_success_and_failure",)),
+    Mutant("preference-seed-offset", "analysis.py",
+           "        seed = (mc_seed * 1_000_003 + idx) % (2**63)",
+           "        seed = (mc_seed * 1_000_003 + idx + 1) % (2**63)",
+           ("tests/test_golden.py::test_analyze_digests",)),
+    Mutant("eval-accuracy-zero-without-evaluations", "engine.py",
+           "        return self.eval_hits / self.eval_count if self.eval_count else None",
+           "        return self.eval_hits / self.eval_count if self.eval_count else 0.0",
+           ("tests/test_metrics.py::test_eval_accuracy_without_completions_is_none",)),
+    Mutant("labels-with-line-breaks-unquoted", "metrics.py",
+           """    return '"' + text.replace('"', '""') + '"' if any(ch in text for ch in ',"\\r\\n') else text""",
+           """    return '"' + text.replace('"', '""') + '"' if any(ch in text for ch in ',"') else text""",
+           ("tests/test_cli.py::test_analyze_quotes_labels_holding_line_breaks",)),
+    Mutant("wilcoxon-exact-below-8", "stats.py",
+           "    if min(n1, n2) <= 8 and not has_ties:",
+           "    if min(n1, n2) < 8 and not has_ties:",
+           ("tests/test_stats.py::test_wilcoxon_exact_branch_ends_at_eight",)),
+    Mutant("latch-at-threshold", "policy.py",
+           "    if reliability < cfg.reliability_threshold and classified_at is None:",
+           "    if reliability <= cfg.reliability_threshold and classified_at is None:",
+           ("tests/test_policy.py::test_latch_needs_reliability_strictly_below_threshold",)),
+    Mutant("sample-level-inclusive", "domain.py",
+           "        if u < acc:",
+           "        if u <= acc:",
+           ("tests/test_domain.py::test_sample_true_level_lower_edge",
+            "tests/test_golden.py::test_csv_triplet_digests"),
+           equivalent="the two differ only when a uniform draw, a multiple of 2**-53, equals a rounded "
+                      "cumulative sum exactly, one chance in 2**53 per draw"),
+    Mutant("inversion-thresholds-without-ulp-walk", "stats.py",
+           "        thresholds.append(min(math.ceil(low * _UNIT), _UNIT))",
+           "        thresholds.append(min(math.ceil(sum(px[:x]) * _UNIT), _UNIT))",
+           ("tests/test_stats.py::test_inversion_thresholds_match_numpys_loop",)),
+    Mutant("mirrored-columns-like-the-others", "stats.py",
+           "        key = (1.0 - p, True) if p > 0.5 else (p, False)",
+           "        key = (p, False)",
+           ("tests/test_stats.py::test_inversion_draws_match_numpys_multinomial",)),
+    Mutant("restart-check-dropped", "stats.py",
+           "        if rows[j].min() < 0:",
+           "        if False:",
+           ("tests/test_stats.py::test_chi2_falls_back_on_a_restart",
+            "tests/test_stats.py::test_chi2_falls_back_where_numpy_stops_a_row_early")),
+    Mutant("freeze-inside-main", "cli.py",
+           "    args = build_parser().parse_args(argv)",
+           "    args = build_parser().parse_args(argv); gc.freeze()",
+           ("tests/test_cli.py::test_process_entry_matches_in_process_main",)),
+)
+
+
+def _pytest(src: str, tests) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    return done.returncode, done.stdout + done.stderr
+
+
+def _copy_src(tmp: str) -> str:
+    src = os.path.join(tmp, "src")
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(os.path.join(ROOT, "src"), src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def _apply(src: str, m: Mutant) -> str:
+    """Mutate the copy under `src`; returns an error text, or "" when applied."""
+    path = os.path.join(src, "edsim", m.module)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    hits = [i for i, line in enumerate(lines) if line == m.old]
+    if len(hits) != 1:
+        return f"its line occurs {len(hits)} times in {m.module}, not once"
+    lines[hits[0]] = m.new
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+    return ""
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for m in MUTANTS:
+            print(f"{m.name:40} {m.module:12} {m.new.strip()}")
+        return 0
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in known]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [known[name] for name in argv] or list(MUTANTS)
+    failures = 0
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="edsim-mutants-") as tmp:
+        src = _copy_src(tmp)
+        found = subprocess.run([sys.executable, "-c", "import edsim; print(edsim.__file__)"],
+                               env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True).stdout
+        if not found.startswith(src):
+            print(f"the tests would import edsim from {found.strip()!r}, not from the copy", file=sys.stderr)
+            return 1
+        every_test = list(dict.fromkeys(t for m in chosen for t in m.tests))
+        code, out = _pytest(src, every_test)
+        if code != 0:
+            print(out, file=sys.stderr)
+            print("the listed tests do not pass on the unmutated source", file=sys.stderr)
+            return 1
+        for m in chosen:
+            src = _copy_src(tmp)
+            error = _apply(src, m)
+            t0 = time.perf_counter()
+            if error:
+                verdict, detail = "ERROR", error
+            else:
+                code, out = _pytest(src, m.tests)
+                killers = [line.split()[1] for line in out.splitlines() if line.startswith("FAILED ")]
+                if code == 1:
+                    verdict, detail = "killed", killers[0] if killers else "a failing test"
+                elif code == 0:
+                    verdict, detail = "survived", ""
+                else:
+                    verdict, detail = "ERROR", f"pytest exited {code}: {out.strip().splitlines()[-1:]}"
+            ok = verdict == ("survived" if m.equivalent else "killed")
+            failures += not ok
+            note = f"equivalent: {m.equivalent}" if m.equivalent else detail
+            print(f"{verdict:8} {m.name:40} {time.perf_counter() - t0:5.1f} s  {note}", flush=True)
+    print(f"{len(chosen) - failures} of {len(chosen)} as expected, {time.perf_counter() - start:.0f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
