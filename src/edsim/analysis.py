@@ -10,7 +10,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from . import stats
-from .domain import ConfigError, parse_config_file, validate_config
+from .domain import ConfigError, NurseQuality, Role, parse_config_file, validate_config
 from .metrics import SchemaError, read_doctors, read_nurses, read_runs
 
 NORMALITY_ALPHA = 0.05
@@ -30,11 +30,28 @@ class ExperimentData(NamedTuple):
     runs: list
     doctors_by_run: dict
     nurses_by_run: dict
-    roster: tuple  # (doctors, nurses) as (id, kind token) pairs, from the config echo
+    roster: tuple  # the config echo's (doctors, nurses), each a tuple of (id, kind member) pairs
+
+
+def _agents_by_run(path: str, read, runs: list[dict], roster: tuple, id_key: str, kind_key: str) -> dict:
+    """An agent file's rows grouped by run; each run's agents, replacements aside, are `roster` in id order."""
+    by_run: dict = {r["run_id"]: [] for r in runs}
+    for row in read(path):
+        if row["run_id"] not in by_run:
+            raise SchemaError(f"{path}: run {row['run_id']} has no row in runs.csv")
+        by_run[row["run_id"]].append(row)
+    replacement = Role.REPLACEMENT
+    for run_id, agents in by_run.items():
+        if tuple((a[id_key], a[kind_key]) for a in agents if a.get("role") is not replacement) != roster:
+            raise SchemaError(f"{path}: run {run_id} differs from the roster in config.echo")
+    return by_run
 
 
 def load_experiment(path: str) -> ExperimentData:
-    """Read the runs/doctors/nurses triplet and the config echo of one experiment."""
+    """Read the runs/doctors/nurses triplet and the config echo of one experiment.
+
+    Each run must appear once, and each agent row must belong to a listed run.
+    """
     paths = {name: os.path.join(path, name) for name in ("runs.csv", "doctors.csv", "nurses.csv", "config.echo")}
     for name, p in paths.items():
         if not os.path.isfile(p):
@@ -42,30 +59,19 @@ def load_experiment(path: str) -> ExperimentData:
     runs = sorted(read_runs(paths["runs.csv"]), key=lambda r: r["run_id"])
     if not runs:
         raise SchemaError(f"{paths['runs.csv']}: no runs")
-    doctors_by_run: dict = {}
-    for row in read_doctors(paths["doctors.csv"]):
-        doctors_by_run.setdefault(row["run_id"], []).append(row)
-    nurses_by_run: dict = {}
-    for row in read_nurses(paths["nurses.csv"]):
-        nurses_by_run.setdefault(row["run_id"], []).append(row)
-    for r in runs:
-        if r["run_id"] not in doctors_by_run or r["run_id"] not in nurses_by_run:
-            raise SchemaError(f"{path}: run {r['run_id']} lacks per-agent rows")
-
+    for before, r in zip(runs, runs[1:]):
+        if before["run_id"] == r["run_id"]:
+            raise SchemaError(f"{paths['runs.csv']}: run {r['run_id']} repeated")
     try:
         cfg = validate_config(parse_config_file(paths["config.echo"]))
     except ConfigError as exc:
         raise SchemaError(f"{paths['config.echo']}: {exc}") from exc
-    roster = (
-        tuple((i, style.value) for i, style in cfg.doctors),
-        tuple((i, quality.value) for i, quality in cfg.nurses),
-    )
     return ExperimentData(
         label=os.path.basename(os.path.normpath(path)) or path,
         runs=runs,
-        doctors_by_run=doctors_by_run,
-        nurses_by_run=nurses_by_run,
-        roster=roster,
+        doctors_by_run=_agents_by_run(paths["doctors.csv"], read_doctors, runs, cfg.doctors, "doctor_id", "style"),
+        nurses_by_run=_agents_by_run(paths["nurses.csv"], read_nurses, runs, cfg.nurses, "nurse_id", "quality"),
+        roster=(cfg.doctors, cfg.nurses),
     )
 
 
@@ -76,7 +82,8 @@ def check_rosters_match(a: ExperimentData, b: ExperimentData) -> None:
         left, right = dict(a.roster[idx]), dict(b.roster[idx])
         for ident in sorted(set(left) | set(right)):
             if left.get(ident) != right.get(ident):
-                diffs.append(f"{kind} {ident}: {left.get(ident, '-')} vs {right.get(ident, '-')}")
+                diffs.append(f"{kind} {ident}: {getattr(left.get(ident), 'value', '-')} vs "
+                             f"{getattr(right.get(ident), 'value', '-')}")
     if diffs:
         raise SchemaError("experiment rosters differ: " + "; ".join(diffs))
 
@@ -91,8 +98,9 @@ def _values(data: ExperimentData, metric: str) -> list[float]:
     quality, _, key = metric.partition("_nurse_")
     if not key:
         return [float(r[metric]) for r in data.runs]
+    quality, replacement = NurseQuality(quality), Role.REPLACEMENT
     by_run = (data.nurses_by_run[r["run_id"]] for r in data.runs)
-    return [float(sum(n[key] for n in ns if n["quality"] == quality and n["role"] != "replacement")) for ns in by_run]
+    return [float(sum(n[key] for n in ns if n["quality"] is quality and n["role"] is not replacement)) for ns in by_run]
 
 
 DOCTOR_PREFERENCE_METRIC = "doctor_preference_chi2"
@@ -156,8 +164,7 @@ def _gated_row(metric: str, a: ExperimentData, b: ExperimentData, mc_draws: int,
 
 
 def _doctor_counts(data: ExperimentData, run_id: str) -> list[int]:
-    rows = sorted(data.doctors_by_run[run_id], key=lambda d: d["doctor_id"])
-    return [int(d["patients_served"]) for d in rows]
+    return [d["patients_served"] for d in data.doctors_by_run[run_id]]  # in doctor id order, as the roster
 
 
 def _preference_pvalues(data: ExperimentData, mc_draws: int, mc_seed: int) -> list[Optional[float]]:
@@ -212,7 +219,7 @@ def _variance_row(a: ExperimentData, b: ExperimentData, mc_draws: int, mc_seed: 
 
 _NURSE_KEYS = ("tasks_success", "tasks_failed", "utility", "time_damage_s")
 _GATED = ("patients_served", "total_time_damage_s", "total_delay_s", *(
-    f"{quality}_nurse_{key}" for key in _NURSE_KEYS for quality in ("low", "high")))
+    f"{quality.value}_nurse_{key}" for key in _NURSE_KEYS for quality in (NurseQuality.LOW, NurseQuality.HIGH)))
 
 # Every metric's row builder, (a, b, mc_draws, mc_seed) -> ComparisonRow, in report order.
 METRICS: dict[str, Callable[[ExperimentData, ExperimentData, int, int], ComparisonRow]] = {
@@ -220,10 +227,6 @@ METRICS: dict[str, Callable[[ExperimentData, ExperimentData, int, int], Comparis
     DOCTOR_PREFERENCE_METRIC: _preference_row,
     DOCTOR_VARIANCE_METRIC: _variance_row,
 }
-
-
-def metric_names() -> list[str]:
-    return list(METRICS)
 
 
 def compare_experiments(
@@ -242,7 +245,9 @@ def compare_experiments(
         data_b = data_b._replace(label=os.path.normpath(dir_b))
     check_rosters_match(data_a, data_b)
 
-    wanted = metric_names() if metrics is None else list(metrics)
+    wanted = list(METRICS) if metrics is None else list(metrics)
+    if not wanted:
+        raise MetricUnknown(f"no metric named; known: {', '.join(METRICS)}")
     for name in wanted:
         if name not in METRICS:
             raise MetricUnknown(f"unknown metric {name!r}; known: {', '.join(METRICS)}")
@@ -250,9 +255,7 @@ def compare_experiments(
 
 
 def render_report(rows: list[ComparisonRow]) -> str:
-    """Human-readable rendering of the comparison table."""
-    if not rows:
-        return "no comparisons\n"
+    """Human-readable rendering of the comparison table, which holds at least one row."""
     a, b = rows[0].group_a, rows[0].group_b
     out = [f"Comparison: {a} vs {b}", "=" * 60]
     for r in rows:

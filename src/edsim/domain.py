@@ -1,4 +1,4 @@
-"""Shared value types, validated simulation configuration, and the deterministic RNG."""
+"""Shared value types, each enum edsim spells in a file, the validated configuration, and the deterministic RNG."""
 from __future__ import annotations
 
 import math
@@ -49,6 +49,12 @@ class Scenario(Enum):
     BASELINE = "baseline"
     REPLACEMENT = "replacement"
     TRAINING = "training"
+
+
+class Role(Enum):
+    REGULAR = "regular"
+    REPLACEMENT = "replacement"
+    TRAINEE = "trainee"
 
 
 # Self-assessed reliability starts from a clean slate: a fresh provider has no
@@ -128,7 +134,6 @@ class Rng:
 
     def __init__(self, seed: int):
         self._gen = random.Random(seed)
-        self.seed = seed
         self.draw_count = 0
 
     def uniform_unit(self) -> float:

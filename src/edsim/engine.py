@@ -28,10 +28,10 @@ delay come from the queues, the nurses' hands and the agents' totals.
 The engine keeps every total of the run itself.  Each doctor and nurse is one
 object from the event loop to the CSV row: `DoctorRuntime` and `NurseRuntime`
 carry the agent's own totals, and `_ShiftSim` keeps the shift's delay and time
-damage.  A nurse's `classified_low_at` is read from its `TrustState`, the only
-place it is stored.  A run has one record, its `ShiftResult`; the CSV formatter
-(`metrics.run_rows`) reads style, quality and role off its agents and the
-run's fields off its config, in the process that ran the shift.
+damage.  A nurse's `classified_low_at` lives only in its `TrustState`.  Style,
+quality and role are `edsim.domain` enum members, never their spelling.  A run
+has one record, its `ShiftResult`; the CSV formatter (`metrics.run_rows`)
+reads the agents and the config off it, in the process that ran the shift.
 
 Event args carry the agents themselves (the doctor, nurse or patient), so no
 handler looks an id up.  The event log, `ShiftResult.trace`, keeps each event's
@@ -49,7 +49,7 @@ from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .behavior import evaluate_performance_level, get_task_duration, judge_outcome, training_bonus_chance
-from .domain import LEVELS, EvaluationStyle, NurseQuality, Policy, Rng, Scenario, SimConfig, sample_true_level
+from .domain import LEVELS, EvaluationStyle, NurseQuality, Policy, Rng, Role, Scenario, SimConfig, sample_true_level
 from .policy import Reason, SelectionDecision, TrustState, select_request_ca, select_request_fifo, update_trust
 
 PATIENT_SPAWN = "patient_spawn"
@@ -59,10 +59,6 @@ EXECUTION_START = "execution_start"
 TASK_COMPLETE = "task_complete"
 TRAINER_EXIT = "trainer_exit"
 SHIFT_END = "shift_end"
-
-ROLE_REGULAR = "regular"
-ROLE_REPLACEMENT = "replacement"
-ROLE_TRAINEE = "trainee"
 
 
 class DoctorRuntime:
@@ -123,7 +119,7 @@ class NurseRuntime:
     __slots__ = ("id", "quality", "role", "trust", "observed_tasks", "busy", "trainer_attached", "current_request",
                  "decisions", "tasks_success", "tasks_failed", "utility", "time_damage")
 
-    def __init__(self, id: int, quality: NurseQuality, role: str, trust: TrustState):
+    def __init__(self, id: int, quality: NurseQuality, role: Role, trust: TrustState):
         self.id = id
         self.quality = quality
         self.role = role
@@ -137,11 +133,6 @@ class NurseRuntime:
         self.tasks_failed = 0
         self.utility = 0
         self.time_damage = 0.0
-
-    @property
-    def classified_low_at(self) -> Optional[float]:
-        """When the nurse classified itself a low performer; its trust state holds the value."""
-        return self.trust.classified_low_at
 
 
 class ShiftResult(NamedTuple):
@@ -184,7 +175,7 @@ class _ShiftSim:
             beds = tuple(range(idx * cfg.beds_per_doctor + 1, (idx + 1) * cfg.beds_per_doctor + 1))
             self.doctors[doctor_id] = DoctorRuntime(doctor_id, style, beds)
         self.nurses: dict[int, NurseRuntime] = {
-            nurse_id: NurseRuntime(nurse_id, quality, ROLE_REGULAR, TrustState.fresh(cfg))
+            nurse_id: NurseRuntime(nurse_id, quality, Role.REGULAR, TrustState.fresh(cfg))
             for nurse_id, quality in cfg.nurses
         }
         self.time_damage = 0.0
@@ -306,7 +297,7 @@ class _ShiftSim:
             doctor.eval_hits += 1
 
     def _spawn_replacement(self) -> None:
-        nurse = NurseRuntime(max(self.nurses) + 1, NurseQuality.HIGH, ROLE_REPLACEMENT, TrustState.fresh(self.cfg))
+        nurse = NurseRuntime(max(self.nurses) + 1, NurseQuality.HIGH, Role.REPLACEMENT, TrustState.fresh(self.cfg))
         self.nurses[nurse.id] = nurse
         self._schedule(self.now, NURSE_DECIDE, (nurse, 0))
 
@@ -326,7 +317,7 @@ class _ShiftSim:
                     self._spawn_replacement()
                 elif self._training:
                     nurse.trainer_attached = True
-                    nurse.role = ROLE_TRAINEE
+                    nurse.role = Role.TRAINEE
 
         if observed:
             nurse.observed_tasks += 1

@@ -6,13 +6,18 @@ strings back.  `write_csvs` writes the runs/doctors/nurses triplet; it orders
 the rows and adds the headers, so the files are the same bytes however the
 runs were spread over processes.  `comparisons_csv` formats `analyze`'s table
 with the same `_row`; only the event trace is formatted elsewhere
-(`engine.render_trace`).  The reader rejects cells edsim never writes.
+(`engine.render_trace`).  The reader rejects cells edsim never writes: a cell
+must be the text its value writes back to, and an enum cell (scenario, policy,
+style, quality, role) a value of its `edsim.domain` enum, read as the member.
 """
 from __future__ import annotations
 
 import math
 import os
-from typing import Any, Callable, NamedTuple
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple, Optional
+
+from .domain import EvaluationStyle, NurseQuality, Policy, Role, Scenario
 
 
 class SchemaError(ValueError):
@@ -21,7 +26,7 @@ class SchemaError(ValueError):
 
 class _Cell(NamedTuple):
     write: Callable[[Any], str]
-    read: Callable[[str], Any]
+    read: Optional[Callable[[str], Any]] = None  # None: edsim writes the cell and never reads it back
 
 
 def _finite(cell: str) -> float:
@@ -49,10 +54,15 @@ _INT = _Cell(str, int)
 _COUNT = _Cell(str, _count)
 _REAL = _Cell("{:.6f}".format, _finite)  # six decimals keep the files byte-deterministic
 _OPT_REAL = _Cell(lambda v: "" if v is None else f"{v:.6f}", lambda c: None if c == "" else _finite(c))
-# Cells of comparisons.csv only, which edsim writes and never reads back.
-_LABEL = _Cell(_quote, str)
-_P = _Cell(lambda v: "" if v is None else f"{v:.6g}", _OPT_REAL.read)
-_BOOL = _Cell(lambda v: "true" if v else "false", lambda c: bool(("false", "true").index(c)))
+# Cells of comparisons.csv only.
+_LABEL = _Cell(_quote)
+_P = _Cell(lambda v: "" if v is None else f"{v:.6g}")
+_BOOL = _Cell(lambda v: "true" if v else "false")
+
+
+def _enum(enum) -> _Cell:
+    """A member written as its value and read back by a lookup over the enum's values (a KeyError if none)."""
+    return _Cell(attrgetter("value"), {m.value: m for m in enum}.__getitem__)
 
 
 class Column(NamedTuple):
@@ -73,8 +83,8 @@ _RUN_ID = Column("run_id", _STR, lambda run_id, t: run_id)
 RUNS_COLUMNS = (
     _RUN_ID,
     Column("seed", _INT, lambda run_id, t: t.config.seed),
-    Column("scenario", _STR, lambda run_id, t: t.config.scenario.value),
-    Column("policy", _STR, lambda run_id, t: t.config.policy.value),
+    Column("scenario", _enum(Scenario), lambda run_id, t: t.config.scenario),
+    Column("policy", _enum(Policy), lambda run_id, t: t.config.policy),
     Column("shift_length_s", _REAL, lambda run_id, t: t.config.shift_length),
     Column("patients_served", _COUNT, lambda run_id, t: t.patients_served),
     Column("total_time_damage_s", _REAL, lambda run_id, t: t.time_damage),
@@ -83,7 +93,7 @@ RUNS_COLUMNS = (
 DOCTORS_COLUMNS = (
     _RUN_ID,
     Column("doctor_id", _INT, lambda run_id, t: t.id),
-    Column("style", _STR, lambda run_id, t: t.style.value),
+    Column("style", _enum(EvaluationStyle), lambda run_id, t: t.style),
     Column("patients_served", _COUNT, lambda run_id, t: t.served),
     Column("time_damage_s", _REAL, lambda run_id, t: t.time_damage),
     Column("delay_s", _REAL, lambda run_id, t: t.delay),
@@ -92,14 +102,14 @@ DOCTORS_COLUMNS = (
 NURSES_COLUMNS = (
     _RUN_ID,
     Column("nurse_id", _INT, lambda run_id, t: t.id),
-    Column("quality", _STR, lambda run_id, t: t.quality.value),
-    Column("role", _STR, lambda run_id, t: t.role),
+    Column("quality", _enum(NurseQuality), lambda run_id, t: t.quality),
+    Column("role", _enum(Role), lambda run_id, t: t.role),
     Column("tasks_success", _COUNT, lambda run_id, t: t.tasks_success),
     Column("tasks_failed", _COUNT, lambda run_id, t: t.tasks_failed),
     Column("utility", _INT, lambda run_id, t: t.utility),
     Column("time_damage_s", _REAL, lambda run_id, t: t.time_damage),
     Column("observed_tasks", _COUNT, lambda run_id, t: t.observed_tasks),
-    Column("classified_low_at_s", _OPT_REAL, lambda run_id, t: t.classified_low_at),
+    Column("classified_low_at_s", _OPT_REAL, lambda run_id, t: t.trust.classified_low_at),
 )
 
 COMPARISONS_COLUMNS = (
@@ -123,9 +133,6 @@ def _header(columns: tuple[Column, ...]) -> str:
     return ",".join(c.name for c in columns)
 
 
-RUNS_HEADER = _header(RUNS_COLUMNS)
-DOCTORS_HEADER = _header(DOCTORS_COLUMNS)
-NURSES_HEADER = _header(NURSES_COLUMNS)
 COMPARISONS_HEADER = _header(COMPARISONS_COLUMNS)
 
 
@@ -207,7 +214,7 @@ def _read(path: str, columns: tuple[Column, ...]) -> list[dict]:
                 # Only the spelling edsim writes: `int` and `float` also take `1_0`, ` 7 `, `+3`, `07` and `1e1`.
                 if write(value) != cell:
                     raise ValueError(cell)
-            except ValueError:
+            except (ValueError, KeyError):
                 raise SchemaError(f"{path}: line {lineno}, column {name}: cannot read {cell!r}") from None
             row[name] = value
         rows.append(row)

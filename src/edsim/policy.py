@@ -22,9 +22,6 @@ class TrustState(NamedTuple):
     def fresh(cfg: SimConfig) -> "TrustState":
         return TrustState((cfg.trust_init,) * len(LEVELS), RELIABILITY_INIT)
 
-    def weight(self, level: int) -> float:
-        return self.weights[level - 1]
-
 
 class Reason(Enum):
     ACCEPTED = "accepted"

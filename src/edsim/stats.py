@@ -41,9 +41,6 @@ class TestResult(NamedTuple):
     test_name: str
     statistic: float
     p_value: float
-    n1: int
-    n2: int
-    notes: str = ""
 
 
 def _values(x) -> list[float]:
@@ -231,13 +228,13 @@ def shapiro_wilk(x) -> TestResult:
     if n == 3:
         p = (6.0 / math.pi) * (math.asin(math.sqrt(w_stat)) - math.asin(math.sqrt(0.75)))
         p = min(max(p, 0.0), 1.0)
-        return TestResult("shapiro_wilk", w_stat, p, n, 0, "exact n=3")
+        return TestResult("shapiro_wilk", w_stat, p)
 
     w1 = 1.0 - w_stat
     if n <= 11:
         gamma = 0.459 * n - 2.273
         if gamma - math.log(w1) <= 0.0:
-            return TestResult("shapiro_wilk", w_stat, 1e-19, n, 0)
+            return TestResult("shapiro_wilk", w_stat, 1e-19)
         y = -math.log(gamma - math.log(w1))
         mu = _polyval(_SW_C3, float(n))
         sigma = math.exp(_polyval(_SW_C4, float(n)))
@@ -247,7 +244,7 @@ def shapiro_wilk(x) -> TestResult:
         mu = _polyval(_SW_C5, ln_n)
         sigma = math.exp(_polyval(_SW_C6, ln_n))
     p = norm_sf((y - mu) / sigma)
-    return TestResult("shapiro_wilk", w_stat, p, n, 0)
+    return TestResult("shapiro_wilk", w_stat, p)
 
 
 # -- rank-sum ----------------------------------------------------------------
@@ -291,8 +288,8 @@ def _exact_two_sided_p(u1: float, n1: int, n2: int) -> float:
     return min(1.0, 2.0 * min(lower, upper) / total)
 
 
-def _normal_two_sided_p(u1: float, n1: int, n2: int, pooled: Sequence[float]) -> tuple[float, float]:
-    """Tie-corrected, continuity-corrected approximation; returns (p, tie_term)."""
+def _normal_two_sided_p(u1: float, n1: int, n2: int, pooled: Sequence[float]) -> float:
+    """Tie-corrected, continuity-corrected approximation."""
     mu = n1 * n2 / 2.0
     n = n1 + n2
     tie_term = 0.0
@@ -301,10 +298,10 @@ def _normal_two_sided_p(u1: float, n1: int, n2: int, pooled: Sequence[float]) ->
         tie_term += t ** 3 - t
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var <= 0.0:
-        return 1.0, tie_term
+        return 1.0
     diff = u1 - mu
     z = (diff - math.copysign(0.5, diff)) / math.sqrt(var) if diff != 0.0 else 0.0
-    return min(1.0, 2.0 * norm_sf(abs(z))), tie_term
+    return min(1.0, 2.0 * norm_sf(abs(z)))
 
 
 def wilcoxon_rank_sum(x, y) -> TestResult:
@@ -313,7 +310,7 @@ def wilcoxon_rank_sum(x, y) -> TestResult:
     Small tie-free samples (min size <= 8) get an exact enumeration p-value;
     otherwise the normal approximation with midrank tie correction and a 0.5
     continuity correction is used.  The statistic reported is U for the first
-    sample; the rank sum and the counterpart U are carried in the notes.
+    sample.
     """
     xs, ys = _values(x), _values(y)
     n1, n2 = len(xs), len(ys)
@@ -321,18 +318,14 @@ def wilcoxon_rank_sum(x, y) -> TestResult:
         raise EmptySample("both samples must be non-empty")
     pooled = xs + ys
     ranks = _midranks(pooled)
-    w1 = sum(ranks[:n1])
-    u1 = w1 - n1 * (n1 + 1) / 2.0
-    u2 = n1 * n2 - u1
+    u1 = sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0
     has_ties = len(set(pooled)) != len(pooled)
 
     if min(n1, n2) <= 8 and not has_ties:
         p = _exact_two_sided_p(u1, n1, n2)
-        notes = f"W1={w1:g}, U2={u2:g}, method=exact"
     else:
-        p, tie_term = _normal_two_sided_p(u1, n1, n2, pooled)
-        notes = f"W1={w1:g}, U2={u2:g}, method=normal, tie_term={tie_term:g}"
-    return TestResult("wilcoxon_rank_sum", u1, p, n1, n2, notes)
+        p = _normal_two_sided_p(u1, n1, n2, pooled)
+    return TestResult("wilcoxon_rank_sum", u1, p)
 
 
 def welch_t_test(x, y) -> TestResult:
@@ -348,7 +341,7 @@ def welch_t_test(x, y) -> TestResult:
     t = (_mean(xs) - _mean(ys)) / math.sqrt(se1 + se2)
     df = (se1 + se2) ** 2 / (se1 ** 2 / (n1 - 1) + se2 ** 2 / (n2 - 1))
     p = t_sf_two_sided(t, df)
-    return TestResult("welch_t", t, p, n1, n2, f"df={df:.4f}")
+    return TestResult("welch_t", t, p)
 
 
 def paired_t_test(x, y) -> TestResult:
@@ -366,10 +359,10 @@ def paired_t_test(x, y) -> TestResult:
     var_d = sample_var(d)
     if var_d == 0.0:
         t = math.copysign(math.inf, mean_d)
-        return TestResult("paired_t", t, 0.0, n, n, "constant non-zero differences")
+        return TestResult("paired_t", t, 0.0)
     t = mean_d / math.sqrt(var_d / n)
     p = t_sf_two_sided(t, n - 1)
-    return TestResult("paired_t", t, p, n, n, f"df={n - 1}")
+    return TestResult("paired_t", t, p)
 
 
 # -- multinomial draws by table ------------------------------------------------
@@ -569,6 +562,4 @@ def chi_square_uniform_mc(counts: Sequence[int], draws: int = 10000, seed: int =
             sims = gen.multinomial(total, [1.0 / k] * k, size=draws)
         exceed = int((np.einsum("ij,ij->i", sims, sims) >= sum_sq).sum())
         p = (1 + exceed) / (draws + 1)
-    return TestResult(
-        "chi_square_uniform_mc", observed, p, k, draws, f"total={total}, seed={seed}"
-    )
+    return TestResult("chi_square_uniform_mc", observed, p)

@@ -5,15 +5,12 @@ from collections import Counter
 import pytest
 
 import edsim.engine as engine
+from edsim import cli
 from edsim.domain import LEVELS, validate_config
 from edsim.engine import EXAM_COMPLETE, NURSE_DECIDE, TaskRequest, _ShiftSim, run_shift
 
-COMBOS = {
-    "baseline-ca": ("baseline", "ca"),
-    "baseline-fifo": ("baseline", "fifo"),
-    "replacement-ca": ("replacement", "ca"),
-    "training-ca": ("training", "ca"),
-}
+# Each combo's (scenario, policy) as config text.
+COMBOS = {name: (scenario.value, policy.value) for name, (scenario, policy) in cli.COMBOS.items()}
 
 # Acceptance protocol: 60 consecutive seeds per combo at three distinct bases.
 SEED_BASES = (1000, 20001, 77000)

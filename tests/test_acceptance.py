@@ -14,7 +14,7 @@ import numpy as np
 
 from edsim.behavior import BASE_DURATIONS, evaluate_performance_level
 from edsim.cli import EXIT_OK, main
-from edsim.domain import EvaluationStyle
+from edsim.domain import EvaluationStyle, NurseQuality, Role
 from edsim.stats import chi_square_uniform_mc, shapiro_wilk, wilcoxon_rank_sum
 
 from conftest import COMBOS, SEED_BASES
@@ -24,7 +24,7 @@ def _nurse_ids(result, quality, original_only=False):
     return [
         i
         for i, n in result.nurses.items()
-        if n.quality.value == quality and (not original_only or n.role != "replacement")
+        if n.quality is quality and (not original_only or n.role is not Role.REPLACEMENT)
     ]
 
 
@@ -43,7 +43,7 @@ def delay(results):
 def low_nurse(results, field):
     out = []
     for r in results:
-        ids = _nurse_ids(r, "low")
+        ids = _nurse_ids(r, NurseQuality.LOW)
         out.append(sum(getattr(r.nurses[i], field) for i in ids))
     return out
 
@@ -51,7 +51,7 @@ def low_nurse(results, field):
 def high_nurse(results, field):
     out = []
     for r in results:
-        ids = _nurse_ids(r, "high", original_only=True)
+        ids = _nurse_ids(r, NurseQuality.HIGH, original_only=True)
         out.append(sum(getattr(r.nurses[i], field) for i in ids))
     return out
 

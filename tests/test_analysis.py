@@ -7,14 +7,15 @@ import pytest
 from edsim.analysis import (
     DOCTOR_PREFERENCE_METRIC,
     DOCTOR_VARIANCE_METRIC,
+    METRICS,
     MetricUnknown,
     MissingFile,
     compare_experiments,
     load_experiment,
-    metric_names,
     render_report,
 )
 from edsim.cli import EXIT_IO, EXIT_OK, main
+from edsim.domain import NurseQuality, Role, Scenario, validate_config
 from edsim.metrics import COMPARISONS_HEADER, SchemaError, comparisons_csv
 
 
@@ -35,10 +36,10 @@ def experiment_dirs(tmp_path_factory):
 def test_load_experiment_reads_triplet(experiment_dirs):
     data = load_experiment(experiment_dirs["baseline-ca"])
     assert len(data.runs) == 12
-    assert all(r["scenario"] == "baseline" for r in data.runs)
+    assert all(r["scenario"] is Scenario.BASELINE for r in data.runs)
     assert data.label == "baseline-ca"
-    doctors, nurses = data.roster
-    assert len(doctors) == 3 and len(nurses) == 2
+    default = validate_config({})
+    assert data.roster == (default.doctors, default.nurses)
 
 
 def test_missing_directory_raises(tmp_path):
@@ -48,7 +49,7 @@ def test_missing_directory_raises(tmp_path):
 
 def test_full_comparison_row_set(experiment_dirs):
     rows = compare_experiments(experiment_dirs["baseline-ca"], experiment_dirs["baseline-fifo"])
-    assert [r.metric for r in rows] == metric_names()
+    assert [r.metric for r in rows] == list(METRICS)
     by_name = {r.metric: r for r in rows}
 
     served = by_name["patients_served"]
@@ -129,6 +130,8 @@ def test_unknown_metric(experiment_dirs):
         compare_experiments(
             experiment_dirs["baseline-ca"], experiment_dirs["baseline-fifo"], metrics=["nope"]
         )
+    with pytest.raises(MetricUnknown, match="no metric named"):
+        compare_experiments(experiment_dirs["baseline-ca"], experiment_dirs["baseline-fifo"], metrics=[])
 
 
 def test_roster_mismatch_names_agents(experiment_dirs, tmp_path):
@@ -142,9 +145,16 @@ def test_roster_mismatch_names_agents(experiment_dirs, tmp_path):
 
 def test_replacement_roster_still_comparable(experiment_dirs):
     # The replacement combo spawns extra nurses at runtime; the configured
-    # rosters still match, so the comparison must proceed.
+    # rosters still match, so the comparison must proceed.  The nurse metrics
+    # sum the configured nurses only, never the replacements.
     rows = compare_experiments(experiment_dirs["baseline-ca"], experiment_dirs["replacement-ca"])
-    assert rows
+    data = load_experiment(experiment_dirs["replacement-ca"])
+    nurses = [data.nurses_by_run[r["run_id"]] for r in data.runs]
+    assert any(n["role"] is Role.REPLACEMENT and n["tasks_success"] for ns in nurses for n in ns)
+    high = {i for i, quality in data.roster[1] if quality is NurseQuality.HIGH}
+    per_run = [sum(n["tasks_success"] for n in ns if n["nurse_id"] in high) for ns in nurses]
+    row = {r.metric: r for r in rows}["high_nurse_tasks_success"]
+    assert row.mean_b == sum(per_run) / len(per_run)
 
 
 def test_missing_config_echo_exits_3(experiment_dirs, tmp_path, capsys):
@@ -170,12 +180,12 @@ def test_comparisons_csv_shape_and_determinism(experiment_dirs):
     assert text_a == text_b
     lines = text_a.splitlines()
     assert lines[0] == COMPARISONS_HEADER
-    assert len(lines) == len(metric_names()) + 1
+    assert len(lines) == len(METRICS) + 1
     assert all(len(line.split(",")) == len(COMPARISONS_HEADER.split(",")) for line in lines)
 
 
 def test_report_renders_every_metric(experiment_dirs):
     rows = compare_experiments(experiment_dirs["baseline-ca"], experiment_dirs["baseline-fifo"])
     report = render_report(rows)
-    for name in metric_names():
+    for name in METRICS:
         assert name in report

@@ -322,6 +322,63 @@ def _exponent_delay(exp):
     return _replace_cell(exp / "runs.csv", "total_delay_s", "1e1")
 
 
+# Each enum cell takes only its enum's values, spelled as edsim writes them.
+def _upper_quality(exp):
+    return _replace_cell(exp / "nurses.csv", "quality", "LOW")
+
+
+def _padded_quality(exp):
+    return _replace_cell(exp / "nurses.csv", "quality", " low")
+
+
+def _capital_scenario(exp):
+    return _replace_cell(exp / "runs.csv", "scenario", "Baseline")
+
+
+def _upper_policy(exp):
+    return _replace_cell(exp / "runs.csv", "policy", "CA")
+
+
+def _capital_style(exp):
+    return _replace_cell(exp / "doctors.csv", "style", "Over")
+
+
+def _capital_role(exp):
+    return _replace_cell(exp / "nurses.csv", "role", "Replacement")
+
+
+def _rewrite_lines(path, edit):
+    """Replace the lines of the CSV at `path` by `edit(lines)`; returns the old lines."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    return lines
+
+
+def _repeated_run(exp):
+    # One run counted twice.
+    lines = _rewrite_lines(exp / "runs.csv", lambda lines: lines + lines[1:2])
+    return exp / "runs.csv", [f"run {lines[1].split(',')[0]} repeated"]
+
+
+def _orphan_agent_rows(exp):
+    # The last run's runs.csv row is gone, its agent rows are not.
+    lines = _rewrite_lines(exp / "runs.csv", lambda lines: lines[:-1])
+    return exp / "doctors.csv", [f"run {lines[-1].split(',')[0]} has no row in runs.csv"]
+
+
+def _missing_doctor_row(exp):
+    # One doctor fewer changes that run's variance of patients per doctor.
+    lines = _rewrite_lines(exp / "doctors.csv", lambda lines: lines[:2] + lines[3:])
+    return exp / "doctors.csv", [f"run {lines[2].split(',')[0]} differs from the roster in config.echo"]
+
+
+def _swapped_nurse_kind(exp):
+    # Nurse 2 is configured high; "low" is a value edsim writes, but not for it.
+    path, _ = _replace_cell(exp / "nurses.csv", "quality", "low")
+    run_id = path.read_text(encoding="utf-8").splitlines()[2].split(",")[0]
+    return path, [f"run {run_id} differs from the roster in config.echo"]
+
+
 def _latin1_nurses(exp):
     nurses = exp / "nurses.csv"
     nurses.write_bytes(nurses.read_bytes() + b"caf\xe9\n")
@@ -338,6 +395,8 @@ def _latin1_echo(exp):
     _header_only_runs, _bad_seed_cell, _latin1_nurses, _latin1_echo,
     _nan_delay, _inf_delay, _negative_served, _negative_failures,
     _underscored_served, _padded_doctor_id, _signed_failures, _zero_padded_seed, _exponent_delay,
+    _upper_quality, _padded_quality, _capital_scenario, _upper_policy, _capital_style, _capital_role,
+    _repeated_run, _orphan_agent_rows, _missing_doctor_row, _swapped_nurse_kind,
 ])
 def test_analyze_malformed_directory_exits_5(tmp_path, capsys, damage):
     out = tmp_path / "exp"
@@ -444,6 +503,16 @@ def test_analyze_unknown_metric_exits_2(tmp_path):
         ["analyze", str(out / "baseline-ca"), str(out / "baseline-ca"), "--metrics", "bogus", "--out", str(tmp_path / "x")]
     )
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("metrics", [",", " , ", ""])
+def test_analyze_naming_no_metric_exits_2(tmp_path, capsys, metrics):
+    out = tmp_path / "exp"
+    main(["experiment", "--runs", "3", "--seed-base", "1", "--combo", "baseline-ca", "--out", str(out)])
+    exp = str(out / "baseline-ca")
+    assert main(["analyze", exp, exp, "--metrics", metrics, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "no metric named" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_experiment_run_failure_exits_4(tmp_path, monkeypatch):

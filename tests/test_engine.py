@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import edsim.engine as engine
-from edsim.domain import LEVELS
+from edsim.domain import LEVELS, NurseQuality, Role
 from edsim.engine import _ShiftSim, render_trace, run_shift
 from edsim.metrics import run_rows, write_csvs
 from edsim.policy import Reason, select_request_ca, select_request_fifo
@@ -17,7 +17,6 @@ class AllHalfRng:
     """Every unit draw is 0.5: good rolls everywhere, midpoint durations."""
 
     def __init__(self, seed):
-        self.seed = seed
         self.draw_count = 0
 
     def uniform_unit(self):
@@ -183,9 +182,9 @@ def test_replacement_spawns_on_third_failure():
         seed=3,
     )
     result = run_shift(cfg)
-    assert (result.nurses[2].quality.value, result.nurses[2].role) == ("high", "replacement")
+    assert (result.nurses[2].quality, result.nurses[2].role) == (NurseQuality.HIGH, Role.REPLACEMENT)
     completions = [t for t, _, k, a, _ in result.trace if k == "task_complete" and a == 1]
-    classified_at = result.nurses[1].classified_low_at
+    classified_at = result.nurses[1].trust.classified_low_at
     # Reliability walks 1.0 -> 0.7 -> 0.49 -> 0.343: the third completion trips it.
     assert classified_at == completions[2]
     first_decide_n2 = min(t for t, _, k, a, _ in result.trace if k == "nurse_decide" and a == 2)
@@ -195,7 +194,7 @@ def test_replacement_spawns_on_third_failure():
 def test_replacement_nurse_starts_fresh_and_executes():
     cfg = make_config(scenario="replacement", seed=11)
     result = run_shift(cfg)
-    repl_ids = [i for i, n in result.nurses.items() if n.role == "replacement"]
+    repl_ids = [i for i, n in result.nurses.items() if n.role is Role.REPLACEMENT]
     assert repl_ids, "expected a replacement nurse with the case-study roster"
     nid = repl_ids[0]
     assert result.nurses[nid].tasks_success + result.nurses[nid].tasks_failed > 0
@@ -211,13 +210,13 @@ def test_trainer_attaches_observes_nine_and_exits():
         seed=5,
     )
     result = run_shift(cfg)
-    assert (result.nurses[1].quality.value, result.nurses[1].role) == ("low", "trainee")
+    assert (result.nurses[1].quality, result.nurses[1].role) == (NurseQuality.LOW, Role.TRAINEE)
     exits = [t for t, _, k, a, _ in result.trace if k == "trainer_exit"]
     assert len(exits) == 1
     # Exit fires once the bonus chance reaches 0.9, i.e. the ninth observation,
     # and the observation count persists afterwards.
     assert result.nurses[1].observed_tasks == 9
-    classified_at = result.nurses[1].classified_low_at
+    classified_at = result.nurses[1].trust.classified_low_at
     assert classified_at is not None and classified_at < exits[0]
 
 
@@ -233,7 +232,7 @@ def test_classifying_completion_is_not_observed():
     )
     result = run_shift(cfg)
     completions = [t for t, _, k, a, _ in result.trace if k == "task_complete" and a == 1]
-    classified_at = result.nurses[1].classified_low_at
+    classified_at = result.nurses[1].trust.classified_low_at
     observed_after = sum(1 for t in completions if t > classified_at)
     assert result.nurses[1].observed_tasks == min(observed_after, 9)
 
@@ -247,18 +246,18 @@ def test_scenario_response_follows_the_latch(base, acceptance_grids):
         for r in results:
             nurses = r.nurses.values()
             roles = Counter(n.role for n in nurses)
-            latched = [n for n in nurses if n.classified_low_at is not None]
+            latched = [n for n in nurses if n.trust.classified_low_at is not None]
             classified[combo] += len(latched)
             exits = Counter(actor for _, _, kind, actor, _ in r.trace if kind == "trainer_exit")
             if combo == "replacement-ca":
-                assert roles["replacement"] == len(latched) and not roles["trainee"]
+                assert roles[Role.REPLACEMENT] == len(latched) and not roles[Role.TRAINEE]
             elif combo == "training-ca":
-                assert all((n.role == "trainee") == (n.classified_low_at is not None) for n in nurses)
+                assert all((n.role is Role.TRAINEE) == (n.trust.classified_low_at is not None) for n in nurses)
                 # One exit at most, and exactly when the trainer has left.
-                assert all(exits[n.id] == (n.role == "trainee" and not n.trainer_attached) for n in nurses)
-                assert not roles["replacement"]
+                assert all(exits[n.id] == (n.role is Role.TRAINEE and not n.trainer_attached) for n in nurses)
+                assert not roles[Role.REPLACEMENT]
             else:
-                assert roles == {"regular": len(r.nurses)}
+                assert roles == {Role.REGULAR: len(r.nurses)}
             if combo != "training-ca":
                 assert not exits
     assert classified["replacement-ca"] > 0 and classified["baseline-ca"] > 0
@@ -421,7 +420,7 @@ def test_broadcast_visits_idle_nurses_in_ascending_id_order():
 
     sim._broadcast = recording_broadcast
     result = sim.run()
-    assert [n.role for n in result.nurses.values()].count("replacement") >= 2
+    assert [n.role for n in result.nurses.values()].count(Role.REPLACEMENT) >= 2
     assert seen["after_replacement"] > 0
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from edsim.cli import EXIT_OK, main
-from edsim.domain import config_echo
+from edsim.domain import Role, config_echo
 from edsim.engine import render_trace, run_shift
 from edsim.metrics import run_rows, write_csvs
 
@@ -227,8 +227,8 @@ def test_crowded_trace_digest(combo):
     result = run_shift(make_config(scenario=scenario, policy=policy, **CROWDED_CONFIG))
     digest, classified_low, replacements, trainees = CROWDED_TRACES[combo]
     roles = [n.role for n in result.nurses.values()]
-    assert sum(n.classified_low_at is not None for n in result.nurses.values()) == classified_low
-    assert (roles.count("replacement"), roles.count("trainee")) == (replacements, trainees)
+    assert sum(n.trust.classified_low_at is not None for n in result.nurses.values()) == classified_low
+    assert (roles.count(Role.REPLACEMENT), roles.count(Role.TRAINEE)) == (replacements, trainees)
     assert _sha256(render_trace(result).encode("utf-8")) == digest
 
 

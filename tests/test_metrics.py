@@ -4,12 +4,9 @@ from __future__ import annotations
 import pytest
 
 from edsim.behavior import TaskOutcome, evaluate_performance_level
-from edsim.domain import EvaluationStyle
+from edsim.domain import EvaluationStyle, Policy, Role, Scenario
 from edsim.engine import Patient, TaskRequest, _ShiftSim, run_shift
 from edsim.metrics import (
-    DOCTORS_HEADER,
-    NURSES_HEADER,
-    RUNS_HEADER,
     SchemaError,
     read_doctors,
     read_nurses,
@@ -19,6 +16,12 @@ from edsim.metrics import (
 )
 
 from conftest import make_config
+
+# The headers edsim writes, spelled out so a renamed or moved column shows here.
+RUNS_HEADER = "run_id,seed,scenario,policy,shift_length_s,patients_served,total_time_damage_s,total_delay_s"
+DOCTORS_HEADER = "run_id,doctor_id,style,patients_served,time_damage_s,delay_s,eval_accuracy"
+NURSES_HEADER = ("run_id,nurse_id,quality,role,tasks_success,tasks_failed,utility,time_damage_s,observed_tasks,"
+                 "classified_low_at_s")
 
 
 def fresh_shift(doctors=(1,), nurses=(1,), shift_length=3600):
@@ -148,7 +151,7 @@ def make_record(run_id="combo-00000007", seed=7, with_low_classified=True):
         bedCount=2,
         shiftLength=300 if with_low_classified else 100,
     ))
-    classified = [n.classified_low_at is not None for n in result.nurses.values()]
+    classified = [n.trust.classified_low_at is not None for n in result.nurses.values()]
     assert classified == [with_low_classified, False]
     return run_id, result
 
@@ -218,8 +221,8 @@ def test_round_trip_preserves_fields(tmp_path):
     assert run_row == {
         "run_id": run_id,
         "seed": result.config.seed,
-        "scenario": "baseline",
-        "policy": "ca",
+        "scenario": Scenario.BASELINE,
+        "policy": Policy.CA_TRUST,
         "shift_length_s": 300.0,
         "patients_served": result.patients_served,
         "total_time_damage_s": real(result.time_damage),
@@ -232,7 +235,7 @@ def test_round_trip_preserves_fields(tmp_path):
     assert doc_row == {
         "run_id": run_id,
         "doctor_id": 1,
-        "style": "correct",
+        "style": EvaluationStyle.CORRECT,
         "patients_served": doctor.served,
         "time_damage_s": real(doctor.time_damage),
         "delay_s": real(doctor.delay),
@@ -246,15 +249,16 @@ def test_round_trip_preserves_fields(tmp_path):
         assert row == {
             "run_id": run_id,
             "nurse_id": nurse.id,
-            "quality": nurse.quality.value,
+            "quality": nurse.quality,
             "role": nurse.role,
             "tasks_success": nurse.tasks_success,
             "tasks_failed": nurse.tasks_failed,
             "utility": nurse.utility,
             "time_damage_s": real(nurse.time_damage),
             "observed_tasks": nurse.observed_tasks,
-            "classified_low_at_s": real(nurse.classified_low_at),
+            "classified_low_at_s": real(nurse.trust.classified_low_at),
         }
+    assert [row["role"] for row in nurse_rows] == [Role.REGULAR, Role.REGULAR]
     assert nurse_rows[0]["tasks_failed"] > 0 and nurse_rows[1]["tasks_success"] > 0
 
 

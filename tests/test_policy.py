@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import pytest
 
 from edsim.behavior import training_bonus_chance
-from edsim.domain import validate_config
+from edsim.domain import NurseQuality, validate_config
 from edsim.policy import Reason, TrustState, select_request_ca, select_request_fifo, update_trust
 
 
@@ -105,7 +105,7 @@ def test_restricted_never_returns_barred_requests():
         decision = select_request_ca(trust, False, pending, CFG)
         if decision.reason is Reason.ACCEPTED:
             assert decision.chosen.requested_level <= CFG.easy_level_cap
-            assert trust.weight(decision.chosen.requested_level) >= CFG.restricted_accept_threshold
+            assert trust.weights[decision.chosen.requested_level - 1] >= CFG.restricted_accept_threshold
 
 
 def test_training_bypasses_all_gates():
@@ -118,7 +118,7 @@ def test_training_bypasses_all_gates():
 def test_update_trust_ema_arithmetic():
     trust = trust_with(CFG, w3=0.5)
     updated = update_trust(trust, 3, True, CFG, now=1.0)
-    assert updated.weight(3) == pytest.approx(0.65)
+    assert updated.weights[2] == pytest.approx(0.65)
     assert updated.classified_low_at is None
 
 
@@ -200,9 +200,9 @@ def test_high_performer_rarely_classifies_low(acceptance_grids):
         for results in grid.values():
             for r in results:
                 for nurse in r.nurses.values():
-                    if nurse.quality.value == "high":
+                    if nurse.quality is NurseQuality.HIGH:
                         total += 1
-                        if nurse.classified_low_at is not None:
+                        if nurse.trust.classified_low_at is not None:
                             classified += 1
     assert total > 700
     assert classified / total < 0.05
@@ -241,13 +241,13 @@ def reference_ca(trust, trainer_attached, pending, cfg):
             r
             for r in pending
             if r.requested_level <= cfg.easy_level_cap
-            and trust.weight(r.requested_level) >= cfg.restricted_accept_threshold
+            and trust.weights[r.requested_level - 1] >= cfg.restricted_accept_threshold
         ]
     else:
-        eligible = [r for r in pending if trust.weight(r.requested_level) >= cfg.accept_threshold]
+        eligible = [r for r in pending if trust.weights[r.requested_level - 1] >= cfg.accept_threshold]
     if not eligible:
         return None, Reason.NONE_ELIGIBLE
-    return min(eligible, key=lambda r: (-trust.weight(r.requested_level), r.issued_at, r.id)), Reason.ACCEPTED
+    return min(eligible, key=lambda r: (-trust.weights[r.requested_level - 1], r.issued_at, r.id)), Reason.ACCEPTED
 
 
 def reference_update_trust(trust, requested_level, success, cfg, now):

@@ -93,6 +93,29 @@ MUTANTS = (
            "                if write(value) != cell:",
            "                if False:",
            ("tests/test_cli.py::test_analyze_malformed_directory_exits_5",)),
+    Mutant("quality-cell-read-as-free-text", "metrics.py",
+           '    Column("quality", _enum(NurseQuality), lambda run_id, t: t.quality),',
+           '    Column("quality", _Cell(attrgetter("value"), str), lambda run_id, t: t.quality),',
+           ("tests/test_cli.py::test_analyze_malformed_directory_exits_5[_upper_quality]",)),
+    Mutant("replacement-filter-dropped", "analysis.py",
+           '    return [float(sum(n[key] for n in ns if n["quality"] is quality and n["role"] is not replacement))'
+           ' for ns in by_run]',
+           '    return [float(sum(n[key] for n in ns if n["quality"] is quality)) for ns in by_run]',
+           ("tests/test_analysis.py::test_replacement_roster_still_comparable",)),
+    Mutant("repeated-run-check-dropped", "analysis.py",
+           '        if before["run_id"] == r["run_id"]:',
+           "        if False:",
+           ("tests/test_cli.py::test_analyze_malformed_directory_exits_5[_repeated_run]",)),
+    Mutant("per-run-roster-check-dropped", "analysis.py",
+           '        if tuple((a[id_key], a[kind_key]) for a in agents if a.get("role") is not replacement) != roster:',
+           "        if False:",
+           ("tests/test_cli.py::test_analyze_malformed_directory_exits_5[_missing_doctor_row]",
+            "tests/test_cli.py::test_analyze_malformed_directory_exits_5[_swapped_nurse_kind]")),
+    Mutant("empty-metrics-accepted", "analysis.py",
+           "    if not wanted:",
+           "    if False:",
+           ("tests/test_analysis.py::test_unknown_metric",
+            "tests/test_cli.py::test_analyze_naming_no_metric_exits_2")),
     Mutant("missing-echo-let-past-the-input-check", "analysis.py",
            "        if not os.path.isfile(p):",
            '        if not os.path.isfile(p) and name != "config.echo":',
