@@ -1,19 +1,3 @@
 """Deterministic emergency-department shift simulator and analysis toolkit."""
 
 __version__ = "0.1.0"
-
-from .domain import (  # noqa: F401
-    ConfigError,
-    EvaluationStyle,
-    InvalidCombination,
-    NurseQuality,
-    Policy,
-    RangeError,
-    Rng,
-    Scenario,
-    SimConfig,
-    TopologyError,
-    load_config,
-    validate_config,
-)
-from .engine import ShiftResult, run_shift  # noqa: F401

@@ -1,7 +1,9 @@
-"""Experiment comparison pipeline: load CSV triplets, build each metric's row, render the report.
+"""Experiment comparison pipeline: load an experiment directory, build each metric's row, render the report.
 
-Every metric is one `METRICS` entry; comparisons.csv is declared and written
-in `edsim.metrics`, beside the tables it is computed from.
+A loaded directory is its `config.echo`'s `SimConfig` and one `Run` per run;
+`load_experiment` checks every other copy of a configured fact against that
+echo.  Every metric is one `METRICS` entry; comparisons.csv is declared and
+written in `edsim.metrics`, beside the tables it is computed from.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from . import stats
-from .domain import ConfigError, NurseQuality, Role, parse_config_file, validate_config
+from .domain import ConfigError, NurseQuality, Role, SimConfig, config_echo, parse_config_file, validate_config
 from .metrics import SchemaError, read_doctors, read_nurses, read_runs
 
 NORMALITY_ALPHA = 0.05
@@ -23,63 +25,69 @@ class MetricUnknown(KeyError):
     pass
 
 
+class Run(NamedTuple):
+    """One run: its runs.csv row, then its doctors.csv and nurses.csv rows, in id order."""
+
+    row: dict
+    doctors: list
+    nurses: list
+
+
 class ExperimentData(NamedTuple):
-    """One experiment directory, parsed and indexed by run."""
+    """One experiment directory: its label, its echo's config, and its runs in run-id order."""
 
     label: str
+    cfg: SimConfig
     runs: list
-    doctors_by_run: dict
-    nurses_by_run: dict
-    roster: tuple  # the config echo's (doctors, nurses), each a tuple of (id, kind member) pairs
-
-
-def _agents_by_run(path: str, read, runs: list[dict], roster: tuple, id_key: str, kind_key: str) -> dict:
-    """An agent file's rows grouped by run; each run's agents, replacements aside, are `roster` in id order."""
-    by_run: dict = {r["run_id"]: [] for r in runs}
-    for row in read(path):
-        if row["run_id"] not in by_run:
-            raise SchemaError(f"{path}: run {row['run_id']} has no row in runs.csv")
-        by_run[row["run_id"]].append(row)
-    replacement = Role.REPLACEMENT
-    for run_id, agents in by_run.items():
-        if tuple((a[id_key], a[kind_key]) for a in agents if a.get("role") is not replacement) != roster:
-            raise SchemaError(f"{path}: run {run_id} differs from the roster in config.echo")
-    return by_run
 
 
 def load_experiment(path: str) -> ExperimentData:
-    """Read the runs/doctors/nurses triplet and the config echo of one experiment.
+    """Read the config echo and the runs/doctors/nurses triplet of one experiment.
 
-    Each run must appear once, and each agent row must belong to a listed run.
+    Each run must appear once, each agent row must belong to a listed run,
+    and each run must match the echo: its scenario, policy and horizon, and
+    its roster in ids and kinds, replacements aside.
     """
     paths = {name: os.path.join(path, name) for name in ("runs.csv", "doctors.csv", "nurses.csv", "config.echo")}
     for name, p in paths.items():
         if not os.path.isfile(p):
             raise MissingFile(f"{path}: missing {name}")
-    runs = sorted(read_runs(paths["runs.csv"]), key=lambda r: r["run_id"])
-    if not runs:
-        raise SchemaError(f"{paths['runs.csv']}: no runs")
-    for before, r in zip(runs, runs[1:]):
-        if before["run_id"] == r["run_id"]:
-            raise SchemaError(f"{paths['runs.csv']}: run {r['run_id']} repeated")
     try:
         cfg = validate_config(parse_config_file(paths["config.echo"]))
     except ConfigError as exc:
         raise SchemaError(f"{paths['config.echo']}: {exc}") from exc
-    return ExperimentData(
-        label=os.path.basename(os.path.normpath(path)) or path,
-        runs=runs,
-        doctors_by_run=_agents_by_run(paths["doctors.csv"], read_doctors, runs, cfg.doctors, "doctor_id", "style"),
-        nurses_by_run=_agents_by_run(paths["nurses.csv"], read_nurses, runs, cfg.nurses, "nurse_id", "quality"),
-        roster=(cfg.doctors, cfg.nurses),
-    )
+    with open(paths["config.echo"], encoding="utf-8", newline="") as fh:
+        text, echo = fh.read(), config_echo(cfg)
+    if text != echo:
+        want = next((line for line in echo.splitlines() if line not in text.splitlines()), "its lines alone, in order")
+        raise SchemaError(f"{paths['config.echo']}: not as edsim writes it; expected {want}")
+    echoed = (cfg.scenario, cfg.policy, f"{cfg.shift_length:.6f}")  # the horizon in runs.csv's six decimals
+    runs: dict[str, Run] = {}
+    for row in sorted(read_runs(paths["runs.csv"]), key=lambda r: r["run_id"]):
+        if row["run_id"] in runs:
+            raise SchemaError(f"{paths['runs.csv']}: run {row['run_id']} repeated")
+        if (row["scenario"], row["policy"], f"{row['shift_length_s']:.6f}") != echoed:
+            raise SchemaError(f"{paths['runs.csv']}: run {row['run_id']} differs from config.echo")
+        runs[row["run_id"]] = Run(row, [], [])
+    if not runs:
+        raise SchemaError(f"{paths['runs.csv']}: no runs")
+    for k, name, read, id_key, kind_key, roster in ((1, "doctors.csv", read_doctors, "doctor_id", "style", cfg.doctors),
+                                                    (2, "nurses.csv", read_nurses, "nurse_id", "quality", cfg.nurses)):
+        for agent in read(paths[name]):
+            if agent["run_id"] not in runs:
+                raise SchemaError(f"{paths[name]}: run {agent['run_id']} has no row in runs.csv")
+            runs[agent["run_id"]][k].append(agent)  # k: the Run field, doctors or nurses
+        for run_id, run in runs.items():
+            if tuple((a[id_key], a[kind_key]) for a in run[k] if a.get("role") is not Role.REPLACEMENT) != roster:
+                raise SchemaError(f"{paths[name]}: run {run_id} differs from the roster in config.echo")
+    return ExperimentData(os.path.basename(os.path.normpath(path)) or path, cfg, list(runs.values()))
 
 
 def check_rosters_match(a: ExperimentData, b: ExperimentData) -> None:
     """Raise SchemaError when the configured rosters differ between experiments."""
     diffs = []
-    for kind, idx in (("doctor", 0), ("nurse", 1)):
-        left, right = dict(a.roster[idx]), dict(b.roster[idx])
+    for kind, left, right in (("doctor", a.cfg.doctors, b.cfg.doctors), ("nurse", a.cfg.nurses, b.cfg.nurses)):
+        left, right = dict(left), dict(right)
         for ident in sorted(set(left) | set(right)):
             if left.get(ident) != right.get(ident):
                 diffs.append(f"{kind} {ident}: {getattr(left.get(ident), 'value', '-')} vs "
@@ -97,10 +105,10 @@ def _values(data: ExperimentData, metric: str) -> list[float]:
     """
     quality, _, key = metric.partition("_nurse_")
     if not key:
-        return [float(r[metric]) for r in data.runs]
+        return [float(run.row[metric]) for run in data.runs]
     quality, replacement = NurseQuality(quality), Role.REPLACEMENT
-    by_run = (data.nurses_by_run[r["run_id"]] for r in data.runs)
-    return [float(sum(n[key] for n in ns if n["quality"] is quality and n["role"] is not replacement)) for ns in by_run]
+    return [float(sum(n[key] for n in run.nurses if n["quality"] is quality and n["role"] is not replacement))
+            for run in data.runs]
 
 
 DOCTOR_PREFERENCE_METRIC = "doctor_preference_chi2"
@@ -163,20 +171,14 @@ def _gated_row(metric: str, a: ExperimentData, b: ExperimentData, mc_draws: int,
     return row._replace(sw_a=sw_a, sw_b=sw_b, chosen=chosen)
 
 
-def _doctor_counts(data: ExperimentData, run_id: str) -> list[int]:
-    return [d["patients_served"] for d in data.doctors_by_run[run_id]]  # in doctor id order, as the roster
-
-
 def _preference_pvalues(data: ExperimentData, mc_draws: int, mc_seed: int) -> list[Optional[float]]:
     pvals: list[Optional[float]] = []
-    for idx, r in enumerate(data.runs):
-        counts = _doctor_counts(data, r["run_id"])
-        if sum(counts) == 0 or len(counts) < 2:
-            pvals.append(None)
-            continue
+    for idx, run in enumerate(data.runs):
+        counts = [d["patients_served"] for d in run.doctors]  # in doctor id order, as the echo's roster
         # One dedicated generator per run, derived from the analyzer seed.
         seed = (mc_seed * 1_000_003 + idx) % (2**63)
-        pvals.append(stats.chi_square_uniform_mc(counts, draws=mc_draws, seed=seed).p_value)
+        testable = sum(counts) > 0 and len(data.cfg.doctors) > 1
+        pvals.append(stats.chi_square_uniform_mc(counts, draws=mc_draws, seed=seed).p_value if testable else None)
     return pvals
 
 
@@ -198,13 +200,11 @@ def _preference_row(a: ExperimentData, b: ExperimentData, mc_draws: int, mc_seed
 
 
 def _variance_row(a: ExperimentData, b: ExperimentData, mc_draws: int, mc_seed: int) -> ComparisonRow:
-    counts_a = [_doctor_counts(a, r["run_id"]) for r in a.runs]
-    counts_b = [_doctor_counts(b, r["run_id"]) for r in b.runs]
-    if min(map(len, counts_a + counts_b)) < 2:
+    if len(a.cfg.doctors) < 2:  # b's roster is a's: check_rosters_match has run
         return ComparisonRow(DOCTOR_VARIANCE_METRIC, a.label, b.label, 0.0, 0.0, 0.0, 0.0, degenerate=True,
                              notes="fewer than two doctors in a run; variance undefined")
-    var_a = [stats.sample_var(c) for c in counts_a]
-    var_b = [stats.sample_var(c) for c in counts_b]
+    var_a = [stats.sample_var([d["patients_served"] for d in run.doctors]) for run in a.runs]
+    var_b = [stats.sample_var([d["patients_served"] for d in run.doctors]) for run in b.runs]
     row = _summary(DOCTOR_VARIANCE_METRIC, a, b, var_a, var_b)
     row = row._replace(sw_a=_try_shapiro(var_a), sw_b=_try_shapiro(var_b))
     if len(var_a) != len(var_b):

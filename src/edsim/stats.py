@@ -103,37 +103,24 @@ def norm_ppf(p: float) -> float:
 
 
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (Lentz's method)."""
+    """Continued fraction for the incomplete beta function (Lentz's method).
+
+    Each step folds one partial numerator `aa` into c, d and h; c starts
+    infinite, so the first step, -(a+b)x/(a+1), leaves c at 1 and h at 1/d.
+    """
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
+    h, c, d = 1.0, math.inf, 1.0
+    for m in range(400):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
+        numerators = ((m * (b - m) * x / ((qam + m2) * (a + m2)), -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)))
+                      if m else (-qab * x / qap,))
+        for aa in numerators:
+            d, c = 1.0 + aa * d, 1.0 + aa / c
+            d, c = 1.0 / (tiny if abs(d) < tiny else d), tiny if abs(c) < tiny else c
+            delta = d * c
+            h *= delta
+        if m and abs(delta - 1.0) < 1e-15:
             return h
     return h
 
@@ -249,17 +236,19 @@ def shapiro_wilk(x) -> TestResult:
 
 # -- rank-sum ----------------------------------------------------------------
 
-def _midranks(pooled: Sequence[float]) -> list[float]:
+def _midranks(pooled: Sequence[float]) -> tuple[list[float], float]:
+    """The midrank of each value, and the tie term: the sum of t**3 - t over groups of t equal values."""
     order = sorted(range(len(pooled)), key=lambda i: pooled[i])
     ranks = [0.0] * len(pooled)
-    pos = 0
+    pos, tie_term = 0, 0.0
     for _, grp in groupby(order, key=lambda i: pooled[i]):
         idx = list(grp)
         avg = pos + (len(idx) + 1) / 2.0
         for i in idx:
             ranks[i] = avg
         pos += len(idx)
-    return ranks
+        tie_term += len(idx) ** 3 - len(idx)
+    return ranks, tie_term
 
 
 def _exact_u_tail_counts(n1: int, n2: int) -> list[int]:
@@ -288,14 +277,10 @@ def _exact_two_sided_p(u1: float, n1: int, n2: int) -> float:
     return min(1.0, 2.0 * min(lower, upper) / total)
 
 
-def _normal_two_sided_p(u1: float, n1: int, n2: int, pooled: Sequence[float]) -> float:
-    """Tie-corrected, continuity-corrected approximation."""
+def _normal_two_sided_p(u1: float, n1: int, n2: int, tie_term: float) -> float:
+    """Tie-corrected, continuity-corrected approximation; `tie_term` as `_midranks` returns it."""
     mu = n1 * n2 / 2.0
     n = n1 + n2
-    tie_term = 0.0
-    for _, grp in groupby(sorted(pooled)):
-        t = len(list(grp))
-        tie_term += t ** 3 - t
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var <= 0.0:
         return 1.0
@@ -317,14 +302,13 @@ def wilcoxon_rank_sum(x, y) -> TestResult:
     if n1 == 0 or n2 == 0:
         raise EmptySample("both samples must be non-empty")
     pooled = xs + ys
-    ranks = _midranks(pooled)
+    ranks, tie_term = _midranks(pooled)
     u1 = sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0
-    has_ties = len(set(pooled)) != len(pooled)
 
-    if min(n1, n2) <= 8 and not has_ties:
+    if min(n1, n2) <= 8 and not tie_term:
         p = _exact_two_sided_p(u1, n1, n2)
     else:
-        p = _normal_two_sided_p(u1, n1, n2, pooled)
+        p = _normal_two_sided_p(u1, n1, n2, tie_term)
     return TestResult("wilcoxon_rank_sum", u1, p)
 
 

@@ -36,10 +36,14 @@ def experiment_dirs(tmp_path_factory):
 def test_load_experiment_reads_triplet(experiment_dirs):
     data = load_experiment(experiment_dirs["baseline-ca"])
     assert len(data.runs) == 12
-    assert all(r["scenario"] is Scenario.BASELINE for r in data.runs)
+    assert [run.row["run_id"] for run in data.runs] == sorted(run.row["run_id"] for run in data.runs)
+    assert all(run.row["scenario"] is Scenario.BASELINE for run in data.runs)
     assert data.label == "baseline-ca"
     default = validate_config({})
-    assert data.roster == (default.doctors, default.nurses)
+    assert (data.cfg.doctors, data.cfg.nurses) == (default.doctors, default.nurses)
+    for run in data.runs:
+        assert {a["run_id"] for a in run.doctors + run.nurses} == {run.row["run_id"]}
+        assert [d["doctor_id"] for d in run.doctors] == [i for i, _ in default.doctors]
 
 
 def test_missing_directory_raises(tmp_path):
@@ -149,9 +153,9 @@ def test_replacement_roster_still_comparable(experiment_dirs):
     # sum the configured nurses only, never the replacements.
     rows = compare_experiments(experiment_dirs["baseline-ca"], experiment_dirs["replacement-ca"])
     data = load_experiment(experiment_dirs["replacement-ca"])
-    nurses = [data.nurses_by_run[r["run_id"]] for r in data.runs]
+    nurses = [run.nurses for run in data.runs]
     assert any(n["role"] is Role.REPLACEMENT and n["tasks_success"] for ns in nurses for n in ns)
-    high = {i for i, quality in data.roster[1] if quality is NurseQuality.HIGH}
+    high = {i for i, quality in data.cfg.nurses if quality is NurseQuality.HIGH}
     per_run = [sum(n["tasks_success"] for n in ns if n["nurse_id"] in high) for ns in nurses]
     row = {r.metric: r for r in rows}["high_nurse_tasks_success"]
     assert row.mean_b == sum(per_run) / len(per_run)

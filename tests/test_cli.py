@@ -379,6 +379,43 @@ def _swapped_nurse_kind(exp):
     return path, [f"run {run_id} differs from the roster in config.echo"]
 
 
+# Each runs row must carry the echo's scenario, policy and horizon.
+def _other_combo_row(exp):
+    runs = exp / "runs.csv"
+    lines = runs.read_text(encoding="utf-8").splitlines()
+    assert ",baseline,ca," in lines[2]
+    lines[2] = lines[2].replace(",baseline,ca,", ",training,fifo,")
+    runs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return runs, [f"run {lines[2].split(',')[0]} differs from config.echo"]
+
+
+def _other_horizon_row(exp):
+    path, _ = _replace_cell(exp / "runs.csv", "shift_length_s", "5.000000")
+    run_id = path.read_text(encoding="utf-8").splitlines()[2].split(",")[0]
+    return path, [f"run {run_id} differs from config.echo"]
+
+
+# The echo must be the text edsim writes for its values.
+def _rewrite_echo(exp, line, respelled):
+    echo = exp / "config.echo"
+    text = echo.read_text(encoding="utf-8")
+    assert f"\n{line}\n" in text
+    echo.write_text(text.replace(f"\n{line}\n", f"\n{respelled}\n"), encoding="utf-8")
+    return echo, ["not as edsim writes it", f"expected {line}"]
+
+
+def _upper_echo_scenario(exp):
+    return _rewrite_echo(exp, "scenario = baseline", "scenario = BASELINE")
+
+
+def _integral_echo_shift_length(exp):
+    return _rewrite_echo(exp, "shiftLength = 1000.0", "shiftLength = 1000")
+
+
+def _yes_echo_penalty(exp):
+    return _rewrite_echo(exp, "utilityFailurePenalty = on", "utilityFailurePenalty = yes")
+
+
 def _latin1_nurses(exp):
     nurses = exp / "nurses.csv"
     nurses.write_bytes(nurses.read_bytes() + b"caf\xe9\n")
@@ -397,6 +434,7 @@ def _latin1_echo(exp):
     _underscored_served, _padded_doctor_id, _signed_failures, _zero_padded_seed, _exponent_delay,
     _upper_quality, _padded_quality, _capital_scenario, _upper_policy, _capital_style, _capital_role,
     _repeated_run, _orphan_agent_rows, _missing_doctor_row, _swapped_nurse_kind,
+    _other_combo_row, _other_horizon_row, _upper_echo_scenario, _integral_echo_shift_length, _yes_echo_penalty,
 ])
 def test_analyze_malformed_directory_exits_5(tmp_path, capsys, damage):
     out = tmp_path / "exp"

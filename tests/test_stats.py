@@ -15,6 +15,7 @@ from edsim.stats import (
     LengthMismatch,
     StatsError,
     _exact_two_sided_p,
+    _midranks,
     _normal_two_sided_p,
     betainc,
     chi_square_uniform_mc,
@@ -169,7 +170,7 @@ def test_wilcoxon_exact_branch_ends_at_eight(n1):
             assert ours.p_value == pytest.approx(float(exact.pvalue), rel=1e-12)
         else:
             ref = scipy_stats.mannwhitneyu(x, y, alternative="two-sided", method="asymptotic")
-            assert ours.p_value == _normal_two_sided_p(ours.statistic, n1, 12, x + y)
+            assert ours.p_value == _normal_two_sided_p(ours.statistic, n1, 12, _midranks(x + y)[1])
             assert ours.p_value == pytest.approx(float(ref.pvalue), rel=1e-9)
             assert ours.p_value == pytest.approx(float(exact.pvalue), abs=0.02)
 
@@ -196,7 +197,7 @@ def test_wilcoxon_exact_and_normal_branches_agree():
         ranks = {v: i + 1 for i, v in enumerate(sorted(pooled))}
         u1 = sum(ranks[float(v)] for v in x) - 8 * 9 / 2
         exact = _exact_two_sided_p(u1, 8, 8)
-        approx = _normal_two_sided_p(u1, 8, 8, pooled)
+        approx = _normal_two_sided_p(u1, 8, 8, _midranks(pooled)[1])
         assert abs(exact - approx) <= 0.02
 
 

@@ -98,19 +98,34 @@ MUTANTS = (
            '    Column("quality", _Cell(attrgetter("value"), str), lambda run_id, t: t.quality),',
            ("tests/test_cli.py::test_analyze_malformed_directory_exits_5[_upper_quality]",)),
     Mutant("replacement-filter-dropped", "analysis.py",
-           '    return [float(sum(n[key] for n in ns if n["quality"] is quality and n["role"] is not replacement))'
-           ' for ns in by_run]',
-           '    return [float(sum(n[key] for n in ns if n["quality"] is quality)) for ns in by_run]',
+           '    return [float(sum(n[key] for n in run.nurses if n["quality"] is quality'
+           ' and n["role"] is not replacement))',
+           '    return [float(sum(n[key] for n in run.nurses if n["quality"] is quality))',
            ("tests/test_analysis.py::test_replacement_roster_still_comparable",)),
     Mutant("repeated-run-check-dropped", "analysis.py",
-           '        if before["run_id"] == r["run_id"]:',
+           '        if row["run_id"] in runs:',
            "        if False:",
            ("tests/test_cli.py::test_analyze_malformed_directory_exits_5[_repeated_run]",)),
     Mutant("per-run-roster-check-dropped", "analysis.py",
-           '        if tuple((a[id_key], a[kind_key]) for a in agents if a.get("role") is not replacement) != roster:',
-           "        if False:",
+           '            if tuple((a[id_key], a[kind_key]) for a in run[k] if a.get("role") is not Role.REPLACEMENT)'
+           ' != roster:',
+           "            if False:",
            ("tests/test_cli.py::test_analyze_malformed_directory_exits_5[_missing_doctor_row]",
             "tests/test_cli.py::test_analyze_malformed_directory_exits_5[_swapped_nurse_kind]")),
+    Mutant("runs-row-echo-check-dropped", "analysis.py",
+           '''        if (row["scenario"], row["policy"], f"{row['shift_length_s']:.6f}") != echoed:''',
+           "        if False:",
+           ("tests/test_cli.py::test_analyze_malformed_directory_exits_5[_other_combo_row]",
+            "tests/test_cli.py::test_analyze_malformed_directory_exits_5[_other_horizon_row]")),
+    Mutant("echo-round-trip-dropped", "analysis.py",
+           "    if text != echo:",
+           "    if False:",
+           ("tests/test_cli.py::test_analyze_malformed_directory_exits_5[_upper_echo_scenario]",
+            "tests/test_cli.py::test_analyze_malformed_directory_exits_5[_integral_echo_shift_length]")),
+    Mutant("variance-doctor-guard-at-one", "analysis.py",
+           "    if len(a.cfg.doctors) < 2:  # b's roster is a's: check_rosters_match has run",
+           "    if len(a.cfg.doctors) < 1:  # b's roster is a's: check_rosters_match has run",
+           ("tests/test_cli.py::test_analyze_one_doctor_marks_variance_degenerate",)),
     Mutant("empty-metrics-accepted", "analysis.py",
            "    if not wanted:",
            "    if False:",
@@ -153,8 +168,8 @@ MUTANTS = (
            """    return '"' + text.replace('"', '""') + '"' if any(ch in text for ch in ',"') else text""",
            ("tests/test_cli.py::test_analyze_quotes_labels_holding_line_breaks",)),
     Mutant("wilcoxon-exact-below-8", "stats.py",
-           "    if min(n1, n2) <= 8 and not has_ties:",
-           "    if min(n1, n2) < 8 and not has_ties:",
+           "    if min(n1, n2) <= 8 and not tie_term:",
+           "    if min(n1, n2) < 8 and not tie_term:",
            ("tests/test_stats.py::test_wilcoxon_exact_branch_ends_at_eight",)),
     Mutant("latch-at-threshold", "policy.py",
            "    if reliability < cfg.reliability_threshold and classified_at is None:",
