@@ -67,24 +67,28 @@ HANDLERS = (
 )
 
 
-def run_with_invariant_checks(cfg, monkeypatch):
-    """Run one shift of `cfg`, checking the engine's live state after every handled event.
+def run_with_invariant_checks(cfg, monkeypatch, every=1):
+    """Run one shift of `cfg`, checking the engine's live state after every `every`-th handled event and the last.
 
-    Returns the shift's result after checking that no request was executed
-    twice and that the census counts every started request.
+    Every start is counted, whatever `every` is.  Returns the shift's result
+    after checking that no request was executed twice and that the census
+    counts every started request.
     """
     issued = record_requests(monkeypatch)
     sim = _ShiftSim(cfg)
     live = {}  # issued requests not yet done; a done request is never touched again
     recorded = 0
     started = []
+    handled = 0
 
-    def check():
+    def ingest():
         nonlocal recorded
-        assert len(issued) == sim._next_request_id - 1
         for r in issued[recorded:]:
             live[r.id] = r
         recorded = len(issued)
+
+    def check():
+        assert len(issued) == sim._next_request_id - 1
         pending = [[] for _ in LEVELS]
         in_hand = {}
         for rid, r in list(live.items()):  # in id order, which is issue order
@@ -127,8 +131,12 @@ def run_with_invariant_checks(cfg, monkeypatch):
 
     def checked(handler):
         def run(*args):
+            nonlocal handled
             out = handler(*args)
-            check()
+            ingest()
+            handled += 1
+            if not handled % every:
+                check()
             return out
 
         return run
@@ -146,6 +154,8 @@ def run_with_invariant_checks(cfg, monkeypatch):
 
     sim._handle_execution_start = counted_start
     result = sim.run()
+    if handled % every:
+        check()
 
     # No request is executed twice.
     assert len(started) == len(set(started))
