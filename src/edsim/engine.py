@@ -15,10 +15,13 @@ one head per level instead of every pending request.  The winner is therefore
 always a head and is claimed with `popleft`, which makes a decision cost
 O(levels) however many requests the shift has issued.
 
-A request lives only where its work is still open.  It waits in its level's
-queue; a claim moves it into the claiming nurse's hands
-(`NurseRuntime.current_request`), where it stays through execution; on
-completion its outcome is folded into the totals and it is dropped.  A patient
+A request is a queue item: its id, its patient, the requested level, when it
+was issued and when its execution started.  It lives only where its work is
+still open.  It waits in its level's queue; a claim moves it into the claiming
+nurse's hands (`NurseRuntime.current_request`), the only record of the claim,
+where it stays through execution.  The drawn duration travels in the
+`TASK_COMPLETE` event's args, and the outcome judged from it is a local that
+`_fold_outcome` adds to the totals before the request is dropped.  A patient
 lives only in its bed (`_ShiftSim.beds`), from its spawn until its last task is
 done, and points at its doctor; a request points at its patient.  A patient who
 lies down while its doctor examines another waits in the doctor's `waiting`
@@ -48,9 +51,9 @@ from collections import deque
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from .behavior import evaluate_performance_level, get_task_duration, judge_outcome, training_bonus_chance
+from .behavior import TaskOutcome, evaluate_performance_level, get_task_duration, judge_outcome, training_bonus_chance
 from .domain import LEVELS, EvaluationStyle, NurseQuality, Policy, Rng, Role, Scenario, SimConfig, sample_true_level
-from .policy import Reason, SelectionDecision, TrustState, select_request_ca, select_request_fifo, update_trust
+from .policy import Reason, TrustState, select_request_ca, select_request_fifo, update_trust
 
 PATIENT_SPAWN = "patient_spawn"
 EXAM_COMPLETE = "exam_complete"
@@ -99,18 +102,14 @@ class Patient:
 
 
 class TaskRequest:
-    __slots__ = ("id", "patient", "requested_level", "issued_at", "executed_by", "execution_start_at",
-                 "actual_duration", "outcome")
+    __slots__ = ("id", "patient", "requested_level", "issued_at", "execution_start_at")
 
     def __init__(self, id: int, patient: Patient, requested_level: int, issued_at: float):
         self.id = id
         self.patient = patient
         self.requested_level = requested_level
         self.issued_at = issued_at
-        self.executed_by: Optional[int] = None
         self.execution_start_at: Optional[float] = None
-        self.actual_duration: Optional[float] = None
-        self.outcome = None
 
 
 class NurseRuntime:
@@ -235,25 +234,22 @@ class _ShiftSim:
             if not nurse.busy:
                 self._schedule(self.now, NURSE_DECIDE, (nurse, 0))
 
-    def _select(self, nurse: NurseRuntime) -> SelectionDecision:
-        pending = [queue[0] for queue in self._pending if queue]
-        if self._fifo:
-            return select_request_fifo(pending)
-        return select_request_ca(nurse.trust, nurse.trainer_attached, pending, self.cfg)
-
     def _handle_nurse_decide(self, nurse: NurseRuntime, make_idle: int) -> tuple:
         if make_idle:
             # Post-prep decide: the nurse returns to the waiting room first.
             nurse.busy = False
         if nurse.busy:
             return nurse.id, ""
-        request, reason = self._select(nurse)
+        pending = [queue[0] for queue in self._pending if queue]
+        if self._fifo:
+            request, reason = select_request_fifo(pending)
+        else:
+            request, reason = select_request_ca(nurse.trust, nurse.trainer_attached, pending, self.cfg)
         nurse.decisions[reason] += 1
         if request is None:
             return nurse.id, ""
         head = self._pending[request.requested_level - 1].popleft()
-        assert head is request and request.executed_by is None
-        request.executed_by = nurse.id
+        assert head is request
         nurse.busy = True
         nurse.current_request = request
         self._schedule(self.now + self.cfg.travel_time, EXECUTION_START, (nurse,))
@@ -265,13 +261,12 @@ class _ShiftSim:
         self._charge_wait(request, self.now)
         # Only a low performer's draw reads the training flag; its bonus is inert
         # before the first observation and persists after the trainer leaves.
-        request.actual_duration = get_task_duration(
+        duration = get_task_duration(
             nurse.quality, self._training, nurse.observed_tasks, request.patient.true_level, self.cfg, self.rng
         )
         # Observation credit requires the trainer to witness the execution from
         # its start; attach events later in time do not count this task.
-        request_observed = nurse.trainer_attached
-        self._schedule(self.now + request.actual_duration, TASK_COMPLETE, (nurse, int(request_observed)))
+        self._schedule(self.now + duration, TASK_COMPLETE, (nurse, int(nurse.trainer_attached), duration))
         return nurse.id, request.id
 
     def _charge_wait(self, request: TaskRequest, until: float) -> None:
@@ -280,9 +275,8 @@ class _ShiftSim:
         self.delay += waited
         request.patient.doctor.delay += waited
 
-    def _fold_outcome(self, nurse: NurseRuntime, request: TaskRequest) -> None:
+    def _fold_outcome(self, nurse: NurseRuntime, request: TaskRequest, outcome: TaskOutcome) -> None:
         """Add a completed request's outcome to the nurse's, its doctor's and the shift's totals."""
-        outcome = request.outcome
         doctor = request.patient.doctor
         self.time_damage += outcome.time_damage
         nurse.time_damage += outcome.time_damage
@@ -301,16 +295,14 @@ class _ShiftSim:
         self.nurses[nurse.id] = nurse
         self._schedule(self.now, NURSE_DECIDE, (nurse, 0))
 
-    def _handle_task_complete(self, nurse: NurseRuntime, observed: int) -> tuple:
+    def _handle_task_complete(self, nurse: NurseRuntime, observed: int, duration: float) -> tuple:
         request = nurse.current_request
-        request.outcome = judge_outcome(request.actual_duration, request.requested_level, self.cfg)
-        self._fold_outcome(nurse, request)
+        outcome = judge_outcome(duration, request.requested_level, self.cfg)
+        self._fold_outcome(nurse, request, outcome)
 
         if not self._fifo:
             classified_before = nurse.trust.classified_low_at
-            nurse.trust = update_trust(
-                nurse.trust, request.requested_level, request.outcome.success, self.cfg, self.now
-            )
+            nurse.trust = update_trust(nurse.trust, request.requested_level, outcome.success, self.cfg, self.now)
             # The scenario responds once, when the nurse first classifies itself low.
             if classified_before is None and nurse.trust.classified_low_at is not None:
                 if self.cfg.scenario is Scenario.REPLACEMENT:

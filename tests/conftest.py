@@ -44,7 +44,8 @@ def record_requests(monkeypatch) -> list:
     """Record every request the engine builds, in issue (id) order.
 
     The engine keeps no map of its requests, so a test that needs all of them
-    keeps its own and reads each request's state from its fields.
+    keeps its own.  A request holds no record of its claim: the nurse that
+    claimed it is the decide event's actor in the log, and the one holding it.
     """
     issued = []
 
@@ -68,42 +69,53 @@ HANDLERS = (
 
 
 def run_with_invariant_checks(cfg, monkeypatch, every=1):
-    """Run one shift of `cfg`, checking the engine's live state after every `every`-th handled event and the last.
+    """Run one shift of `cfg`, checking the engine's live state against a ledger of its events.
 
-    Every start is counted, whatever `every` is.  Returns the shift's result
-    after checking that no request was executed twice and that the census
-    counts every started request.
+    The ledger holds every issued request not yet done and, for each claimed
+    one, the nurse that claimed it.  It is built from what the engine reports:
+    the (actor, object) that each decide, start and completion returns.  The
+    ledger and the set of started requests are updated at every event; the
+    engine's queues, the nurses' hands, the beds and the doctors are compared
+    with them after every `every`-th handled event and after the last.
+    Returns the shift's result after checking that no request was started
+    twice and that the census counts every started request.
     """
     issued = record_requests(monkeypatch)
     sim = _ShiftSim(cfg)
-    live = {}  # issued requests not yet done; a done request is never touched again
-    recorded = 0
-    started = []
-    handled = 0
+    live = {}  # request id -> issued request not yet done, in issue (id) order
+    claims = {}  # request id -> id of the nurse that claimed it, until the request is done
+    started = set()
+    recorded = handled = 0
 
-    def ingest():
-        nonlocal recorded
-        for r in issued[recorded:]:
-            live[r.id] = r
-        recorded = len(issued)
+    def claim(nurse_id, request_id):
+        if request_id != "":
+            # A request is claimed once, while it waits.
+            assert request_id in live and request_id not in claims
+            claims[request_id] = nurse_id
+
+    def start(nurse_id, request_id):
+        assert claims[request_id] == nurse_id and request_id not in started
+        started.add(request_id)
+
+    def complete(nurse_id, request_id):
+        assert claims.pop(request_id) == nurse_id and request_id in started
+        del live[request_id]
+
+    ledger = {"_handle_nurse_decide": claim, "_handle_execution_start": start, "_handle_task_complete": complete}
 
     def check():
-        assert len(issued) == sim._next_request_id - 1
+        assert recorded == sim._next_request_id - 1
+        # The per-level queues hold exactly the unclaimed requests, oldest first.
         pending = [[] for _ in LEVELS]
-        in_hand = {}
-        for rid, r in list(live.items()):  # in id order, which is issue order
-            if r.executed_by is None:
+        for rid, r in live.items():
+            if rid not in claims:
                 pending[r.requested_level - 1].append(r)
-            elif r.outcome is not None:
-                del live[rid]
-            else:
-                in_hand[rid] = r.executed_by
-        # The per-level queues hold exactly the pending requests, oldest first.
         assert [list(queue) for queue in sim._pending] == pending
-        # Each claimed or executing request is the current request of the
-        # nurse executing it.  A nurse without one is busy only while it
+        # Each claimed request not yet done is the current request of the
+        # nurse that claimed it.  A nurse without one is busy only while it
         # prepares, that is while its post-prep decide is still scheduled.
         preparing = {args[0] for _, _, kind, args in sim._heap if kind == NURSE_DECIDE and args[1]}
+        in_hand = dict(claims)
         for nurse in sim.nurses.values():
             if nurse.current_request is None:
                 assert nurse.busy == (nurse in preparing)
@@ -129,11 +141,15 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
             unexamined = [p for p in patients if not p.open_tasks and p is not under_exam.get(doctor)]
             assert list(doctor.waiting) == sorted(unexamined, key=lambda p: p.id)
 
-    def checked(handler):
+    def checked(handler, record):
         def run(*args):
-            nonlocal handled
+            nonlocal recorded, handled
             out = handler(*args)
-            ingest()
+            live.update((r.id, r) for r in issued)
+            recorded += len(issued)
+            issued.clear()
+            if record:
+                record(*out)
             handled += 1
             if not handled % every:
                 check()
@@ -142,23 +158,12 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
         return run
 
     for name in HANDLERS:
-        setattr(sim, name, checked(getattr(sim, name)))
-    start = sim._handle_execution_start
-
-    def counted_start(nurse):
-        request = nurse.current_request
-        assert request is live[request.id]
-        assert request.executed_by == nurse.id and request.execution_start_at is None
-        started.append(request.id)
-        return start(nurse)
-
-    sim._handle_execution_start = counted_start
+        setattr(sim, name, checked(getattr(sim, name), ledger.get(name)))
     result = sim.run()
     if handled % every:
         check()
 
-    # No request is executed twice.
-    assert len(started) == len(set(started))
+    # No request is started twice: `start` refuses a second start.
     done = sum(n.tasks_success + n.tasks_failed for n in result.nurses.values())
     assert len(started) == result.audit["requests"]["executing"] + done
     return result

@@ -338,9 +338,13 @@ def test_decisions_match_full_rescan(combo, monkeypatch):
     issued = record_requests(monkeypatch)
     sim = _ShiftSim(make_config(scenario=scenario, policy=policy, seed=3, **LARGE_ROSTER))
     seen = Counter()
+    claimed = set()
 
     def all_pending():
-        pending = [r for r in issued if r.executed_by is None]
+        # A claim is a decide in the log so far, whose object is the claimed request.
+        claimed.update(o for _, _, k, _, o in sim.trace[seen["logged"]:] if k == "nurse_decide" and o != "")
+        seen["logged"] = len(sim.trace)
+        pending = [r for r in issued if r.id not in claimed]
         seen["max_backlog"] = max(seen["max_backlog"], len(pending))
         return pending
 
@@ -385,8 +389,9 @@ def test_delay_sums_in_start_order_then_issue_order(combo, monkeypatch):
     result = run_shift(cfg)
     by_id = {r.id: r for r in issued}
     started = [by_id[o] for _, _, k, _, o in result.trace if k == "execution_start"]
+    claimed = {o for _, _, k, _, o in result.trace if k == "nurse_decide"}
     unstarted = [r for r in issued if r.execution_start_at is None]
-    assert len({r.requested_level for r in unstarted if r.executed_by is None}) > 1
+    assert len({r.requested_level for r in unstarted if r.id not in claimed}) > 1
     assert result.audit["requests"]["claimed"] > 0
 
     waits = [(r, r.execution_start_at - r.issued_at) for r in started]

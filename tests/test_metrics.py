@@ -43,14 +43,13 @@ def req(sim, issued_at, doctor=1, requested_level=3, true_level=3):
 def start(sim, request, nurse_id=1):
     """Claim `request` for nurse `nurse_id` and start executing it at the shift's current time."""
     nurse = sim.nurses[nurse_id]
-    request.executed_by, nurse.busy, nurse.current_request = nurse_id, True, request
+    nurse.busy, nurse.current_request = True, request
     sim._handle_execution_start(nurse)
 
 
 def complete(sim, request, outcome, nurse_id=1):
     """Fold `outcome` of `request`, executed by nurse `nurse_id`, into the shift's totals."""
-    request.executed_by, request.outcome = nurse_id, outcome
-    sim._fold_outcome(sim.nurses[nurse_id], request)
+    sim._fold_outcome(sim.nurses[nurse_id], request, outcome)
 
 
 def test_accrue_delay_started_request():
@@ -66,7 +65,7 @@ def test_accrue_delay_never_started_truncates_at_horizon():
     sim = fresh_shift(shift_length=3600)
     queued, claimed = req(sim, issued_at=3500.0), req(sim, issued_at=3550.0)
     sim._pending[queued.requested_level - 1].append(queued)
-    claimed.executed_by, sim.nurses[1].current_request = 1, claimed
+    sim.nurses[1].current_request = claimed
     result = sim._finalize()
     assert result.delay == 150.0
     assert result.doctors[1].delay == 150.0

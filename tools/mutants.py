@@ -58,6 +58,12 @@ MUTANTS = (
            '        for request in sorted(itertools.chain(claimed, *self._pending), key=attrgetter("id")):',
            "        for request in itertools.chain(claimed, *self._pending):",
            ("tests/test_engine.py::test_delay_sums_in_start_order_then_issue_order",)),
+    # The claim's assert still holds when the head stays queued, so only the
+    # invariant checker's ledger of claims sees the request claimed twice.
+    Mutant("claim-peeks-queue-head", "engine.py",
+           "        head = self._pending[request.requested_level - 1].popleft()",
+           "        head = self._pending[request.requested_level - 1][0]",
+           ("tests/test_engine.py::test_invariants_hold_after_every_event[long-horizon-baseline-fifo]",)),
     Mutant("balanced-split-strict", "stats.py",
            "    if sum_sq <= r * (q + 1) ** 2 + (k - r) * q * q:",
            "    if sum_sq < r * (q + 1) ** 2 + (k - r) * q * q:",
