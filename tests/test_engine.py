@@ -338,12 +338,13 @@ def test_decisions_match_full_rescan(combo, monkeypatch):
     issued = record_requests(monkeypatch)
     sim = _ShiftSim(make_config(scenario=scenario, policy=policy, seed=3, **LARGE_ROSTER))
     seen = Counter()
-    claimed = set()
+    claimed, logged = set(), 0
 
     def all_pending():
+        nonlocal logged
         # A claim is a decide in the log so far, whose object is the claimed request.
-        claimed.update(o for _, _, k, _, o in sim.trace[seen["logged"]:] if k == "nurse_decide" and o != "")
-        seen["logged"] = len(sim.trace)
+        claimed.update(o for _, _, k, _, o in sim.trace[logged:] if k == "nurse_decide" and o != "")
+        logged = len(sim.trace)
         pending = [r for r in issued if r.id not in claimed]
         seen["max_backlog"] = max(seen["max_backlog"], len(pending))
         return pending

@@ -2,7 +2,7 @@
 
 `test_golden.py`'s sweep stops at 8 doctors and 5 000 s.  These configs reach
 40 to 120 doctors (three nurses for every four doctors, three beds each) and
-20 000 to 200 000 s, a regime where most events are decides and few of them
+20 000 to 200 000 s, where under CA most events are decides and few of them
 accept.  Each config runs once, through the invariant checker, which compares
 every 1 000th event and the last, and its output bytes are pinned.
 
@@ -107,14 +107,16 @@ def _digest(result, out: Path) -> str:
     paths = write_csvs([run_rows(f"run-{result.config.seed:08d}", result)], str(out))
     for name in ("runs", "doctors", "nurses"):
         digest.update(Path(paths[name]).read_bytes())
-    # The log is rendered in slices, so no second copy of it is ever held.
+    # The log is rendered in slices, so its whole text is never held.
     step = 10_000
     for start in range(0, len(result.trace), step):
         digest.update(render_trace(result._replace(trace=result.trace[start:start + step])).encode("utf-8"))
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("k", [pytest.param(k, marks=() if k in TIER_1 else pytest.mark.scale) for k in range(len(SCALE))])
+@pytest.mark.parametrize(
+    "k", [pytest.param(k, marks=() if k in TIER_1 else pytest.mark.scale) for k in range(len(SCALE))]
+)
 def test_scale_digest_and_invariants(k, monkeypatch, tmp_path):
     result = run_with_invariant_checks(make_config(**SCALE[k]), monkeypatch, every=1000)
     assert _digest(result, tmp_path) == SCALE_DIGESTS[k]
