@@ -10,23 +10,12 @@ LEVELS = (1, 2, 3, 4, 5)
 
 
 class ConfigError(ValueError):
-    """Base class for configuration problems; `key` names the offending field."""
+    """Any rejected config: a malformed file, an unknown key, a value outside its domain, or
+    fields that disagree with each other; `key` names the offending field, if one does."""
 
     def __init__(self, message: str, key: str = ""):
         super().__init__(message)
         self.key = key
-
-
-class RangeError(ConfigError):
-    """A field value lies outside its allowed domain."""
-
-
-class InvalidCombination(ConfigError):
-    """FIFO policy combined with a scenario other than Baseline."""
-
-
-class TopologyError(ConfigError):
-    """Bed count inconsistent with the per-doctor bed block size."""
 
 
 class EvaluationStyle(Enum):
@@ -166,7 +155,7 @@ _FALSE_TOKENS = {"false", "off", "no", "0"}
 def validate_seed(seed: int) -> int:
     """Check that a run seed fits in 64 unsigned bits."""
     if not 0 <= seed <= _U64_MAX:
-        raise RangeError(f"seed must fit in 64 unsigned bits, got {seed}", "seed")
+        raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}", "seed")
     return seed
 
 
@@ -174,18 +163,18 @@ def _parse_int(raw: str, key: str, tokens) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise RangeError(f"{key} must be an integer, got {raw!r}", key) from None
+        raise ConfigError(f"{key} must be an integer, got {raw!r}", key) from None
 
 
 def _parse_seconds(raw: str, key: str, tokens) -> float:
     try:
         t = float(raw)
     except ValueError:
-        raise RangeError(f"{key} must be a number of seconds, got {raw!r}", key) from None
+        raise ConfigError(f"{key} must be a number of seconds, got {raw!r}", key) from None
     if not math.isfinite(t):
-        raise RangeError(f"{key} must be finite, got {t}", key)
+        raise ConfigError(f"{key} must be finite, got {t}", key)
     if t < 0.0:
-        raise RangeError(f"{key} must be >= 0, got {t}", key)
+        raise ConfigError(f"{key} must be >= 0, got {t}", key)
     return t
 
 
@@ -193,9 +182,9 @@ def _parse_fraction(raw: str, key: str, tokens) -> float:
     try:
         f = float(raw)
     except ValueError:
-        raise RangeError(f"{key} must be a fraction, got {raw!r}", key) from None
+        raise ConfigError(f"{key} must be a fraction, got {raw!r}", key) from None
     if not 0.0 <= f <= 1.0:
-        raise RangeError(f"{key} must lie in [0, 1], got {f}", key)
+        raise ConfigError(f"{key} must lie in [0, 1], got {f}", key)
     return f
 
 
@@ -205,14 +194,14 @@ def _parse_bool(raw: str, key: str, tokens) -> bool:
         return True
     if t in _FALSE_TOKENS:
         return False
-    raise RangeError(f"{key} must be a boolean (on/off), got {raw!r}", key)
+    raise ConfigError(f"{key} must be a boolean (on/off), got {raw!r}", key)
 
 
 def _parse_enum(raw: str, key: str, tokens: type[Enum]):
     try:
         return tokens(raw.strip().lower())
     except ValueError:
-        raise RangeError(f"{key} must be one of {[m.value for m in tokens]}, got {raw!r}", key) from None
+        raise ConfigError(f"{key} must be one of {[m.value for m in tokens]}, got {raw!r}", key) from None
 
 
 def _parse_roster(raw: str, key: str, tokens: type[Enum]):
@@ -224,22 +213,22 @@ def _parse_roster(raw: str, key: str, tokens: type[Enum]):
         if not chunk:
             continue
         if ":" not in chunk:
-            raise RangeError(f"{key} entries must look like 'id:kind', got {chunk!r}", key)
+            raise ConfigError(f"{key} entries must look like 'id:kind', got {chunk!r}", key)
         ident, kind = (part.strip() for part in chunk.split(":", 1))
         try:
             ident = int(ident)
         except ValueError:
-            raise RangeError(f"{key} ids must be integers, got {ident!r}", key) from None
+            raise ConfigError(f"{key} ids must be integers, got {ident!r}", key) from None
         if kind.lower() not in by_value:
-            raise RangeError(f"{key} has unknown kind {kind!r} (expected one of {sorted(by_value)})", key)
+            raise ConfigError(f"{key} has unknown kind {kind!r} (expected one of {sorted(by_value)})", key)
         roster.append((ident, by_value[kind.lower()]))
     if not roster:
-        raise RangeError(f"{key} must list at least one agent", key)
+        raise ConfigError(f"{key} must list at least one agent", key)
     ids = [i for i, _ in roster]
     if len(set(ids)) != len(ids):
-        raise RangeError(f"{key} has duplicate ids", key)
+        raise ConfigError(f"{key} has duplicate ids", key)
     if any(i < 1 for i in ids):
-        raise RangeError(f"{key} ids must be >= 1", key)
+        raise ConfigError(f"{key} ids must be >= 1", key)
     return tuple(sorted(roster))
 
 
@@ -247,15 +236,15 @@ def _parse_distribution(raw: str, key: str, tokens) -> tuple[float, ...]:
     try:
         dist = tuple(float(p) for p in raw.split(",") if p.strip())
     except ValueError:
-        raise RangeError(f"{key} must be five probabilities", key) from None
+        raise ConfigError(f"{key} must be five probabilities", key) from None
     if len(dist) != len(LEVELS):
-        raise RangeError(f"{key} must have exactly {len(LEVELS)} entries, got {len(dist)}", key)
+        raise ConfigError(f"{key} must have exactly {len(LEVELS)} entries, got {len(dist)}", key)
     if not all(map(math.isfinite, dist)):
-        raise RangeError(f"{key} entries must be finite", key)
+        raise ConfigError(f"{key} entries must be finite", key)
     if any(p < 0.0 for p in dist):
-        raise RangeError(f"{key} entries must be >= 0", key)
+        raise ConfigError(f"{key} entries must be >= 0", key)
     if abs(sum(dist) - 1.0) > 1e-9:
-        raise RangeError(f"{key} must sum to 1 (got {sum(dist)!r})", key)
+        raise ConfigError(f"{key} must sum to 1 (got {sum(dist)!r})", key)
     return dist
 
 
@@ -295,19 +284,19 @@ def validate_config(raw: dict | None = None) -> SimConfig:
         out[key] = decl.default if value is None else _KINDS[decl.kind].parse(str(value), key, decl.tokens)
 
     if out["policy"] is Policy.FIFO and out["scenario"] is not Scenario.BASELINE:
-        raise InvalidCombination(
+        raise ConfigError(
             f"the FIFO policy is only meaningful in the baseline scenario (got scenario={out['scenario'].value})",
             "policy",
         )
     validate_seed(out["seed"])
     for key in ("tasksPerPatient", "bedsPerDoctor"):
         if out[key] < 1:
-            raise RangeError(f"{key} must be >= 1", key)
+            raise ConfigError(f"{key} must be >= 1", key)
     if out["easyLevelCap"] not in LEVELS:
-        raise RangeError(f"easyLevelCap must be an integer in 1..5, got {out['easyLevelCap']!r}", "easyLevelCap")
+        raise ConfigError(f"easyLevelCap must be an integer in 1..5, got {out['easyLevelCap']!r}", "easyLevelCap")
     expected_beds = out["bedsPerDoctor"] * len(out["doctors"])
     if out["bedCount"] != expected_beds:
-        raise TopologyError(
+        raise ConfigError(
             f"bedCount must equal bedsPerDoctor x number of doctors "
             f"({out['bedsPerDoctor']} x {len(out['doctors'])} = {expected_beds}), got {out['bedCount']}",
             "bedCount",

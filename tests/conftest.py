@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,16 @@ COMBOS = {name: (scenario.value, policy.value) for name, (scenario, policy) in c
 # Acceptance protocol: 60 consecutive seeds per combo at three distinct bases.
 SEED_BASES = (1000, 20001, 77000)
 RUNS_PER_COMBO = 60
+
+
+def tree_bytes(root):
+    """Every file under `root`, keyed by its path relative to `root`, as bytes."""
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for name in sorted(files):
+            full = os.path.join(dirpath, name)
+            out[os.path.relpath(full, root)] = Path(full).read_bytes()
+    return out
 
 
 def make_config(**overrides):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import os
 import statistics
-from pathlib import Path
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from edsim.cli import EXIT_OK, main
 from edsim.domain import EvaluationStyle, NurseQuality, Role
 from edsim.stats import chi_square_uniform_mc, shapiro_wilk, wilcoxon_rank_sum
 
-from conftest import COMBOS, SEED_BASES
+from conftest import COMBOS, SEED_BASES, tree_bytes
 
 
 def _nurse_ids(result, quality, original_only=False):
@@ -209,22 +208,13 @@ def test_criterion_11_statistics_oracle():
     print("ACCEPTANCE 11 PASS - Wilcoxon exact p=0.100, Shapiro-Wilk gate, chi-square MC oracles")
 
 
-def _tree_bytes(root):
-    out = {}
-    for dirpath, _, files in os.walk(root):
-        for name in sorted(files):
-            full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = Path(full).read_bytes()
-    return out
-
-
 def test_criterion_12_determinism(tmp_path):
     trees = {}
     for variant, parallel in (("serial1", 1), ("serial2", 1), ("parallel", 4)):
         root = tmp_path / variant
         args = ["experiment", "--runs", "60", "--seed-base", str(SEED_BASES[0]), "--parallel", str(parallel)]
         assert main(args + ["--out", str(root)]) == EXIT_OK
-        trees[variant] = _tree_bytes(root)
+        trees[variant] = tree_bytes(root)
     assert sorted({path.split(os.sep)[0] for path in trees["serial1"]}) == sorted(COMBOS)
     assert trees["serial1"] == trees["serial2"]
     assert trees["serial1"] == trees["parallel"]

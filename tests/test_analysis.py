@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import shutil
 
 import pytest
@@ -8,8 +9,10 @@ from edsim.analysis import (
     DOCTOR_PREFERENCE_METRIC,
     DOCTOR_VARIANCE_METRIC,
     METRICS,
+    ExperimentData,
     MetricUnknown,
     MissingFile,
+    Run,
     compare_experiments,
     load_experiment,
     render_report,
@@ -127,6 +130,25 @@ def test_gated_notes_tell_single_runs_from_zero_variance(experiment_dirs, tmp_pa
                               metrics=["low_nurse_tasks_success"])[0]
     assert (row.mean_a, row.mean_b) == (0.0, 0.0)
     assert row.degenerate and row.notes == "no variance in either group; no test meaningful"
+
+
+def test_groups_beyond_5000_runs_get_a_test():
+    # Shapiro-Wilk's approximation is validated up to n = 5000; above it the
+    # gate still runs, as scipy's does, rather than failing the comparison.
+    cfg = validate_config({})
+
+    def synthetic(label, seed):
+        rng = random.Random(seed)
+        return ExperimentData(label, cfg, [
+            Run({"patients_served": float(rng.randint(15, 40))},
+                [{"patients_served": rng.randint(3, 15)} for _ in cfg.doctors], [])
+            for _ in range(5001)])
+
+    a, b = synthetic("a", 1), synthetic("b", 2)
+    for metric in ("patients_served", DOCTOR_VARIANCE_METRIC):
+        row = METRICS[metric](a, b, 100, 0)
+        assert not row.degenerate and row.sw_a is not None and row.sw_b is not None
+        assert row.chosen is not None and 0.0 <= row.chosen.p_value <= 1.0
 
 
 def test_unknown_metric(experiment_dirs):

@@ -11,7 +11,6 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -21,19 +20,12 @@ from edsim.domain import Scenario, parse_config_file, validate_config
 from edsim.engine import run_shift
 from edsim.metrics import read_runs
 
+from conftest import tree_bytes
+
 
 def write_config(path, text=""):
     path.write_text(text, encoding="utf-8")
     return str(path)
-
-
-def tree_bytes(root):
-    out = {}
-    for dirpath, _, files in os.walk(root):
-        for name in sorted(files):
-            full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = Path(full).read_bytes()
-    return out
 
 
 def test_run_happy_path(tmp_path, capsys):

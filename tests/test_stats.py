@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,6 @@ from scipy import stats as scipy_stats
 from edsim import stats
 from edsim.stats import (
     DegenerateSample,
-    EmptyCounts,
-    EmptySample,
-    LengthMismatch,
     StatsError,
     _exact_two_sided_p,
     _midranks,
@@ -49,12 +47,15 @@ def test_t_two_sided_against_scipy():
 
 # -- Shapiro-Wilk -------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [3, 4, 5, 8, 11, 12, 25, 60, 500, 2000])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 11, 12, 25, 60, 500, 2000, 5001, 6000])
 def test_shapiro_matches_scipy(n):
     rng = np.random.default_rng(123 + n)
     x = rng.normal(size=n)
     ours = shapiro_wilk(x)
-    ref = scipy_stats.shapiro(x)
+    with warnings.catch_warnings():
+        # Above n = 5000 scipy warns that the p-value may be inaccurate; edsim extends the same approximation.
+        warnings.filterwarnings("ignore", "scipy.stats.shapiro: For N > 5000", UserWarning)
+        ref = scipy_stats.shapiro(x)
     assert ours.statistic == pytest.approx(float(ref.statistic), rel=1e-7)
     assert ours.p_value == pytest.approx(float(ref.pvalue), rel=1e-5, abs=1e-12)
 
@@ -98,8 +99,6 @@ def test_shapiro_degenerate_and_range_errors():
         shapiro_wilk([1.0] * 10)
     with pytest.raises(DegenerateSample):
         shapiro_wilk([1.0, 2.0])
-    with pytest.raises(StatsError):
-        shapiro_wilk(np.zeros(5001) + np.arange(5001))
 
 
 # -- Wilcoxon rank-sum --------------------------------------------------------
@@ -202,7 +201,7 @@ def test_wilcoxon_exact_and_normal_branches_agree():
 
 
 def test_wilcoxon_empty_sample():
-    with pytest.raises(EmptySample):
+    with pytest.raises(StatsError, match="^both samples must be non-empty$"):
         wilcoxon_rank_sum([], [1.0])
 
 
@@ -252,7 +251,7 @@ def test_paired_constant_shift_oracle():
 
 
 def test_paired_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(StatsError, match="^paired samples differ in length: 5 vs 6$"):
         paired_t_test([1.0] * 5, [1.0] * 6)
 
 
@@ -281,10 +280,9 @@ def test_chi2_extreme_counts_reject():
 
 
 def test_chi2_empty_counts():
-    with pytest.raises(EmptyCounts):
-        chi_square_uniform_mc([0, 0])
-    with pytest.raises(EmptyCounts):
-        chi_square_uniform_mc([5])
+    for counts in ([0, 0], [5]):
+        with pytest.raises(StatsError, match="^need at least two categories with a positive total$"):
+            chi_square_uniform_mc(counts)
 
 
 def test_chi2_permutation_invariant():

@@ -188,6 +188,14 @@ MUTANTS = (
             "tests/test_golden.py::test_csv_triplet_digests"),
            equivalent="the two differ only when a uniform draw, a multiple of 2**-53, equals a rounded "
                       "cumulative sum exactly, one chance in 2**53 per draw"),
+    Mutant("topology-error-without-key", "domain.py",
+           '            "bedCount",',
+           '            "",',
+           ("tests/test_domain.py::test_topology_mismatch_rejected",)),
+    Mutant("fifo-combination-without-key", "domain.py",
+           '            "policy",',
+           '            "",',
+           ("tests/test_domain.py::test_fifo_outside_baseline_rejected",)),
     Mutant("inversion-thresholds-without-ulp-walk", "stats.py",
            "        thresholds.append(min(math.ceil(low * _UNIT), _UNIT))",
            "        thresholds.append(min(math.ceil(sum(px[:x]) * _UNIT), _UNIT))",
