@@ -79,7 +79,7 @@ def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[st
     try:
         run_experiment(out_dir, "run", [(cfg, run_id)], [rows])
         if trace:
-            _write_text(out_dir, "trace.csv", render_trace(result))
+            _write_text(out_dir, "trace.csv", render_trace(result.trace))
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO

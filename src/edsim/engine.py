@@ -22,7 +22,7 @@ nurse's hands (`NurseRuntime.current_request`), the only record of the claim,
 where it stays through execution.  The drawn duration travels in the
 `TASK_COMPLETE` event's args, and the outcome judged from it is a local that
 `_fold_outcome` adds to the totals before the request is dropped.  A patient
-lives only in its bed (`_ShiftSim.beds`), from its spawn until its last task is
+lives only in its bed (`Shift.beds`), from its spawn until its last task is
 done, and points at its doctor; a request points at its patient.  A patient who
 lies down while its doctor examines another waits in the doctor's `waiting`
 queue.  Finished work is not kept, so the end-of-shift census and the horizon
@@ -30,14 +30,14 @@ delay come from the queues, the nurses' hands and the agents' totals.
 
 The engine keeps every total of the run itself.  Each doctor and nurse is one
 object from the event loop to the CSV row: `DoctorRuntime` and `NurseRuntime`
-carry the agent's own totals, and `_ShiftSim` keeps the shift's delay and time
+carry the agent's own totals, and the `Shift` keeps the shift's delay and time
 damage.  A nurse's `classified_low_at` lives only in its `TrustState`.  Style,
 quality and role are `edsim.domain` enum members, never their spelling.  A run
-has one record, its `ShiftResult`; the CSV formatter (`metrics.run_rows`)
+is its finished `Shift`, its one record; the CSV formatter (`metrics.run_rows`)
 reads the agents and the config off it, in the process that ran the shift.
 
 Event args carry the agents themselves (the doctor, nurse or patient), so no
-handler looks an id up.  The event log, `ShiftResult.trace`, keeps each event's
+handler looks an id up.  The event log, `Shift.trace`, keeps each event's
 actor and object as raw ids: ints, or "" where the event has none.  Every run
 records the log, but only `run --trace` prints it, and `experiment` throws it
 away with the result, so the handlers format nothing.  The ids become text
@@ -49,7 +49,7 @@ import heapq
 import itertools
 from collections import deque
 from operator import attrgetter
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .behavior import TaskOutcome, evaluate_performance_level, get_task_duration, judge_outcome, training_bonus_chance
 from .domain import LEVELS, EvaluationStyle, NurseQuality, Policy, Rng, Role, Scenario, SimConfig, sample_true_level
@@ -134,37 +134,22 @@ class NurseRuntime:
         self.time_damage = 0.0
 
 
-class ShiftResult(NamedTuple):
-    """One run's only record, from the event loop to its CSV rows; fully determined by (config, seed).
-
-    `doctors` and `nurses` map ids to the agents the shift ran on, in id
-    order, each carrying its own totals; the shift's totals sit beside them.
-    """
-
-    config: SimConfig
-    doctors: dict[int, DoctorRuntime]
-    nurses: dict[int, NurseRuntime]
-    patients_served: int
-    time_damage: float
-    delay: float
-    trace: list  # the event log: (time, seq, kind, actor, object), actor and object as raw ids
-    audit: dict
-
-
-def render_trace(result: ShiftResult) -> str:
-    """Serialize the event log as `time,seq,kind,actor,object` lines."""
-    lines = ["%.6f,%s,%s,%s,%s" % event for event in result.trace]
+def render_trace(trace: list) -> str:
+    """Serialize an event log as `time,seq,kind,actor,object` lines."""
+    lines = ["%.6f,%s,%s,%s,%s" % event for event in trace]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-class _ShiftSim:
+class Shift:
+    """One shift and, once run, its only record; fully determined by (config, seed)."""
+
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.rng = Rng(cfg.seed)
         self.now = 0.0
         self._heap: list = []
         self._seq = itertools.count()
-        self.trace: list = []
+        self.trace: list = []  # the event log: (time, seq, kind, actor, object), actor and object as raw ids
         self._fifo = cfg.policy is Policy.FIFO
         # Config validation admits FIFO only under the baseline scenario.
         self._training = cfg.scenario is Scenario.TRAINING
@@ -335,7 +320,7 @@ class _ShiftSim:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self) -> ShiftResult:
+    def run(self) -> Shift:
         cfg = self.cfg
         self._schedule(cfg.shift_length, SHIFT_END, ())
         order = [
@@ -371,7 +356,7 @@ class _ShiftSim:
 
         return self._finalize()
 
-    def _finalize(self) -> ShiftResult:
+    def _finalize(self) -> Shift:
         in_hand = [n.current_request for n in self.nurses.values() if n.current_request is not None]
         claimed = [r for r in in_hand if r.execution_start_at is None]
         # Requests that never started wait until the horizon.  They are charged
@@ -386,8 +371,8 @@ class _ShiftSim:
             "claimed": len(claimed),
             "executing": len(in_hand) - len(claimed),
         }
-        served = sum(doctor.served for doctor in self.doctors.values())
-        audit = {
+        self.patients_served = sum(doctor.served for doctor in self.doctors.values())
+        self.audit = {
             "patients_spawned": self._next_patient_id - 1,
             # A live patient is a bed's occupant.
             "patients_in_system": sum(patient is not None for patient in self.beds.values()),
@@ -396,11 +381,9 @@ class _ShiftSim:
             "rng_draws": self.rng.draw_count,
             "stalled_at": self.stalled_at,
         }
-        return ShiftResult(
-            self.cfg, self.doctors, self.nurses, served, self.time_damage, self.delay, self.trace, audit
-        )
+        return self
 
 
-def run_shift(cfg: SimConfig) -> ShiftResult:
+def run_shift(cfg: SimConfig) -> Shift:
     """Execute one complete shift for a validated config."""
-    return _ShiftSim(cfg).run()
+    return Shift(cfg).run()

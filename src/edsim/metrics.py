@@ -1,6 +1,6 @@
 """The CSV layer: each table declared once as `Column`s, one row formatter, one reader.
 
-A finished run's `ShiftResult` becomes text once, in `run_rows`, wherever it
+A finished run's `engine.Shift` becomes text once, in `run_rows`, wherever it
 ran: a forked `experiment` worker formats its own runs and sends only those
 strings back.  `write_csvs` writes the runs/doctors/nurses triplet; it orders
 the rows and adds the headers, so the files are the same bytes however the
@@ -69,7 +69,7 @@ class Column(NamedTuple):
     """One CSV column: header name, cell kind, and the value getter.
 
     Every getter takes (run_id, subject): an agent for a doctors or nurses
-    row, the run's `ShiftResult` for a runs row, an `analysis.ComparisonRow`
+    row, the run's `engine.Shift` for a runs row, an `analysis.ComparisonRow`
     for a comparisons row, which belongs to no run and is given run_id "".
     """
 
@@ -82,10 +82,10 @@ _RUN_ID = Column("run_id", _STR, lambda run_id, t: run_id)
 
 RUNS_COLUMNS = (
     _RUN_ID,
-    Column("seed", _INT, lambda run_id, t: t.config.seed),
-    Column("scenario", _enum(Scenario), lambda run_id, t: t.config.scenario),
-    Column("policy", _enum(Policy), lambda run_id, t: t.config.policy),
-    Column("shift_length_s", _REAL, lambda run_id, t: t.config.shift_length),
+    Column("seed", _INT, lambda run_id, t: t.cfg.seed),
+    Column("scenario", _enum(Scenario), lambda run_id, t: t.cfg.scenario),
+    Column("policy", _enum(Policy), lambda run_id, t: t.cfg.policy),
+    Column("shift_length_s", _REAL, lambda run_id, t: t.cfg.shift_length),
     Column("patients_served", _COUNT, lambda run_id, t: t.patients_served),
     Column("total_time_damage_s", _REAL, lambda run_id, t: t.time_damage),
     Column("total_delay_s", _REAL, lambda run_id, t: t.delay),
@@ -146,7 +146,7 @@ _TABLES = (("runs", RUNS_COLUMNS), ("doctors", DOCTORS_COLUMNS), ("nurses", NURS
 def run_rows(run_id: str, result) -> tuple[str, str, str, str]:
     """One finished run as CSV text: (run_id, runs text, doctors text, nurses text).
 
-    `result` is the run's `engine.ShiftResult`, its only record: the runs row
+    `result` is the run's `engine.Shift`, its only record: the runs row
     reads the config and the shift's totals off it, and each agent row reads
     the agent's own totals.  Each text is the run's lines of that file, agents
     in id order, every line ending in \\n.  The tuple holds only strings, so a

@@ -355,6 +355,7 @@ _UNIT = 2**53  # Generator.random() returns m / 2**53 for an integer m
 _GUIDE_BITS = 8  # the top bits of m index a guide to the first threshold to test
 _SLOT = _FAST_MAX_TOTAL + 2  # bound + 1 <= n + 1 thresholds, then a separator
 _RESTART = -1  # the count of a uniform numpy would not map in one pass
+_BLOCK = 2**16  # most rows drawn at once, so memory does not grow with the draws
 _columns: dict = {}  # (p, mirrored) -> _Column, kept for the life of the process
 
 
@@ -493,13 +494,16 @@ def chi_square_uniform_mc(counts: Sequence[int], draws: int = 10000, seed: int =
     bounds the tables; (1 - 2/k)**T is the chance that a row's last two cells
     are both empty, where numpy stops drawing the row early and later rows
     take other uniforms, so the bound keeps fallbacks rare; fewer draws do not
-    pay for the tables.  If any row is drawn otherwise (that early stop, or a
-    restart past the inversion bound) the generator's state is restored and
-    `Generator.multinomial` draws all rows, so each test still builds one
-    generator.  The tables assume that Python's `math.exp` and `math.log`
-    call the libm numpy's C code calls, and that numpy does the rest of the
-    loop in plain double arithmetic; tests/test_stats.py compares the draws
-    with numpy's, row for row.
+    pay for the tables.  Rows are drawn in blocks of at most _BLOCK, so memory
+    stays bounded.  If any row of a block is drawn otherwise (that early stop,
+    or a restart past the inversion bound) the generator's state is restored
+    and `Generator.multinomial` draws the block, so each test still builds one
+    generator; a block the tables drew took one uniform per binomial, as numpy
+    does, so the next block starts where numpy's would.  The tables assume
+    that Python's `math.exp` and `math.log` call the libm numpy's C code
+    calls, and that numpy does the rest of the loop in plain double
+    arithmetic; tests/test_stats.py compares the draws with numpy's, row for
+    row.
     """
     counts = [int(c) for c in counts]
     k = len(counts)
@@ -522,14 +526,18 @@ def chi_square_uniform_mc(counts: Sequence[int], draws: int = 10000, seed: int =
         p = 1.0
     else:
         gen = np.random.default_rng(seed)
-        sims = None
-        if draws >= _FAST_MIN_DRAWS and total <= _FAST_MAX_TOTAL and draws * (1.0 - 2.0 / k) ** total < 0.5:
-            state = gen.bit_generator.state
-            sims = _multinomial_by_inversion(gen, total, k, draws)
+        by_table = draws >= _FAST_MIN_DRAWS and total <= _FAST_MAX_TOTAL and draws * (1.0 - 2.0 / k) ** total < 0.5
+        exceed = 0
+        for start in range(0, draws, _BLOCK):
+            size = min(_BLOCK, draws - start)
+            sims = None
+            if by_table:
+                state = gen.bit_generator.state
+                sims = _multinomial_by_inversion(gen, total, k, size)
+                if sims is None:
+                    gen.bit_generator.state = state
             if sims is None:
-                gen.bit_generator.state = state
-        if sims is None:
-            sims = gen.multinomial(total, [1.0 / k] * k, size=draws)
-        exceed = int((np.einsum("ij,ij->i", sims, sims) >= sum_sq).sum())
+                sims = gen.multinomial(total, [1.0 / k] * k, size=size)
+            exceed += int((np.einsum("ij,ij->i", sims, sims) >= sum_sq).sum())
         p = (1 + exceed) / (draws + 1)
     return TestResult("chi_square_uniform_mc", observed, p)

@@ -9,7 +9,7 @@ import pytest
 import edsim.engine as engine
 from edsim import cli
 from edsim.domain import LEVELS, validate_config
-from edsim.engine import EXAM_COMPLETE, NURSE_DECIDE, TaskRequest, _ShiftSim, run_shift
+from edsim.engine import EXAM_COMPLETE, EXECUTION_START, NURSE_DECIDE, TASK_COMPLETE, Shift, TaskRequest, run_shift
 
 # Each combo's (scenario, policy) as config text.
 COMBOS = {name: (scenario.value, policy.value) for name, (scenario, policy) in cli.COMBOS.items()}
@@ -70,34 +70,25 @@ def record_requests(monkeypatch) -> list:
     return issued
 
 
-HANDLERS = (
-    "_spawn_patient",
-    "_handle_exam_complete",
-    "_handle_nurse_decide",
-    "_handle_execution_start",
-    "_handle_task_complete",
-    "_handle_trainer_exit",
-)
-
-
 def run_with_invariant_checks(cfg, monkeypatch, every=1):
-    """Run one shift of `cfg`, checking the engine's live state against a ledger of its events.
+    """Run one shift of `cfg`, checking the engine's live state against a ledger of its event log.
 
     The ledger holds every issued request not yet done and, for each claimed
-    one, the nurse that claimed it.  It is built from what the engine reports:
-    the (actor, object) that each decide, start and completion returns.  The
-    ledger and the set of started requests are updated at every event; the
-    engine's queues, the nurses' hands, the beds and the doctors are compared
-    with them after every `every`-th handled event and after the last.
-    Returns the shift's result after checking that no request was started
-    twice and that the census counts every started request.
+    one, the nurse that claimed it.  It is built from the log alone: the
+    (kind, actor, object) of each decide, start and completion entry.  The
+    shift's `trace` is a list that updates the ledger and the set of started
+    requests as each entry is appended; the engine's queues, the nurses'
+    hands, the beds and the doctors are compared with them after every
+    `every`-th event and after the last.  Returns the finished shift after
+    checking that no request was started twice and that the census counts
+    every started request.
     """
     issued = record_requests(monkeypatch)
-    sim = _ShiftSim(cfg)
+    sim = Shift(cfg)
     live = {}  # request id -> issued request not yet done, in issue (id) order
     claims = {}  # request id -> id of the nurse that claimed it, until the request is done
     started = set()
-    recorded = handled = 0
+    recorded = 0
 
     def claim(nurse_id, request_id):
         if request_id != "":
@@ -113,7 +104,7 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
         assert claims.pop(request_id) == nurse_id and request_id in started
         del live[request_id]
 
-    ledger = {"_handle_nurse_decide": claim, "_handle_execution_start": start, "_handle_task_complete": complete}
+    ledger = {NURSE_DECIDE: claim, EXECUTION_START: start, TASK_COMPLETE: complete}
 
     def check():
         assert recorded == sim._next_request_id - 1
@@ -153,26 +144,22 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
             unexamined = [p for p in patients if not p.open_tasks and p is not under_exam.get(doctor)]
             assert list(doctor.waiting) == sorted(unexamined, key=lambda p: p.id)
 
-    def checked(handler, record):
-        def run(*args):
-            nonlocal recorded, handled
-            out = handler(*args)
+    class CheckedLog(list):
+        def append(self, event):
+            nonlocal recorded
+            super().append(event)
             live.update((r.id, r) for r in issued)
             recorded += len(issued)
             issued.clear()
-            if record:
-                record(*out)
-            handled += 1
-            if not handled % every:
+            _, _, kind, actor, obj = event
+            if kind in ledger:
+                ledger[kind](actor, obj)
+            if not len(self) % every:
                 check()
-            return out
 
-        return run
-
-    for name in HANDLERS:
-        setattr(sim, name, checked(getattr(sim, name), ledger.get(name)))
+    sim.trace = CheckedLog()
     result = sim.run()
-    if handled % every:
+    if len(result.trace) % every:
         check()
 
     # No request is started twice: `start` refuses a second start.

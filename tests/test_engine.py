@@ -6,7 +6,7 @@ import pytest
 
 import edsim.engine as engine
 from edsim.domain import LEVELS, NurseQuality, Role
-from edsim.engine import _ShiftSim, render_trace, run_shift
+from edsim.engine import Shift, render_trace, run_shift
 from edsim.metrics import run_rows, write_csvs
 from edsim.policy import Reason, select_request_ca, select_request_fifo
 
@@ -100,7 +100,7 @@ def test_initial_spawn_sequence_round_robins_across_doctors():
 
 
 def test_doctor_bed_blocks_are_contiguous():
-    sim = _ShiftSim(make_config())
+    sim = Shift(make_config())
     assert sim.doctors[1].beds == (1, 2, 3)
     assert sim.doctors[2].beds == (4, 5, 6)
     assert sim.doctors[3].beds == (7, 8, 9)
@@ -157,7 +157,7 @@ def test_no_idle_nurse_means_request_waits(monkeypatch):
 def test_identical_seed_reproduces_bytes(tmp_path):
     cfg = make_config(seed=42)
     a, b = run_shift(cfg), run_shift(cfg)
-    assert render_trace(a) == render_trace(b)
+    assert render_trace(a.trace) == render_trace(b.trace)
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     write_csvs([run_rows("run-42", a)], str(dir_a))
     write_csvs([run_rows("run-42", b)], str(dir_b))
@@ -166,7 +166,7 @@ def test_identical_seed_reproduces_bytes(tmp_path):
 
 
 def test_different_seeds_differ():
-    assert render_trace(run_shift(make_config(seed=1))) != render_trace(run_shift(make_config(seed=2)))
+    assert render_trace(run_shift(make_config(seed=1)).trace) != render_trace(run_shift(make_config(seed=2)).trace)
 
 
 def test_replacement_spawns_on_third_failure():
@@ -336,7 +336,7 @@ def test_decisions_match_full_rescan(combo, monkeypatch):
     # what it would pick from every pending request of the shift.
     scenario, policy = COMBOS[combo]
     issued = record_requests(monkeypatch)
-    sim = _ShiftSim(make_config(scenario=scenario, policy=policy, seed=3, **LARGE_ROSTER))
+    sim = Shift(make_config(scenario=scenario, policy=policy, seed=3, **LARGE_ROSTER))
     seen = Counter()
     claimed, logged = set(), 0
 
@@ -408,7 +408,7 @@ def test_delay_sums_in_start_order_then_issue_order(combo, monkeypatch):
 def test_broadcast_visits_idle_nurses_in_ascending_id_order():
     # `_broadcast` walks `sim.nurses` in insertion order, which is ascending id
     # order only because the roster is sorted and replacements take the next id.
-    sim = _ShiftSim(make_config(scenario="replacement", seed=3, **LARGE_ROSTER))
+    sim = Shift(make_config(scenario="replacement", seed=3, **LARGE_ROSTER))
     original = set(sim.nurses)
     broadcast, schedule = sim._broadcast, sim._schedule
     seen = Counter()

@@ -207,7 +207,7 @@ def _sha256(data: bytes) -> str:
 def test_csv_triplet_digests(acceptance_grids, seed_base, tmp_path):
     for combo in COMBOS:
         rows = [
-            run_rows(f"{combo}-{r.config.seed:08d}", r)
+            run_rows(f"{combo}-{r.cfg.seed:08d}", r)
             for r in acceptance_grids[seed_base][combo]
         ]
         paths = write_csvs(rows, str(tmp_path / combo))
@@ -217,7 +217,7 @@ def test_csv_triplet_digests(acceptance_grids, seed_base, tmp_path):
 
 @pytest.mark.parametrize("policy", sorted(TRACE_DIGESTS))
 def test_trace_digest(policy):
-    trace = render_trace(run_shift(make_config(policy=policy, **TRACE_CONFIG)))
+    trace = render_trace(run_shift(make_config(policy=policy, **TRACE_CONFIG)).trace)
     assert _sha256(trace.encode("utf-8")) == TRACE_DIGESTS[policy]
 
 
@@ -229,7 +229,7 @@ def test_crowded_trace_digest(combo):
     roles = [n.role for n in result.nurses.values()]
     assert sum(n.trust.classified_low_at is not None for n in result.nurses.values()) == classified_low
     assert (roles.count(Role.REPLACEMENT), roles.count(Role.TRAINEE)) == (replacements, trainees)
-    assert _sha256(render_trace(result).encode("utf-8")) == digest
+    assert _sha256(render_trace(result.trace).encode("utf-8")) == digest
 
 
 def test_run_stdout_and_manifest(tmp_path, capsys):
@@ -252,9 +252,9 @@ def grid_dirs(acceptance_grids, tmp_path_factory):
         root = roots[base] = tmp_path_factory.mktemp(f"grid{base}")
         for combo, results in acceptance_grids[base].items():
             out = root / combo
-            rows = [run_rows(f"{combo}-{r.config.seed:08d}", r) for r in results]
+            rows = [run_rows(f"{combo}-{r.cfg.seed:08d}", r) for r in results]
             write_csvs(rows, str(out))
-            (out / "config.echo").write_text(config_echo(results[0].config), encoding="utf-8", newline="\n")
+            (out / "config.echo").write_text(config_echo(results[0].cfg), encoding="utf-8", newline="\n")
     return roots
 
 
@@ -378,10 +378,10 @@ def test_sweep_digest(tmp_path):
     digest = hashlib.sha256()
     for k, raw in enumerate(SWEEP):
         result = run_shift(make_config(**raw))
-        paths = write_csvs([run_rows(f"run-{result.config.seed:08d}", result)], str(tmp_path / str(k)))
+        paths = write_csvs([run_rows(f"run-{result.cfg.seed:08d}", result)], str(tmp_path / str(k)))
         for name in ("runs", "doctors", "nurses"):
             digest.update(Path(paths[name]).read_bytes())
-        digest.update(render_trace(result).encode("utf-8"))
+        digest.update(render_trace(result.trace).encode("utf-8"))
     assert digest.hexdigest() == SWEEP_DIGEST
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from edsim.behavior import TaskOutcome, evaluate_performance_level
 from edsim.domain import EvaluationStyle, Policy, Role, Scenario
-from edsim.engine import Patient, TaskRequest, _ShiftSim, run_shift
+from edsim.engine import Patient, TaskRequest, Shift, run_shift
 from edsim.metrics import (
     SchemaError,
     read_doctors,
@@ -26,7 +26,7 @@ NURSES_HEADER = ("run_id,nurse_id,quality,role,tasks_success,tasks_failed,utilit
 
 def fresh_shift(doctors=(1,), nurses=(1,), shift_length=3600):
     """A shift that has not started: correct doctors, one bed each, nurse 1 low and the others high."""
-    return _ShiftSim(make_config(
+    return Shift(make_config(
         doctors=", ".join(f"{d}:correct" for d in doctors),
         nurses=", ".join(f"{n}:{'low' if n == 1 else 'high'}" for n in nurses),
         bedsPerDoctor=1,
@@ -219,7 +219,7 @@ def test_round_trip_preserves_fields(tmp_path):
     run_row = read_runs(str(tmp_path / "runs.csv"))[0]
     assert run_row == {
         "run_id": run_id,
-        "seed": result.config.seed,
+        "seed": result.cfg.seed,
         "scenario": Scenario.BASELINE,
         "policy": Policy.CA_TRUST,
         "shift_length_s": 300.0,

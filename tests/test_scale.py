@@ -104,13 +104,13 @@ def test_scale_tier_covers_the_corners():
 
 def _digest(result, out: Path) -> str:
     digest = hashlib.sha256()
-    paths = write_csvs([run_rows(f"run-{result.config.seed:08d}", result)], str(out))
+    paths = write_csvs([run_rows(f"run-{result.cfg.seed:08d}", result)], str(out))
     for name in ("runs", "doctors", "nurses"):
         digest.update(Path(paths[name]).read_bytes())
     # The log is rendered in slices, so its whole text is never held.
     step = 10_000
     for start in range(0, len(result.trace), step):
-        digest.update(render_trace(result._replace(trace=result.trace[start:start + step])).encode("utf-8"))
+        digest.update(render_trace(result.trace[start:start + step]).encode("utf-8"))
     return digest.hexdigest()
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 import warnings
@@ -549,13 +550,19 @@ def test_chi2_draws_by_table_for_small_totals(monkeypatch):
     assert len(results) == 4 and all(r is not None for r in results)
 
 
-def test_chi2_falls_back_where_numpy_stops_a_row_early(monkeypatch):
+@functools.lru_cache(maxsize=None)
+def _stopping_seeds():
+    """Seeds whose 10 000 rows of 11 over 3 cells include one numpy stops early."""
     # k = 3, total 11: about one seed in twenty has a row whose last two cells
     # are both empty.
-    seeds = [
+    return [
         s for s in range(80)
         if (np.random.default_rng(s).multinomial(11, [1 / 3] * 3, size=10000)[:, 1:].sum(axis=1) == 0).any()
     ]
+
+
+def test_chi2_falls_back_where_numpy_stops_a_row_early(monkeypatch):
+    seeds = _stopping_seeds()
     assert seeds
     results, generators = _spy_on_inversion(monkeypatch)
     for seed in seeds:
@@ -563,7 +570,7 @@ def test_chi2_falls_back_where_numpy_stops_a_row_early(monkeypatch):
     assert results == [None] * len(seeds)
 
 
-def test_chi2_falls_back_on_a_restart(monkeypatch):
+def _restart_everywhere(monkeypatch):
     # Every threshold past the first at the second one's value: each uniform
     # that reaches count 2 runs past the loop's bound.
     real_thresholds = stats._inversion_thresholds
@@ -574,6 +581,10 @@ def test_chi2_falls_back_on_a_restart(monkeypatch):
 
     monkeypatch.setattr(stats, "_inversion_thresholds", restarting_thresholds)
     monkeypatch.setattr(stats, "_columns", {})
+
+
+def test_chi2_falls_back_on_a_restart(monkeypatch):
+    _restart_everywhere(monkeypatch)
     results, generators = _spy_on_inversion(monkeypatch)
     for counts in ([14, 9, 7], [20, 11]):
         _assert_like_numpy(counts, 10000, 11, generators)
@@ -589,3 +600,75 @@ def test_chi2_draws_by_numpy_outside_the_table_domain(monkeypatch):
     for counts, draws in cases:
         _assert_like_numpy(counts, draws, 3, generators)
     assert results == []
+
+
+# -- draws in blocks -------------------------------------------------------------
+
+
+def _random_counts(rng):
+    k = rng.randint(2, 6)
+    counts = [0] * k
+    for _ in range(rng.randint(3, 60)):
+        counts[rng.randrange(k)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("block", [1000, 3333, 4096])
+def test_chi2_small_blocks_give_the_one_block_p(block, monkeypatch):
+    rng = random.Random(6502)
+    cases = [(_random_counts(rng), rng.randrange(2**63)) for _ in range(12)]
+    cases += [([6, 1, 4], seed) for seed in _stopping_seeds()[:3]]
+    whole = [chi_square_uniform_mc(counts, draws=10000, seed=seed) for counts, seed in cases]
+    monkeypatch.setattr(stats, "_BLOCK", block)
+    results, _ = _spy_on_inversion(monkeypatch)
+    assert [chi_square_uniform_mc(counts, draws=10000, seed=seed) for counts, seed in cases] == whole
+    # Some blocks were drawn by the tables and some, holding a row numpy
+    # stops early, by numpy.
+    assert any(r is None for r in results) and any(r is not None for r in results)
+
+
+def test_chi2_small_blocks_restart_like_one_block(monkeypatch):
+    _restart_everywhere(monkeypatch)
+    whole = [chi_square_uniform_mc(counts, draws=10000, seed=11) for counts in ([14, 9, 7], [20, 11])]
+    monkeypatch.setattr(stats, "_BLOCK", 3333)
+    results, _ = _spy_on_inversion(monkeypatch)
+    assert [chi_square_uniform_mc(counts, draws=10000, seed=11) for counts in ([14, 9, 7], [20, 11])] == whole
+    assert results == [None] * 8  # four blocks each, the last of one row
+
+
+MANY_DRAWS = 2 * 2**16 + 5
+
+# Drawn by the tables, and by numpy: at this many draws rows of 11 over 3
+# cells stop early too often for the tables.
+MANY_DRAWS_COUNTS = ([14, 9, 7], [6, 1, 4])
+
+
+@pytest.mark.parametrize("counts", MANY_DRAWS_COUNTS)
+def test_chi2_many_draws_match_one_multinomial(counts):
+    res = chi_square_uniform_mc(counts, draws=MANY_DRAWS, seed=17)
+    assert (res.statistic, res.p_value) == _chi2_float_reference(counts, MANY_DRAWS, 17)
+
+
+class _RowCountingGenerator:
+    """A numpy Generator that records how many rows each draw asks for."""
+
+    def __init__(self, gen, rows):
+        self._gen, self._rows = gen, rows
+        self.bit_generator = gen.bit_generator
+
+    def random(self, size):
+        self._rows.append(size[0])
+        return self._gen.random(size)
+
+    def multinomial(self, n, pvals, size):
+        self._rows.append(size)
+        return self._gen.multinomial(n, pvals, size=size)
+
+
+@pytest.mark.parametrize("counts", MANY_DRAWS_COUNTS)
+def test_chi2_no_call_draws_more_than_one_block(counts, monkeypatch):
+    rows = []
+    real_default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _RowCountingGenerator(real_default_rng(seed), rows))
+    chi_square_uniform_mc(counts, draws=MANY_DRAWS, seed=17)
+    assert max(rows) <= stats._BLOCK and sum(rows) >= MANY_DRAWS

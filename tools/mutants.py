@@ -209,6 +209,13 @@ MUTANTS = (
            "        if False:",
            ("tests/test_stats.py::test_chi2_falls_back_on_a_restart",
             "tests/test_stats.py::test_chi2_falls_back_where_numpy_stops_a_row_early")),
+    # Draws past one block lose their last, partial block; fewer draws are
+    # still one whole block, so only the tests that draw several see it.
+    Mutant("mc-drops-partial-block", "stats.py",
+           "        for start in range(0, draws, _BLOCK):",
+           "        for start in range(0, draws - draws % _BLOCK or draws, _BLOCK):",
+           ("tests/test_stats.py::test_chi2_many_draws_match_one_multinomial",
+            "tests/test_stats.py::test_chi2_small_blocks_give_the_one_block_p")),
     Mutant("freeze-inside-main", "cli.py",
            "    args = build_parser().parse_args(argv)",
            "    args = build_parser().parse_args(argv); gc.freeze()",
