@@ -14,13 +14,12 @@ from .domain import (
     Scenario,
     SimConfig,
     config_echo,
-    load_config,
     parse_config_file,
     validate_config,
     validate_seed,
 )
-from .engine import render_trace, run_shift
-from .metrics import SchemaError, comparisons_csv, run_rows, write_csvs
+from .engine import run_shift
+from .metrics import SchemaError, comparisons_csv, render_trace, run_rows, write_csvs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,8 +63,8 @@ def _config_error(exc: ConfigError) -> int:
 
 def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[str]) -> int:
     try:
-        overrides = {} if seed is None else {"seed": str(seed)}
-        cfg = load_config(config_path, overrides)
+        raw = parse_config_file(config_path)
+        cfg = validate_config(raw if seed is None else dict(raw, seed=str(seed)))
     except ConfigError as exc:
         return _config_error(exc)
     except OSError as exc:

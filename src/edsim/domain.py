@@ -327,13 +327,6 @@ def parse_config_file(path: str) -> dict[str, str]:
     return raw
 
 
-def load_config(path: str, overrides: dict | None = None) -> SimConfig:
-    """Parse and validate a config file, applying optional key overrides."""
-    raw = parse_config_file(path)
-    raw.update(overrides or {})
-    return validate_config(raw)
-
-
 def config_echo(cfg: SimConfig) -> str:
-    """Render a normalized config in the flat file format (round-trips via load)."""
+    """Render a normalized config in the flat file format (it parses and validates back to the same config)."""
     return "".join(f"{key.name} = {_KINDS[key.kind].render(value)}\n" for key, value in zip(_CONFIG_KEYS.values(), cfg))

@@ -23,25 +23,28 @@ where it stays through execution.  The drawn duration travels in the
 `TASK_COMPLETE` event's args, and the outcome judged from it is a local that
 `_fold_outcome` adds to the totals before the request is dropped.  A patient
 lives only in its bed (`Shift.beds`), from its spawn until its last task is
-done, and points at its doctor; a request points at its patient.  A patient who
-lies down while its doctor examines another waits in the doctor's `waiting`
-queue.  Finished work is not kept, so the end-of-shift census and the horizon
-delay come from the queues, the nurses' hands and the agents' totals.
+done, and points at its doctor; a request points at its patient.  A doctor's
+`exams` queue holds the patient under exam, then those waiting for theirs, in
+lie-down order.  Finished work is not kept, so the open work at the horizon is
+counted from the queues, the nurses' hands and the beds.
 
-The engine keeps every total of the run itself.  Each doctor and nurse is one
+The engine keeps every fact of the run once.  Each doctor and nurse is one
 object from the event loop to the CSV row: `DoctorRuntime` and `NurseRuntime`
-carry the agent's own totals, and the `Shift` keeps the shift's delay and time
-damage.  A nurse's `classified_low_at` lives only in its `TrustState`.  Style,
-quality and role are `edsim.domain` enum members, never their spelling.  A run
-is its finished `Shift`, its one record; the CSV formatter (`metrics.run_rows`)
-reads the agents and the config off it, in the process that ran the shift.
+carry the agent's own totals.  The `Shift` keeps the shift's delay and time
+damage, `stalled_at`, and the counts of patients spawned and requests issued,
+each new id being the count that includes it; the patients served are the
+doctors' sum.  A nurse's `classified_low_at` lives only in its `TrustState`.
+Style, quality and role are `edsim.domain` enum members, never their spelling.
+A run is its finished `Shift`, its one record; the CSV formatter
+(`metrics.run_rows`) reads the agents and the config off it, in the process
+that ran the shift.
 
 Event args carry the agents themselves (the doctor, nurse or patient), so no
 handler looks an id up.  The event log, `Shift.trace`, keeps each event's
 actor and object as raw ids: ints, or "" where the event has none.  Every run
 records the log, but only `run --trace` prints it, and `experiment` throws it
 away with the result, so the handlers format nothing.  The ids become text
-once, in `render_trace`.
+once, in `metrics.render_trace`.
 """
 from __future__ import annotations
 
@@ -65,17 +68,15 @@ SHIFT_END = "shift_end"
 
 
 class DoctorRuntime:
-    """One doctor: its beds, the patients waiting for its exam, and its share of the shift's totals."""
+    """One doctor: its beds, its exam queue, and its share of the shift's totals."""
 
-    __slots__ = ("id", "style", "beds", "waiting", "examining", "served", "time_damage", "delay", "eval_hits",
-                 "eval_count")
+    __slots__ = ("id", "style", "beds", "exams", "served", "time_damage", "delay", "eval_hits", "eval_count")
 
     def __init__(self, id: int, style: EvaluationStyle, beds: tuple):
         self.id = id
         self.style = style
         self.beds = beds
-        self.waiting: deque[Patient] = deque()  # lay down while the doctor was examining, oldest first
-        self.examining = False
+        self.exams: deque[Patient] = deque()  # the patient under exam, then the unexamined ones, oldest first
         self.served = 0
         self.time_damage = 0.0
         self.delay = 0.0
@@ -134,12 +135,6 @@ class NurseRuntime:
         self.time_damage = 0.0
 
 
-def render_trace(trace: list) -> str:
-    """Serialize an event log as `time,seq,kind,actor,object` lines."""
-    lines = ["%.6f,%s,%s,%s,%s" % event for event in trace]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 class Shift:
     """One shift and, once run, its only record; fully determined by (config, seed)."""
 
@@ -169,8 +164,8 @@ class Shift:
         self.beds: dict[int, Optional[Patient]] = {bed: None for doctor in self.doctors.values() for bed in doctor.beds}
         # Pending requests by requested level (index level - 1), oldest first.
         self._pending: tuple[deque, ...] = tuple(deque() for _ in LEVELS)
-        self._next_patient_id = 1
-        self._next_request_id = 1
+        self.patients_spawned = 0
+        self.requests_issued = 0
         self.stalled_at: Optional[float] = None
 
     # -- scheduling ---------------------------------------------------------
@@ -182,18 +177,16 @@ class Shift:
 
     def _spawn_patient(self, doctor: DoctorRuntime, bed: int) -> tuple:
         level = sample_true_level(self.rng, self.cfg.true_level_distribution)
-        patient = Patient(self._next_patient_id, bed, doctor, level)
-        self._next_patient_id += 1
+        self.patients_spawned += 1
+        patient = Patient(self.patients_spawned, bed, doctor, level)
         assert self.beds[bed] is None, f"bed {bed} double-occupied"
         self.beds[bed] = patient
-        if doctor.examining:
-            doctor.waiting.append(patient)
-        else:
+        doctor.exams.append(patient)
+        if len(doctor.exams) == 1:
             self._begin_exam(patient)
         return patient.id, bed
 
     def _begin_exam(self, patient: Patient) -> None:
-        patient.doctor.examining = True
         self._schedule(self.now + self.cfg.exam_duration, EXAM_COMPLETE, (patient,))
 
     def _handle_exam_complete(self, patient: Patient) -> tuple:
@@ -201,15 +194,14 @@ class Shift:
         patient.open_tasks = self.cfg.tasks_per_patient
         for _ in range(self.cfg.tasks_per_patient):
             requested = evaluate_performance_level(patient.true_level, doctor.style)
-            self._pending[requested - 1].append(TaskRequest(self._next_request_id, patient, requested, self.now))
-            self._next_request_id += 1
+            self.requests_issued += 1
+            self._pending[requested - 1].append(TaskRequest(self.requests_issued, patient, requested, self.now))
         self._broadcast()
-        # Patients spawn in (time, id) order, so the head of `waiting` is the
-        # doctor's unexamined patient that lay down first.
-        if doctor.waiting:
-            self._begin_exam(doctor.waiting.popleft())
-        else:
-            doctor.examining = False
+        # Patients spawn in (time, id) order, so once the examined patient
+        # leaves the queue its head is the one that lay down first.
+        doctor.exams.popleft()
+        if doctor.exams:
+            self._begin_exam(doctor.exams[0])
         return doctor.id, patient.id
 
     def _broadcast(self) -> None:
@@ -357,31 +349,18 @@ class Shift:
         return self._finalize()
 
     def _finalize(self) -> Shift:
-        in_hand = [n.current_request for n in self.nurses.values() if n.current_request is not None]
+        in_hand = (n.current_request for n in self.nurses.values() if n.current_request is not None)
         claimed = [r for r in in_hand if r.execution_start_at is None]
         # Requests that never started wait until the horizon.  They are charged
         # in id order, the order the shift issued them, so the float sums stay
         # the same whichever queue or hand holds them.
         for request in sorted(itertools.chain(claimed, *self._pending), key=attrgetter("id")):
             self._charge_wait(request, self.cfg.shift_length)
-
-        # Open requests only: each nurse counts the ones it finished.
-        census = {
-            "pending": sum(map(len, self._pending)),
-            "claimed": len(claimed),
-            "executing": len(in_hand) - len(claimed),
-        }
-        self.patients_served = sum(doctor.served for doctor in self.doctors.values())
-        self.audit = {
-            "patients_spawned": self._next_patient_id - 1,
-            # A live patient is a bed's occupant.
-            "patients_in_system": sum(patient is not None for patient in self.beds.values()),
-            "requests": census,
-            "requests_issued": self._next_request_id - 1,
-            "rng_draws": self.rng.draw_count,
-            "stalled_at": self.stalled_at,
-        }
         return self
+
+    @property
+    def patients_served(self) -> int:
+        return sum(doctor.served for doctor in self.doctors.values())
 
 
 def run_shift(cfg: SimConfig) -> Shift:

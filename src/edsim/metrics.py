@@ -1,12 +1,12 @@
-"""The CSV layer: each table declared once as `Column`s, one row formatter, one reader.
+"""The CSV layer, `trace.csv` included: each table declared once as `Column`s, one row formatter, one reader.
 
 A finished run's `engine.Shift` becomes text once, in `run_rows`, wherever it
 ran: a forked `experiment` worker formats its own runs and sends only those
 strings back.  `write_csvs` writes the runs/doctors/nurses triplet; it orders
 the rows and adds the headers, so the files are the same bytes however the
 runs were spread over processes.  `comparisons_csv` formats `analyze`'s table
-with the same `_row`; only the event trace is formatted elsewhere
-(`engine.render_trace`).  The reader rejects cells edsim never writes: a cell
+with the same `_row`, and `render_trace` formats a shift's event log as
+`run --trace`'s `trace.csv`.  The reader rejects cells edsim never writes: a cell
 must be the text its value writes back to, and an enum cell (scenario, policy,
 style, quality, role) a value of its `edsim.domain` enum, read as the member.
 """
@@ -182,6 +182,12 @@ def write_csvs(rows: list[tuple[str, str, str, str]], out_dir: str) -> dict[str,
 def comparisons_csv(rows: list) -> str:
     """The text of comparisons.csv: its header, then one line per `ComparisonRow`, in order."""
     return COMPARISONS_HEADER + "\n" + "".join(_row(COMPARISONS_COLUMNS, "", r) for r in rows)
+
+
+def render_trace(trace: list) -> str:
+    """Serialize an event log as `time,seq,kind,actor,object` lines."""
+    lines = ["%.6f,%s,%s,%s,%s" % event for event in trace]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _split_csv(path: str, header: str) -> list[list[str]]:

@@ -52,6 +52,23 @@ def acceptance_grids():
     }
 
 
+def census(shift) -> dict:
+    """The open work of a shift: its requests pending, claimed and executing, and its occupied beds.
+
+    A request waits in its level's queue until a nurse claims it, then stays in
+    that nurse's hands, claimed and later executing, until it is done.  A live
+    patient is a bed's occupant.
+    """
+    in_hand = [n.current_request for n in shift.nurses.values() if n.current_request is not None]
+    claimed = sum(r.execution_start_at is None for r in in_hand)
+    return {
+        "pending": sum(map(len, shift._pending)),
+        "claimed": claimed,
+        "executing": len(in_hand) - claimed,
+        "occupied_beds": sum(patient is not None for patient in shift.beds.values()),
+    }
+
+
 def record_requests(monkeypatch) -> list:
     """Record every request the engine builds, in issue (id) order.
 
@@ -107,7 +124,7 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
     ledger = {NURSE_DECIDE: claim, EXECUTION_START: start, TASK_COMPLETE: complete}
 
     def check():
-        assert recorded == sim._next_request_id - 1
+        assert recorded == sim.requests_issued
         # The per-level queues hold exactly the unclaimed requests, oldest first.
         pending = [[] for _ in LEVELS]
         for rid, r in live.items():
@@ -131,18 +148,21 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
         open_tasks = Counter(r.patient for r in live.values())
         assert all(sim.beds[patient.bed] is patient for patient in open_tasks)
         # A doctor examines one patient at a time: the one its scheduled exam
-        # completion carries.  Every other unexamined patient in its beds waits
-        # in its queue in lie-down order, which is id order.
+        # completion carries, which heads its exam queue.  The queue holds
+        # every unexamined patient in its beds in lie-down order, which is id
+        # order.
         exams = [args[0] for _, _, kind, args in sim._heap if kind == EXAM_COMPLETE]
         under_exam = {patient.doctor: patient for patient in exams}
         assert len(under_exam) == len(exams)
         for doctor in sim.doctors.values():
-            assert doctor.examining == (doctor in under_exam)
+            assert bool(doctor.exams) == (doctor in under_exam)
+            if doctor.exams:
+                assert doctor.exams[0] is under_exam[doctor]
             patients = [sim.beds[bed] for bed in doctor.beds if sim.beds[bed] is not None]
             assert all(patient.doctor is doctor and sim.beds[patient.bed] is patient for patient in patients)
             assert all(patient.open_tasks == open_tasks[patient] for patient in patients)
-            unexamined = [p for p in patients if not p.open_tasks and p is not under_exam.get(doctor)]
-            assert list(doctor.waiting) == sorted(unexamined, key=lambda p: p.id)
+            unexamined = [p for p in patients if not p.open_tasks]
+            assert list(doctor.exams) == sorted(unexamined, key=lambda p: p.id)
 
     class CheckedLog(list):
         def append(self, event):
@@ -164,5 +184,5 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
 
     # No request is started twice: `start` refuses a second start.
     done = sum(n.tasks_success + n.tasks_failed for n in result.nurses.values())
-    assert len(started) == result.audit["requests"]["executing"] + done
+    assert len(started) == census(result)["executing"] + done
     return result

@@ -16,7 +16,7 @@ from edsim.cli import EXIT_OK, main
 from edsim.domain import EvaluationStyle, NurseQuality, Role
 from edsim.stats import chi_square_uniform_mc, shapiro_wilk, wilcoxon_rank_sum
 
-from conftest import COMBOS, SEED_BASES, tree_bytes
+from conftest import COMBOS, SEED_BASES, census, tree_bytes
 
 
 def _nurse_ids(result, quality, original_only=False):
@@ -226,17 +226,16 @@ def test_criterion_13_conservation_suite(acceptance_grids):
     for grid in acceptance_grids.values():
         for results in grid.values():
             for r in results:
-                audit = r.audit
-                assert audit["patients_spawned"] == r.patients_served + audit["patients_in_system"]
-                assert r.patients_served == sum(d.served for d in r.doctors.values())
+                open_work = census(r)
+                assert r.patients_spawned == r.patients_served + open_work["occupied_beds"]
                 assert abs(r.time_damage - sum(n.time_damage for n in r.nurses.values())) < 1e-9
                 assert abs(r.time_damage - sum(d.time_damage for d in r.doctors.values())) < 1e-9
                 assert abs(r.delay - sum(d.delay for d in r.doctors.values())) < 1e-9
                 starts = [o for _, _, k, _, o in r.trace if k == "execution_start"]
                 assert len(starts) == len(set(starts))
-                census = audit["requests"]
                 done = sum(n.tasks_success + n.tasks_failed for n in r.nurses.values())
-                assert done + census["executing"] + census["claimed"] + census["pending"] == audit["requests_issued"]
+                assert (done + open_work["executing"] + open_work["claimed"] + open_work["pending"]
+                        == r.requests_issued)
                 runs_checked += 1
     assert runs_checked == len(SEED_BASES) * len(COMBOS) * 60
     print(f"ACCEPTANCE 13 PASS - conservation and consistency hold in all {runs_checked} runs")

@@ -6,11 +6,11 @@ import pytest
 
 import edsim.engine as engine
 from edsim.domain import LEVELS, NurseQuality, Role
-from edsim.engine import Shift, render_trace, run_shift
-from edsim.metrics import run_rows, write_csvs
+from edsim.engine import Shift, run_shift
+from edsim.metrics import render_trace, run_rows, write_csvs
 from edsim.policy import Reason, select_request_ca, select_request_fifo
 
-from conftest import COMBOS, SEED_BASES, make_config, record_requests, run_with_invariant_checks
+from conftest import COMBOS, SEED_BASES, census, make_config, record_requests, run_with_invariant_checks
 
 
 class AllHalfRng:
@@ -70,24 +70,24 @@ def test_hand_traced_single_bed_timeline(monkeypatch):
     ]
     assert [(t, k, a, o) for t, _, k, a, o in result.trace] == expected
     assert result.patients_served == 2
-    assert result.audit["patients_spawned"] == 3
+    assert result.patients_spawned == 3
     assert result.delay == pytest.approx(15.0)
     assert result.time_damage == 0.0
     assert result.nurses[1].tasks_success == 2
     assert result.nurses[1].tasks_failed == 0
     assert result.nurses[1].utility == 10
-    assert result.audit["requests"] == {"pending": 0, "claimed": 0, "executing": 1}
-    assert result.audit["requests_issued"] == 3
+    assert census(result) == {"pending": 0, "claimed": 0, "executing": 1, "occupied_beds": 1}
+    assert result.requests_issued == 3
     # Draw order: one per spawn, one good roll per execution start.
-    assert result.audit["rng_draws"] == 6
+    assert result.rng.draw_count == 6
 
 
 def test_zero_length_shift_is_empty():
     result = run_shift(one_bed_config(shiftLength=0))
     assert [e[2] for e in result.trace] == ["shift_end"]
     assert result.patients_served == 0
-    assert result.audit["patients_spawned"] == 0
-    assert result.audit["rng_draws"] == 0
+    assert result.patients_spawned == 0
+    assert result.rng.draw_count == 0
 
 
 def test_initial_spawn_sequence_round_robins_across_doctors():
@@ -151,7 +151,7 @@ def test_no_idle_nurse_means_request_waits(monkeypatch):
     # Second exam finishes at 20 while the nurse executes until 35: no decide
     # event fires at 20 and the request stays pending at shift end.
     assert not any(k == "nurse_decide" and t == 20.0 for t, _, k, _, _ in result.trace)
-    assert result.audit["requests"]["pending"] == 1
+    assert census(result)["pending"] == 1
 
 
 def test_identical_seed_reproduces_bytes(tmp_path):
@@ -269,19 +269,17 @@ def test_scenario_response_follows_the_latch(base, acceptance_grids):
 def test_conservation_and_consistency(combo, seed):
     scenario, policy = COMBOS[combo]
     result = run_shift(make_config(scenario=scenario, policy=policy, seed=seed))
-    audit = result.audit
+    open_work = census(result)
 
-    assert audit["patients_spawned"] == result.patients_served + audit["patients_in_system"]
-    census = audit["requests"]
+    assert result.patients_spawned == result.patients_served + open_work["occupied_beds"]
     done = sum(n.tasks_success + n.tasks_failed for n in result.nurses.values())
-    assert census["pending"] + census["claimed"] + census["executing"] + done == audit["requests_issued"]
+    assert open_work["pending"] + open_work["claimed"] + open_work["executing"] + done == result.requests_issued
 
-    assert result.patients_served == sum(d.served for d in result.doctors.values())
     assert result.time_damage == pytest.approx(sum(d.time_damage for d in result.doctors.values()))
     assert result.time_damage == pytest.approx(sum(n.time_damage for n in result.nurses.values()))
     assert result.delay == pytest.approx(sum(d.delay for d in result.doctors.values()))
     accepted = sum(n.decisions[Reason.ACCEPTED] for n in result.nurses.values())
-    assert accepted == census["claimed"] + census["executing"] + done
+    assert accepted == open_work["claimed"] + open_work["executing"] + done
 
     # No request is executed twice and the clock never runs backwards.
     starts = [o for _, _, k, _, o in result.trace if k == "execution_start"]
@@ -393,7 +391,7 @@ def test_delay_sums_in_start_order_then_issue_order(combo, monkeypatch):
     claimed = {o for _, _, k, _, o in result.trace if k == "nurse_decide"}
     unstarted = [r for r in issued if r.execution_start_at is None]
     assert len({r.requested_level for r in unstarted if r.id not in claimed}) > 1
-    assert result.audit["requests"]["claimed"] > 0
+    assert census(result)["claimed"] > 0
 
     waits = [(r, r.execution_start_at - r.issued_at) for r in started]
     waits += [(r, cfg.shift_length - r.issued_at) for r in unstarted]
@@ -448,9 +446,9 @@ def test_stall_is_recorded_when_no_nurse_accepts():
     result = run_shift(make_config(trustInit=0.1, acceptThreshold=0.5))
     # The last exam completes at 32 s; every nurse then declines every level
     # for good and only the shift end is left.
-    assert result.audit["stalled_at"] == 32.0
-    assert result.audit["requests"]["pending"] == 9
+    assert result.stalled_at == 32.0
+    assert census(result)["pending"] == 9
 
 
 def test_fifo_run_does_not_stall():
-    assert run_shift(make_config(policy="fifo")).audit["stalled_at"] is None
+    assert run_shift(make_config(policy="fifo")).stalled_at is None

@@ -18,8 +18,8 @@ import pytest
 
 from edsim.cli import EXIT_OK, main
 from edsim.domain import Role, config_echo
-from edsim.engine import render_trace, run_shift
-from edsim.metrics import run_rows, write_csvs
+from edsim.engine import run_shift
+from edsim.metrics import render_trace, run_rows, write_csvs
 
 from conftest import COMBOS, SEED_BASES, make_config, run_with_invariant_checks
 

@@ -15,7 +15,7 @@ from edsim.metrics import (
     write_csvs,
 )
 
-from conftest import make_config
+from conftest import census, make_config
 
 # The headers edsim writes, spelled out so a renamed or moved column shows here.
 RUNS_HEADER = "run_id,seed,scenario,policy,shift_length_s,patients_served,total_time_damage_s,total_delay_s"
@@ -69,7 +69,8 @@ def test_accrue_delay_never_started_truncates_at_horizon():
     result = sim._finalize()
     assert result.delay == 150.0
     assert result.doctors[1].delay == 150.0
-    assert (result.audit["requests"]["pending"], result.audit["requests"]["claimed"]) == (1, 1)
+    open_work = census(result)
+    assert (open_work["pending"], open_work["claimed"]) == (1, 1)
 
 
 def test_accrue_delay_zero_gap():

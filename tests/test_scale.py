@@ -18,8 +18,7 @@ from pathlib import Path
 import pytest
 
 from edsim.domain import Policy
-from edsim.engine import render_trace
-from edsim.metrics import run_rows, write_csvs
+from edsim.metrics import render_trace, run_rows, write_csvs
 
 from conftest import COMBOS, make_config, run_with_invariant_checks
 

@@ -45,9 +45,13 @@ MUTANTS = (
            "        if best is None or (r.issued_at, r.id) < (best.issued_at, best.id):",
            "        if best is None or (r.issued_at, -r.id) < (best.issued_at, -best.id):",
            ("tests/test_policy.py::test_fifo_tie_breaks_exhaustively",)),
-    Mutant("waiting-served-lifo", "engine.py",
-           "            self._begin_exam(doctor.waiting.popleft())",
-           "            self._begin_exam(doctor.waiting.pop())",
+    Mutant("exams-served-lifo", "engine.py",
+           "            self._begin_exam(doctor.exams[0])",
+           "            self._begin_exam(doctor.exams[-1])",
+           ("tests/test_engine.py::test_doctor_examines_in_lie_down_order",)),
+    Mutant("exam-begins-while-examining", "engine.py",
+           "        if len(doctor.exams) == 1:",
+           "        if doctor.exams:",
            ("tests/test_engine.py::test_doctor_examines_in_lie_down_order",)),
     Mutant("broadcast-descending-ids", "engine.py",
            "        for nurse in self.nurses.values():",
