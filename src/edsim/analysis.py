@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from functools import partial
+from statistics import median
 from typing import Callable, NamedTuple, Optional
 
 from . import stats
@@ -137,17 +138,10 @@ class ComparisonRow(NamedTuple):
         return "chi2_mc_count" if self.metric == DOCTOR_PREFERENCE_METRIC else ""
 
 
-def _median(xs: list[float]) -> float:
-    s = sorted(xs)
-    n = len(s)
-    mid = n // 2
-    return s[mid] if n % 2 else (s[mid - 1] + s[mid]) / 2.0
-
-
 def _summary(metric: str, a: ExperimentData, b: ExperimentData, xs_a: list[float], xs_b: list[float]) -> ComparisonRow:
     """A row holding the two groups' means and medians, and no test yet."""
     means = sum(xs_a) / len(xs_a), sum(xs_b) / len(xs_b)
-    return ComparisonRow(metric, a.label, b.label, *means, _median(xs_a), _median(xs_b))
+    return ComparisonRow(metric, a.label, b.label, *means, median(xs_a), median(xs_b))
 
 
 def _try_shapiro(xs: list[float]) -> Optional[stats.TestResult]:
@@ -188,7 +182,7 @@ def _preference_row(a: ExperimentData, b: ExperimentData, mc_draws: int, mc_seed
     sig_a, sig_b = sum(p < 0.05 for p in usable_a), sum(p < 0.05 for p in usable_b)
     row = ComparisonRow(
         DOCTOR_PREFERENCE_METRIC, a.label, b.label, float(sig_a), float(sig_b),
-        _median(usable_a) if usable_a else 0.0, _median(usable_b) if usable_b else 0.0,
+        median(usable_a) if usable_a else 0.0, median(usable_b) if usable_b else 0.0,
         notes=f"runs with per-run chi-square p<0.05: {sig_a}/{len(p_a)} vs {sig_b}/{len(p_b)}; "
         "means hold counts, medians the per-run p",
     )

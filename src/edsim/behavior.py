@@ -1,9 +1,10 @@
 """Doctor difficulty estimation, nurse task-duration sampling, and outcome judging."""
 from __future__ import annotations
 
+from random import Random
 from typing import NamedTuple
 
-from .domain import EvaluationStyle, NurseQuality, Rng, SimConfig
+from .domain import EvaluationStyle, NurseQuality, SimConfig
 
 # Expected execution time, in seconds, that a doctor attaches to each requested
 # difficulty level.  Harder tasks are shorter: they map to urgent interventions.
@@ -50,12 +51,7 @@ def training_bonus_chance(observed_tasks: int, cfg: SimConfig) -> float:
 
 
 def get_task_duration(
-    quality: NurseQuality,
-    training_active: bool,
-    observed_tasks: int,
-    true_level: int,
-    cfg: SimConfig,
-    rng: Rng,
+    quality: NurseQuality, training_active: bool, observed_tasks: int, true_level: int, cfg: SimConfig, rng: Random
 ) -> float:
     """Sample how long, in seconds, a nurse takes on a task of the given true difficulty.
 
@@ -66,10 +62,10 @@ def get_task_duration(
     reads `training_active`.
     """
     if quality is _LOW:
-        hit = training_active and rng.uniform_unit() <= training_bonus_chance(observed_tasks, cfg)
+        hit = training_active and rng.random() <= training_bonus_chance(observed_tasks, cfg)
     else:
-        hit = rng.uniform_unit() <= cfg.high_performer_good_chance
-    return BASE_DURATIONS[true_level] if hit else rng.uniform_range(*ABOVE_BASE_RANGES[true_level])
+        hit = rng.random() <= cfg.high_performer_good_chance
+    return BASE_DURATIONS[true_level] if hit else rng.uniform(*ABOVE_BASE_RANGES[true_level])
 
 
 def judge_outcome(actual: float, requested_level: int, cfg: SimConfig) -> TaskOutcome:

@@ -1,9 +1,9 @@
-"""Shared value types, each enum edsim spells in a file, the validated configuration, and the deterministic RNG."""
+"""Shared value types, each enum edsim spells in a file, and the validated configuration."""
 from __future__ import annotations
 
 import math
-import random
 from enum import Enum
+from random import Random
 from typing import Any, Callable, NamedTuple, Optional
 
 LEVELS = (1, 2, 3, 4, 5)
@@ -114,30 +114,9 @@ SimConfig._field_defaults = {name: key.default for name, key in SimConfig._field
 SimConfig.__new__.__defaults__ = tuple(SimConfig._field_defaults.values())
 
 
-class Rng:
-    """Deterministic uniform generator; one single-owner instance per run.
-
-    Identical seeds yield identical draw sequences.  `draw_count` tracks the
-    number of uniforms consumed, which the engine's draw-order contract relies on.
-    """
-
-    def __init__(self, seed: int):
-        self._gen = random.Random(seed)
-        self.draw_count = 0
-
-    def uniform_unit(self) -> float:
-        """One uniform draw in [0, 1)."""
-        self.draw_count += 1
-        return self._gen.random()
-
-    def uniform_range(self, lo: float, hi: float) -> float:
-        """One uniform draw in [lo, hi)."""
-        return lo + (hi - lo) * self.uniform_unit()
-
-
-def sample_true_level(rng: Rng, dist: tuple[float, ...]) -> int:
+def sample_true_level(rng: Random, dist: tuple[float, ...]) -> int:
     """Draw a difficulty level from `dist` using exactly one uniform draw."""
-    u = rng.uniform_unit()
+    u = rng.random()
     acc = 0.0
     for level, p in zip(LEVELS, dist):
         acc += p

@@ -1,10 +1,9 @@
 """Deterministic discrete-event core: spawn/exam/decide/execute cycle and scenarios.
 
-One run is strictly single-threaded.  All randomness flows through one seeded
-generator with a fixed draw order: one draw when a patient spawns (true
-difficulty) and the duration draws when a task execution starts.  Event
-processing is ordered by (time, insertion sequence), so identical configs and
-seeds replay identically.
+One run is strictly single-threaded.  All randomness comes from one
+`random.Random` seeded with the run's seed, in a fixed order: one draw per
+patient spawn (true difficulty), then the duration draws at each execution
+start.  Events are ordered by (time, insertion sequence), so runs replay.
 
 Pending requests wait in one FIFO queue per requested level.  Requests are
 issued in (issued_at, id) order, because the clock never goes back and ids only
@@ -52,10 +51,11 @@ import heapq
 import itertools
 from collections import deque
 from operator import attrgetter
+from random import Random
 from typing import Optional
 
 from .behavior import TaskOutcome, evaluate_performance_level, get_task_duration, judge_outcome, training_bonus_chance
-from .domain import LEVELS, EvaluationStyle, NurseQuality, Policy, Rng, Role, Scenario, SimConfig, sample_true_level
+from .domain import LEVELS, EvaluationStyle, NurseQuality, Policy, Role, Scenario, SimConfig, sample_true_level
 from .policy import Reason, TrustState, select_request_ca, select_request_fifo, update_trust
 
 PATIENT_SPAWN = "patient_spawn"
@@ -140,7 +140,7 @@ class Shift:
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.rng = Rng(cfg.seed)
+        self.rng = Random(cfg.seed)
         self.now = 0.0
         self._heap: list = []
         self._seq = itertools.count()

@@ -3,17 +3,18 @@
 Implements the Shapiro-Wilk W test (Royston's AS R94 approximation), the
 Wilcoxon rank-sum / Mann-Whitney U test with an exact small-sample branch,
 Welch's t-test, the paired t-test, and a Monte Carlo chi-square uniformity
-test.  The first four use elementary numerics only: an inverse-normal rational
-approximation and a continued-fraction regularized incomplete beta.  The
-chi-square test draws its multinomial samples from numpy's `Generator`, and
-for small totals reproduces those draws exactly from inversion tables built
-here (see `chi_square_uniform_mc`).
+test.  The first four use elementary numerics only: the normal quantile of
+`statistics.NormalDist` and a continued-fraction regularized incomplete beta.
+The chi-square test draws its multinomial samples from numpy's `Generator`,
+and for small totals reproduces those draws exactly from inversion tables
+built here (see `chi_square_uniform_mc`).
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 from itertools import groupby
+from statistics import NormalDist
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -51,43 +52,6 @@ def sample_var(xs: Sequence[float]) -> float:
 def norm_sf(z: float) -> float:
     """Upper tail of the standard normal distribution."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
-# Acklam's rational approximation of the normal quantile, sharpened with one
-# Halley step; accurate to full double precision over (0, 1).
-_PPF_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-          1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_PPF_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-          6.680131188771972e01, -1.328068155288572e01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-          -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-          3.754408661907416e00)
-
-
-def norm_ppf(p: float) -> float:
-    """Standard normal quantile function."""
-    if not 0.0 < p < 1.0:
-        raise StatsError(f"norm_ppf requires p in (0, 1), got {p}")
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    # One Halley refinement against the exact CDF.
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -166,7 +130,8 @@ def _sw_weights(n: int) -> tuple[float, ...]:
     if n == 3:
         r = math.sqrt(0.5)
         return (-r, 0.0, r)
-    m = [norm_ppf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)]
+    ppf = NormalDist().inv_cdf
+    m = [ppf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)]
     ssq = sum(v * v for v in m)
     u = 1.0 / math.sqrt(n)
     a_n = m[-1] / math.sqrt(ssq) + _polyval(_SW_C1, u)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -50,6 +51,16 @@ def acceptance_grids():
         base: {combo: run_combo(combo, base) for combo in COMBOS}
         for base in SEED_BASES
     }
+
+
+class CountingRandom(random.Random):
+    """A `random.Random` that counts the unit draws it hands out; `uniform` draws through `random`."""
+
+    draw_count = 0
+
+    def random(self):
+        self.draw_count += 1
+        return super().random()
 
 
 def census(shift) -> dict:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
 from edsim.behavior import (
@@ -9,7 +11,9 @@ from edsim.behavior import (
     judge_outcome,
     training_bonus_chance,
 )
-from edsim.domain import EvaluationStyle, NurseQuality, Rng, validate_config
+from edsim.domain import EvaluationStyle, NurseQuality, validate_config
+
+from conftest import CountingRandom
 
 CORRECT = EvaluationStyle.CORRECT
 OVER = EvaluationStyle.OVERESTIMATES
@@ -23,19 +27,16 @@ ESTIMATION_TABLE = {
 }
 
 
-class ScriptedRng:
-    """Feeds a fixed sequence of unit draws; counts consumption like Rng."""
+class ScriptedRng(CountingRandom):
+    """Feeds a fixed sequence of unit draws and counts them."""
 
     def __init__(self, units):
+        super().__init__()
         self._units = list(units)
-        self.draw_count = 0
 
-    def uniform_unit(self):
-        self.draw_count += 1
+    def random(self):
+        super().random()
         return self._units.pop(0)
-
-    def uniform_range(self, lo, hi):
-        return lo + (hi - lo) * self.uniform_unit()
 
 
 @pytest.mark.parametrize("true_level,style", list(ESTIMATION_TABLE))
@@ -58,7 +59,7 @@ def test_base_durations():
 # draw above the base.
 def test_random_duration_ranges():
     cfg = validate_config({})
-    rng = Rng(11)
+    rng = Random(11)
     expected = {1: (60, 70), 2: (50, 70), 3: (40, 50), 4: (30, 40), 5: (20, 30)}
     for level, (lo, hi) in expected.items():
         for _ in range(500):
@@ -75,7 +76,7 @@ def test_random_duration_edges():
 
 def test_duration_always_at_least_base():
     cfg = validate_config({})
-    rng = Rng(13)
+    rng = Random(13)
     for level in (1, 2, 3, 4, 5):
         base = BASE_DURATIONS[level]
         for quality in NurseQuality:
@@ -105,7 +106,7 @@ def test_high_performer_bad_roll_overruns():
 
 def test_low_performer_always_overruns_untrained():
     cfg = validate_config({})
-    rng = Rng(17)
+    rng = CountingRandom(17)
     for _ in range(2000):
         before = rng.draw_count
         seconds = get_task_duration(NurseQuality.LOW, False, 0, 5, cfg, rng)
@@ -131,7 +132,7 @@ def test_trainee_missed_bonus_consumes_two_draws():
 def test_high_performer_empirical_success_rate():
     # With accurate estimation, success frequency equals the good-roll chance.
     cfg = validate_config({})
-    rng = Rng(99)
+    rng = Random(99)
     trials = 100_000
     successes = 0
     for _ in range(trials):
@@ -145,7 +146,7 @@ def test_trainee_success_monotone_in_observations():
     cfg = validate_config({})
     rates = []
     for observed in (0, 3, 6, 9):
-        rng = Rng(500 + observed)
+        rng = CountingRandom(500 + observed)
         wins = 0
         for _ in range(20_000):
             before = rng.draw_count
@@ -183,9 +184,9 @@ def test_judge_outcome_failure_penalty_switch():
 
 def test_success_iff_zero_damage():
     cfg = validate_config({})
-    rng = Rng(321)
+    rng = Random(321)
     for _ in range(5000):
-        level = 1 + int(rng.uniform_unit() * 5)
-        actual = rng.uniform_range(10.0, 80.0)
+        level = 1 + int(rng.random() * 5)
+        actual = rng.uniform(10.0, 80.0)
         out = judge_outcome(actual, level, cfg)
         assert out.success == (out.time_damage == 0.0)

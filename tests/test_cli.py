@@ -860,7 +860,8 @@ def test_experiment_failed_run_cancels_queued_runs(tmp_path, capsys, monkeypatch
 IMPORT_PROBE = """
 import json, sys
 MODULES = (
-    "numpy", "concurrent.futures", "multiprocessing", "pickle", "edsim.analysis", "edsim.stats", "dataclasses", "inspect"
+    "numpy", "concurrent.futures", "multiprocessing", "pickle", "edsim.analysis", "edsim.stats", "statistics",
+    "dataclasses", "inspect",
 )
 loaded = lambda: [m for m in MODULES if m in sys.modules]
 seen = {}
@@ -893,7 +894,7 @@ def test_numpy_and_pool_are_loaded_only_where_used(tmp_path):
     analyze = [m for m in seen.pop("analyze") if m != "inspect"]
     # Only forked workers need pickle; no command needs a process pool.
     assert seen == {"import": [], "run": [], "experiment": [], "parallel": ["pickle"]}
-    assert analyze == ["numpy", "pickle", "edsim.analysis", "edsim.stats"]
+    assert analyze == ["numpy", "pickle", "edsim.analysis", "edsim.stats", "statistics"]
 
 
 def test_out_root_env_default(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
 from edsim.domain import (
@@ -7,7 +9,6 @@ from edsim.domain import (
     EvaluationStyle,
     NurseQuality,
     Policy,
-    Rng,
     Scenario,
     SimConfig,
     _CONFIG_KEYS,
@@ -15,6 +16,8 @@ from edsim.domain import (
     sample_true_level,
     validate_config,
 )
+
+from conftest import CountingRandom
 
 
 def test_defaults_match_case_study_roster():
@@ -132,26 +135,20 @@ def test_level_validation():
         assert err.value.key == "easyLevelCap"
 
 
-def test_rng_determinism_over_a_million_draws():
-    a, b = Rng(123456789), Rng(123456789)
-    assert all(a.uniform_unit() == b.uniform_unit() for _ in range(1_000_000))
-    assert a.draw_count == 1_000_000
-
-
 def test_rng_uniform_range_bounds():
-    rng = Rng(5)
-    values = [rng.uniform_range(40.0, 50.0) for _ in range(10_000)]
+    rng = Random(5)
+    values = [rng.uniform(40.0, 50.0) for _ in range(10_000)]
     assert all(40.0 <= v < 50.0 for v in values)
 
 
 def test_sample_true_level_degenerate_distribution():
-    rng = Rng(1)
+    rng = Random(1)
     assert all(sample_true_level(rng, (1.0, 0.0, 0.0, 0.0, 0.0)) == 1 for _ in range(100))
 
 
 def test_sample_true_level_lower_edge():
-    class ZeroRng:
-        def uniform_unit(self):
+    class ZeroRng(Random):
+        def random(self):
             return 0.0
 
     assert sample_true_level(ZeroRng(), (0.2,) * 5) == 1
@@ -159,7 +156,7 @@ def test_sample_true_level_lower_edge():
 
 def test_sample_true_level_matches_distribution():
     # Monte Carlo oracle: empirical frequencies over 1e6 draws within +-0.01.
-    rng = Rng(2024)
+    rng = CountingRandom(2024)
     dist = (0.2, 0.2, 0.2, 0.2, 0.2)
     counts = {level: 0 for level in (1, 2, 3, 4, 5)}
     n = 1_000_000
@@ -171,7 +168,7 @@ def test_sample_true_level_matches_distribution():
 
 
 def test_sample_true_level_skewed_distribution():
-    rng = Rng(7)
+    rng = Random(7)
     dist = (0.5, 0.3, 0.1, 0.05, 0.05)
     counts = {level: 0 for level in (1, 2, 3, 4, 5)}
     n = 200_000

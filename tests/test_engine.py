@@ -10,21 +10,15 @@ from edsim.engine import Shift, run_shift
 from edsim.metrics import render_trace, run_rows, write_csvs
 from edsim.policy import Reason, select_request_ca, select_request_fifo
 
-from conftest import COMBOS, SEED_BASES, census, make_config, record_requests, run_with_invariant_checks
+from conftest import COMBOS, SEED_BASES, CountingRandom, census, make_config, record_requests, run_with_invariant_checks
 
 
-class AllHalfRng:
+class AllHalfRng(CountingRandom):
     """Every unit draw is 0.5: good rolls everywhere, midpoint durations."""
 
-    def __init__(self, seed):
-        self.draw_count = 0
-
-    def uniform_unit(self):
-        self.draw_count += 1
+    def random(self):
+        super().random()
         return 0.5
-
-    def uniform_range(self, lo, hi):
-        return lo + (hi - lo) * self.uniform_unit()
 
 
 def one_bed_config(**overrides):
@@ -46,7 +40,7 @@ def test_hand_traced_single_bed_timeline(monkeypatch):
     #   duration 20 -> done 35 (success, +5 utility, 5 s delay); the freed bed
     #   respawns immediately, so p2 completes at 70 and p3 is still executing
     #   when the shift ends at 100.
-    monkeypatch.setattr(engine, "Rng", AllHalfRng)
+    monkeypatch.setattr(engine, "Random", AllHalfRng)
     result = run_shift(one_bed_config())
 
     expected = [
@@ -82,7 +76,8 @@ def test_hand_traced_single_bed_timeline(monkeypatch):
     assert result.rng.draw_count == 6
 
 
-def test_zero_length_shift_is_empty():
+def test_zero_length_shift_is_empty(monkeypatch):
+    monkeypatch.setattr(engine, "Random", CountingRandom)
     result = run_shift(one_bed_config(shiftLength=0))
     assert [e[2] for e in result.trace] == ["shift_end"]
     assert result.patients_served == 0
@@ -107,7 +102,7 @@ def test_doctor_bed_blocks_are_contiguous():
 
 
 def test_doctor_examines_in_lie_down_order(monkeypatch):
-    monkeypatch.setattr(engine, "Rng", AllHalfRng)
+    monkeypatch.setattr(engine, "Random", AllHalfRng)
     cfg = make_config(
         doctors="1:correct",
         nurses="1:high",
@@ -122,7 +117,7 @@ def test_doctor_examines_in_lie_down_order(monkeypatch):
 
 
 def test_smaller_nurse_id_claims_first(monkeypatch):
-    monkeypatch.setattr(engine, "Rng", AllHalfRng)
+    monkeypatch.setattr(engine, "Random", AllHalfRng)
     cfg = make_config(
         doctors="1:correct",
         nurses="1:high, 2:high",
@@ -138,7 +133,7 @@ def test_smaller_nurse_id_claims_first(monkeypatch):
 
 
 def test_no_idle_nurse_means_request_waits(monkeypatch):
-    monkeypatch.setattr(engine, "Rng", AllHalfRng)
+    monkeypatch.setattr(engine, "Random", AllHalfRng)
     cfg = make_config(
         doctors="1:correct",
         nurses="1:high",

@@ -18,7 +18,6 @@ from edsim.stats import (
     _normal_two_sided_p,
     betainc,
     chi_square_uniform_mc,
-    norm_ppf,
     paired_t_test,
     shapiro_wilk,
     t_sf_two_sided,
@@ -28,12 +27,6 @@ from edsim.stats import (
 
 
 # -- numeric kernels ----------------------------------------------------------
-
-def test_norm_ppf_round_trips_cdf():
-    for p in (1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-9):
-        z = norm_ppf(p)
-        assert 0.5 * math.erfc(-z / math.sqrt(2)) == pytest.approx(p, rel=1e-9)
-
 
 def test_betainc_against_scipy():
     for a, b, x in [(0.5, 0.5, 0.3), (2, 3, 0.7), (30, 0.5, 0.99), (500, 0.5, 0.805)]:
@@ -80,14 +73,12 @@ def test_shapiro_rejects_seeded_exponentials():
     assert rejected >= 18
 
 
-def test_shapiro_weights_are_computed_once_per_size(monkeypatch):
+def test_shapiro_weights_are_computed_once_per_size():
     stats._sw_weights.cache_clear()
-    quantiles = []
-    ppf = stats.norm_ppf
-    monkeypatch.setattr(stats, "norm_ppf", lambda p: quantiles.append(p) or ppf(p))
     rng = np.random.default_rng(5)
     first = [shapiro_wilk(rng.normal(size=60)) for _ in range(3)]
-    assert len(quantiles) == 60
+    info = stats._sw_weights.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
     assert isinstance(stats._sw_weights(60), tuple)
     # A cached weight vector gives the same result as a fresh one.
     stats._sw_weights.cache_clear()

@@ -12,6 +12,9 @@ output paths, so that paths echoed on stdout match as well:
   and 77000;
 - `run --trace` on a 20-doctor x 15-nurse, 10 000 s config (seed 7, every
   third nurse low) that the tool writes itself, for policies ca and fifo;
+- `run` on a 40-doctor x 30-nurse shift in which no nurse ever accepts work,
+  so it stalls at once and its horizon charge is summed over a 10^8 s
+  horizon from non-integer issue times;
 - `analyze` on the paper's four combo pairs of each grid.
 
 Every file the two sides wrote is compared, and so are each command's exit
@@ -55,14 +58,27 @@ def _crowded_config(policy: str) -> str:
     )
 
 
+# No nurse trusts itself enough to accept (trustInit 0.1), so every bed fills
+# and the shift stalls.  At this horizon the charge's float sum shows the
+# order its requests are added in; integer issue times would hide it.
+STALLED_CONFIG = (
+    "seed = 7\n"
+    f"doctors = {', '.join(f'{i}:correct' for i in range(1, 41))}\n"
+    f"nurses = {', '.join(f'{i}:high' for i in range(1, 31))}\n"
+    "bedsPerDoctor = 3\nbedCount = 120\ntrustInit = 0.1\n"
+    "examDuration = 10.123456789\ninitialSpawnInterval = 0.987654321\nshiftLength = 100000000\n"
+)
+
 # Config files written into each side's working directory before any command runs.
 INPUTS = {f"crowded-{policy}.cfg": _crowded_config(policy) for policy in ("ca", "fifo")}
+INPUTS["stalled.cfg"] = STALLED_CONFIG
 
 # Each command's arguments to `python -m edsim`, in run order: an analyze reads a grid written before it.
 COMMANDS = (
     [["experiment", "--combo", "all", "--runs", str(GRID_RUNS), "--parallel", "2", "--seed-base", str(base),
       "--out", f"grid-{base}"] for base in SEED_BASES]
     + [["run", f"crowded-{policy}.cfg", "--trace", "--out", f"crowded-{policy}"] for policy in ("ca", "fifo")]
+    + [["run", "stalled.cfg", "--out", "stalled"]]
     + [["analyze", f"grid-{base}/{a}", f"grid-{base}/{b}", "--out", f"analyze-{base}/{a}-vs-{b}"]
        for base in SEED_BASES for a, b in ANALYZE_PAIRS]
 )

@@ -165,6 +165,11 @@ MUTANTS = (
            "    success = actual <= requested_duration",
            "    success = actual < requested_duration",
            ("tests/test_behavior.py::test_judge_outcome_success_and_failure",)),
+    # The untrained mutant rolls and then discards the roll, so only the count of draws sees it.
+    Mutant("untrained-low-performer-rolls-for-bonus", "behavior.py",
+           "        hit = training_active and rng.random() <= training_bonus_chance(observed_tasks, cfg)",
+           "        hit = rng.random() <= training_bonus_chance(observed_tasks, cfg) and training_active",
+           ("tests/test_behavior.py::test_low_performer_always_overruns_untrained",)),
     Mutant("preference-seed-offset", "analysis.py",
            "        seed = (mc_seed * 1_000_003 + idx) % (2**63)",
            "        seed = (mc_seed * 1_000_003 + idx + 1) % (2**63)",
