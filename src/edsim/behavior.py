@@ -10,8 +10,8 @@ from .domain import EvaluationStyle, NurseQuality, SimConfig
 # difficulty level.  Harder tasks are shorter: they map to urgent interventions.
 BASE_DURATIONS = {1: 60.0, 2: 50.0, 3: 40.0, 4: 30.0, 5: 20.0}
 
-# Delay ranges for a task that misses its expected duration.  Half-open so a
-# draw equals the base duration only with vanishing probability.
+# Delay ranges for a task that misses its expected duration.  `uniform` can
+# round a draw to either end of its range, each with probability below 1e-15.
 ABOVE_BASE_RANGES = {
     1: (60.0, 70.0),
     2: (50.0, 70.0),

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from edsim.behavior import ABOVE_BASE_RANGES
 from edsim.domain import (
     ConfigError,
     EvaluationStyle,
@@ -136,9 +137,15 @@ def test_level_validation():
 
 
 def test_rng_uniform_range_bounds():
+    # lo + (hi - lo) * u rounds the largest unit draws up to hi: both ends can be drawn.
+    class TopRng(Random):
+        def random(self):
+            return 1.0 - 2.0**-53
+
     rng = Random(5)
-    values = [rng.uniform(40.0, 50.0) for _ in range(10_000)]
-    assert all(40.0 <= v < 50.0 for v in values)
+    for lo, hi in ABOVE_BASE_RANGES.values():
+        assert all(lo <= rng.uniform(lo, hi) <= hi for _ in range(10_000))
+        assert TopRng().uniform(lo, hi) == hi
 
 
 def test_sample_true_level_degenerate_distribution():

@@ -39,6 +39,14 @@ def test_t_two_sided_against_scipy():
         assert t_sf_two_sided(t, df) == pytest.approx(ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("df", [1, 2.5, 59])
+def test_t_two_sided_closed_forms_at_zero_and_infinity(df):
+    # x = df / (df + t*t) is exactly 1.0 at t = 0 and 0.0 at t = +-inf: betainc's own ends.
+    assert t_sf_two_sided(0.0, df) == 1.0
+    assert t_sf_two_sided(math.inf, df) == 0.0
+    assert t_sf_two_sided(-math.inf, df) == 0.0
+
+
 # -- Shapiro-Wilk -------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 11, 12, 25, 60, 500, 2000, 5001, 6000])
@@ -109,10 +117,9 @@ def test_wilcoxon_exact_matches_brute_force_enumeration():
     rng = random.Random(3)
     for _ in range(20):
         n1, n2 = rng.randint(1, 5), rng.randint(1, 7)
-        x = rng.sample(range(1000), n1)
-        y = rng.sample(range(2000, 3000), n2)
-        pooled = sorted(x + y)
-        rank_of = {v: i + 1 for i, v in enumerate(pooled)}
+        values = rng.sample(range(1000), n1 + n2)  # x and y interleave, so U ranges over its support
+        x, y = values[:n1], values[n1:]
+        rank_of = {v: i + 1 for i, v in enumerate(sorted(values))}
         u_obs = sum(rank_of[v] for v in x) - n1 * (n1 + 1) / 2
         dist = []
         for combo in combinations(range(1, n1 + n2 + 1), n1):
@@ -166,6 +173,18 @@ def test_wilcoxon_exact_branch_ends_at_eight(n1):
             assert ours.p_value == pytest.approx(float(exact.pvalue), abs=0.02)
 
 
+@pytest.mark.parametrize("n2", [60, 400, 2000])
+def test_wilcoxon_exact_matches_scipy_against_a_large_group(n2):
+    # Eight tie-free runs against many: the exact branch, whose cost is linear in n2.
+    values = [float(v) for v in random.Random(n2).sample(range(10 * n2), 8 + n2)]
+    x, y = values[:8], values[8:]
+    ours = wilcoxon_rank_sum(x, y)
+    exact = scipy_stats.mannwhitneyu(x, y, alternative="two-sided", method="exact")
+    assert ours.statistic == float(exact.statistic)
+    assert ours.p_value == _exact_two_sided_p(ours.statistic, 8, n2)
+    assert ours.p_value == pytest.approx(float(exact.pvalue), rel=1e-12)
+
+
 def test_wilcoxon_invariant_under_monotone_transform():
     rng = np.random.default_rng(23)
     x = list(rng.normal(size=30))
@@ -182,11 +201,9 @@ def test_wilcoxon_exact_and_normal_branches_agree():
     # at the exact-branch boundary min(n) = 8.
     rng = random.Random(41)
     for _ in range(50):
-        x = rng.sample(range(10000), 8)
-        y = rng.sample(range(10000, 20000), 8)
-        pooled = [float(v) for v in x + y]
+        pooled = [float(v) for v in rng.sample(range(10000), 16)]  # interleaved, so U varies
         ranks = {v: i + 1 for i, v in enumerate(sorted(pooled))}
-        u1 = sum(ranks[float(v)] for v in x) - 8 * 9 / 2
+        u1 = sum(ranks[v] for v in pooled[:8]) - 8 * 9 / 2
         exact = _exact_two_sided_p(u1, 8, 8)
         approx = _normal_two_sided_p(u1, 8, 8, _midranks(pooled)[1])
         assert abs(exact - approx) <= 0.02

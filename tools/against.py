@@ -15,7 +15,11 @@ output paths, so that paths echoed on stdout match as well:
 - `run` on a 40-doctor x 30-nurse shift in which no nurse ever accepts work,
   so it stalls at once and its horizon charge is summed over a 10^8 s
   horizon from non-integer issue times;
-- `analyze` on the paper's four combo pairs of each grid.
+- `analyze` on the paper's four combo pairs of each grid;
+- an 8-run baseline-ca pilot at seed base 1000, and `analyze` of it against
+  that grid's training-ca: its tie-free rank-sum rows (`total_delay_s`,
+  `low_nurse_time_damage_s`) take the exact branch, which the 60-run pairs
+  never reach.
 
 Every file the two sides wrote is compared, and so are each command's exit
 code, stdout and stderr.  Exit status 0 when all match; 1 after listing the
@@ -37,6 +41,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SEED_BASES = (1000, 20001, 77000)
 GRID_RUNS = 60
+PILOT_RUNS = 8  # the rank-sum test is exact for tie-free groups of at most 8
 ANALYZE_PAIRS = (
     ("baseline-ca", "baseline-fifo"),
     ("baseline-ca", "replacement-ca"),
@@ -81,6 +86,9 @@ COMMANDS = (
     + [["run", "stalled.cfg", "--out", "stalled"]]
     + [["analyze", f"grid-{base}/{a}", f"grid-{base}/{b}", "--out", f"analyze-{base}/{a}-vs-{b}"]
        for base in SEED_BASES for a, b in ANALYZE_PAIRS]
+    + [["experiment", "--combo", "baseline-ca", "--runs", str(PILOT_RUNS), "--seed-base", str(SEED_BASES[0]),
+        "--out", f"pilot-{SEED_BASES[0]}"],
+       ["analyze", f"pilot-{SEED_BASES[0]}/baseline-ca", f"grid-{SEED_BASES[0]}/training-ca", "--out", "analyze-pilot"]]
 )
 
 

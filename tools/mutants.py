@@ -186,6 +186,19 @@ MUTANTS = (
            "    if min(n1, n2) <= 8 and not tie_term:",
            "    if min(n1, n2) < 8 and not tie_term:",
            ("tests/test_stats.py::test_wilcoxon_exact_branch_ends_at_eight",)),
+    Mutant("rank-sum-null-multiplied-ascending", "stats.py",
+           "        for u in range(top, large + i - 1, -1):",
+           "        for u in range(large + i, top + 1):",
+           ("tests/test_stats.py::test_wilcoxon_exact_matches_brute_force_enumeration",)),
+    # t = +-inf and t = 0 reach betainc at x = 0.0 and x = 1.0, where math.log would raise.
+    Mutant("betainc-open-at-zero", "stats.py",
+           "    if x <= 0.0:",
+           "    if x < 0.0:",
+           ("tests/test_stats.py::test_t_two_sided_closed_forms_at_zero_and_infinity",)),
+    Mutant("betainc-open-at-one", "stats.py",
+           "    if x >= 1.0:",
+           "    if x > 1.0:",
+           ("tests/test_stats.py::test_t_two_sided_closed_forms_at_zero_and_infinity",)),
     Mutant("latch-at-threshold", "policy.py",
            "    if reliability < cfg.reliability_threshold and classified_at is None:",
            "    if reliability <= cfg.reliability_threshold and classified_at is None:",
