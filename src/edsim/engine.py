@@ -9,10 +9,11 @@ Pending requests wait in one FIFO queue per requested level.  Requests are
 issued in (issued_at, id) order, because the clock never goes back and ids only
 increase, so each queue stays sorted by the selectors' tie-break.  Eligibility
 and trust weight depend only on the requested level, so each level's best
-candidate is its queue's head, and a nurse decision hands the selector at most
-one head per level instead of every pending request.  The winner is therefore
-always a head and is claimed with `popleft`, which makes a decision cost
-O(levels) however many requests the shift has issued.
+candidate is its queue's head.  A nurse keeps the levels it may take
+(`policy.eligible_levels`) and their queues, rebuilt only when that set can
+change.  A decision whose queues are all empty declines without selecting; any
+other hands the selector their heads and the levels, and claims the winner with
+`popleft`.  Either way it costs O(levels), however long the queues grow.
 
 A request is a queue item: its id, its patient, the requested level, when it
 was issued and when its execution started.  It lives only where its work is
@@ -56,7 +57,7 @@ from typing import Optional
 
 from .behavior import TaskOutcome, evaluate_performance_level, get_task_duration, judge_outcome, training_bonus_chance
 from .domain import LEVELS, EvaluationStyle, NurseQuality, Policy, Role, Scenario, SimConfig, sample_true_level
-from .policy import Reason, TrustState, select_request_ca, select_request_fifo, update_trust
+from .policy import Reason, TrustState, eligible_levels, select_request_ca, select_request_fifo, update_trust
 
 PATIENT_SPAWN = "patient_spawn"
 EXAM_COMPLETE = "exam_complete"
@@ -65,6 +66,8 @@ EXECUTION_START = "execution_start"
 TASK_COMPLETE = "task_complete"
 TRAINER_EXIT = "trainer_exit"
 SHIFT_END = "shift_end"
+
+_NONE_ELIGIBLE, _QUEUE_EMPTY = Reason.NONE_ELIGIBLE, Reason.QUEUE_EMPTY  # Enum's class lookup is slow
 
 
 class DoctorRuntime:
@@ -114,16 +117,18 @@ class TaskRequest:
 
 
 class NurseRuntime:
-    """One nurse: its trust state, the request in its hands, and its share of the shift's totals."""
+    """One nurse: its trust state, the levels it may take, the request in its hands, and its totals."""
 
-    __slots__ = ("id", "quality", "role", "trust", "observed_tasks", "busy", "trainer_attached", "current_request",
-                 "decisions", "tasks_success", "tasks_failed", "utility", "time_damage")
+    __slots__ = ("id", "quality", "role", "trust", "levels", "queues", "observed_tasks", "busy", "trainer_attached",
+                 "current_request", "decisions", "tasks_success", "tasks_failed", "utility", "time_damage")
 
-    def __init__(self, id: int, quality: NurseQuality, role: Role, trust: TrustState):
+    def __init__(self, id: int, quality: NurseQuality, role: Role, trust: TrustState, levels: tuple, queues: tuple):
         self.id = id
         self.quality = quality
         self.role = role
         self.trust = trust
+        self.levels = levels  # what `eligible_levels` gives for its trust and trainer, ascending
+        self.queues = queues  # the pending queues of those levels
         self.observed_tasks = 0
         self.busy = False
         self.trainer_attached = False
@@ -153,17 +158,19 @@ class Shift:
         for idx, (doctor_id, style) in enumerate(cfg.doctors):
             beds = tuple(range(idx * cfg.beds_per_doctor + 1, (idx + 1) * cfg.beds_per_doctor + 1))
             self.doctors[doctor_id] = DoctorRuntime(doctor_id, style, beds)
+        # Pending requests by requested level (index level - 1), oldest first.
+        self._pending: tuple[deque, ...] = tuple(deque() for _ in LEVELS)
+        # Fresh nurses, replacements included, share one trust state, levels and queues (all of them under FIFO).
+        fresh = TrustState.fresh(cfg)
+        self._fresh = (fresh, LEVELS, self._pending) if self._fifo else (fresh, *self._eligible(fresh, False))
         self.nurses: dict[int, NurseRuntime] = {
-            nurse_id: NurseRuntime(nurse_id, quality, Role.REGULAR, TrustState.fresh(cfg))
-            for nurse_id, quality in cfg.nurses
+            nurse_id: NurseRuntime(nurse_id, quality, Role.REGULAR, *self._fresh) for nurse_id, quality in cfg.nurses
         }
         self.time_damage = 0.0
         self.delay = 0.0
 
         # The only home of a live patient: spawned and not yet served.
         self.beds: dict[int, Optional[Patient]] = {bed: None for doctor in self.doctors.values() for bed in doctor.beds}
-        # Pending requests by requested level (index level - 1), oldest first.
-        self._pending: tuple[deque, ...] = tuple(deque() for _ in LEVELS)
         self.patients_spawned = 0
         self.requests_issued = 0
         self.stalled_at: Optional[float] = None
@@ -172,6 +179,10 @@ class Shift:
 
     def _schedule(self, time: float, kind: str, args: tuple = ()) -> None:
         heapq.heappush(self._heap, (time, next(self._seq), kind, args))
+
+    def _eligible(self, trust: TrustState, trainer_attached: bool) -> tuple:
+        levels = eligible_levels(trust, trainer_attached, self.cfg)
+        return levels, tuple([self._pending[level - 1] for level in levels])
 
     # -- event handlers -----------------------------------------------------
 
@@ -217,11 +228,15 @@ class Shift:
             nurse.busy = False
         if nurse.busy:
             return nurse.id, ""
-        pending = [queue[0] for queue in self._pending if queue]
+        if not (self._fifo or any(nurse.queues)):
+            # No queue the nurse may take from holds a request: it declines without selecting.
+            nurse.decisions[_NONE_ELIGIBLE if any(self._pending) else _QUEUE_EMPTY] += 1
+            return nurse.id, ""
+        pending = [queue[0] for queue in nurse.queues if queue]
         if self._fifo:
             request, reason = select_request_fifo(pending)
         else:
-            request, reason = select_request_ca(nurse.trust, nurse.trainer_attached, pending, self.cfg)
+            request, reason = select_request_ca(nurse.trust, nurse.trainer_attached, pending, self.cfg, nurse.levels)
         nurse.decisions[reason] += 1
         if request is None:
             return nurse.id, ""
@@ -268,7 +283,7 @@ class Shift:
             doctor.eval_hits += 1
 
     def _spawn_replacement(self) -> None:
-        nurse = NurseRuntime(max(self.nurses) + 1, NurseQuality.HIGH, Role.REPLACEMENT, TrustState.fresh(self.cfg))
+        nurse = NurseRuntime(max(self.nurses) + 1, NurseQuality.HIGH, Role.REPLACEMENT, *self._fresh)
         self.nurses[nurse.id] = nurse
         self._schedule(self.now, NURSE_DECIDE, (nurse, 0))
 
@@ -278,15 +293,22 @@ class Shift:
         self._fold_outcome(nurse, request, outcome)
 
         if not self._fifo:
-            classified_before = nurse.trust.classified_low_at
-            nurse.trust = update_trust(nurse.trust, request.requested_level, outcome.success, self.cfg, self.now)
+            cfg, before = self.cfg, nurse.trust
+            nurse.trust = after = update_trust(before, request.requested_level, outcome.success, cfg, self.now)
             # The scenario responds once, when the nurse first classifies itself low.
-            if classified_before is None and nurse.trust.classified_low_at is not None:
-                if self.cfg.scenario is Scenario.REPLACEMENT:
+            if before.classified_low_at is None and after.classified_low_at is not None:
+                if cfg.scenario is Scenario.REPLACEMENT:
                     self._spawn_replacement()
                 elif self._training:
                     nurse.trainer_attached = True
                     nurse.role = Role.TRAINEE
+                nurse.levels, nurse.queues = self._eligible(after, nurse.trainer_attached)
+            elif not nurse.trainer_attached:
+                # Otherwise the levels change only when the one weight that moved crosses the nurse's threshold.
+                idx = request.requested_level - 1
+                threshold = cfg.accept_threshold if after.classified_low_at is None else cfg.restricted_accept_threshold
+                if (before.weights[idx] >= threshold) != (after.weights[idx] >= threshold):
+                    nurse.levels, nurse.queues = self._eligible(after, False)
 
         if observed:
             nurse.observed_tasks += 1
@@ -308,6 +330,7 @@ class Shift:
 
     def _handle_trainer_exit(self, nurse: NurseRuntime) -> tuple:
         nurse.trainer_attached = False
+        nurse.levels, nurse.queues = self._eligible(nurse.trust, False)
         return nurse.id, ""
 
     # -- main loop ----------------------------------------------------------

@@ -61,39 +61,50 @@ def select_request_fifo(pending: Iterable) -> SelectionDecision:
     return _QUEUE_EMPTY if best is None else SelectionDecision(best, _ACCEPTED)
 
 
+def eligible_levels(trust: TrustState, trainer_attached: bool, cfg: SimConfig) -> tuple[int, ...]:
+    """The requested levels a nurse may take, ascending: every level while a
+    trainer is attached; else, once it has classified itself low, the levels up
+    to the easy cap whose weight clears the restricted threshold; else the
+    levels whose weight clears the accept threshold."""
+    if trainer_attached:
+        return LEVELS
+    if trust.classified_low_at is not None:
+        cap, threshold = cfg.easy_level_cap, cfg.restricted_accept_threshold
+    else:
+        cap, threshold = len(LEVELS), cfg.accept_threshold
+    weights = trust.weights
+    return tuple([level for level in LEVELS[:cap] if weights[level - 1] >= threshold])
+
+
 def select_request_ca(
     trust: TrustState,
     trainer_attached: bool,
     pending: Iterable,
     cfg: SimConfig,
+    eligible: Optional[tuple[int, ...]] = None,
 ) -> SelectionDecision:
-    """Pick the pending request the nurse trusts itself most on, if any.
+    """Pick the eligible pending request the nurse trusts itself most on, if any.
 
-    While a trainer is attached every request is eligible.  Otherwise a nurse
-    that has classified itself low (`trust.classified_low_at` is set) is
-    restricted: it only considers levels up to the easy cap and only while its
-    weight there clears the restricted threshold.  Any other nurse takes a
-    request when its level's weight clears the accept threshold.
-    Ties on weight break on the earlier issue time, then the smaller id.
+    `eligible` is `eligible_levels(trust, trainer_attached, cfg)`, computed
+    here unless the caller keeps it.  Ties on weight break on the earlier
+    issue time, then the smaller id.
 
     `pending` may be every pending request or only the oldest one of each
     requested level.  Eligibility and weight depend only on the level, so the
     winner is always some level's oldest request, and the heads alone give the
     same decision, including NONE_ELIGIBLE versus QUEUE_EMPTY.
     """
+    if eligible is None:
+        eligible = eligible_levels(trust, trainer_attached, cfg)
     weights = trust.weights
-    if trust.classified_low_at is not None:
-        cap, threshold = cfg.easy_level_cap, cfg.restricted_accept_threshold
-    else:
-        cap, threshold = len(LEVELS), cfg.accept_threshold
     seen = False
     best, best_w = None, 0.0
     for r in pending:
         seen = True
         level = r.requested_level
-        w = weights[level - 1]
-        if not trainer_attached and (level > cap or w < threshold):
+        if level not in eligible:
             continue
+        w = weights[level - 1]
         if best is None or w > best_w or (w == best_w and (r.issued_at, r.id) < (best.issued_at, best.id)):
             best, best_w = r, w
     if best is not None:

@@ -11,6 +11,7 @@ import edsim.engine as engine
 from edsim import cli
 from edsim.domain import LEVELS, validate_config
 from edsim.engine import EXAM_COMPLETE, EXECUTION_START, NURSE_DECIDE, TASK_COMPLETE, Shift, TaskRequest, run_shift
+from edsim.policy import eligible_levels
 
 # Each combo's (scenario, policy) as config text.
 COMBOS = {name: (scenario.value, policy.value) for name, (scenario, policy) in cli.COMBOS.items()}
@@ -106,10 +107,11 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
     (kind, actor, object) of each decide, start and completion entry.  The
     shift's `trace` is a list that updates the ledger and the set of started
     requests as each entry is appended; the engine's queues, the nurses'
-    hands, the beds and the doctors are compared with them after every
-    `every`-th event and after the last.  Returns the finished shift after
-    checking that no request was started twice and that the census counts
-    every started request.
+    hands, the beds and the doctors are compared with them, and each nurse's
+    cached levels and queues with the eligibility rule, after every `every`-th
+    event and after the last.  Returns the finished shift after checking that
+    no request was started twice and that the census counts every started
+    request.
     """
     issued = record_requests(monkeypatch)
     sim = Shift(cfg)
@@ -148,6 +150,12 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
         preparing = {args[0] for _, _, kind, args in sim._heap if kind == NURSE_DECIDE and args[1]}
         in_hand = dict(claims)
         for nurse in sim.nurses.values():
+            # A nurse's cached levels are those it may take now: every level
+            # under FIFO, else what the eligibility rule gives; its cached
+            # queues are those levels' queues.
+            levels = LEVELS if sim._fifo else eligible_levels(nurse.trust, nurse.trainer_attached, cfg)
+            assert nurse.levels == levels
+            assert list(map(id, nurse.queues)) == [id(sim._pending[level - 1]) for level in levels]
             if nurse.current_request is None:
                 assert nurse.busy == (nurse in preparing)
             else:

@@ -325,11 +325,14 @@ STATES = {
 
 @pytest.mark.parametrize("combo", list(COMBOS))
 def test_decisions_match_full_rescan(combo, monkeypatch):
-    # Each decision sees only the per-level queue heads; the selector must pick
-    # what it would pick from every pending request of the shift.
+    # A selector sees only the heads of the queues the nurse may take from, and
+    # a CA nurse whose queues are all empty declines without selecting.  Every
+    # decision, those declines included, must be what the selector picks from
+    # every pending request of the shift.
     scenario, policy = COMBOS[combo]
     issued = record_requests(monkeypatch)
-    sim = Shift(make_config(scenario=scenario, policy=policy, seed=3, **LARGE_ROSTER))
+    cfg = make_config(scenario=scenario, policy=policy, seed=3, **LARGE_ROSTER)
+    sim = Shift(cfg)
     seen = Counter()
     claimed, logged = set(), 0
 
@@ -342,30 +345,47 @@ def test_decisions_match_full_rescan(combo, monkeypatch):
         seen["max_backlog"] = max(seen["max_backlog"], len(pending))
         return pending
 
-    def same(pending, decision, full):
+    def heads(pending, decision):
         assert len(pending) <= len(LEVELS)
-        assert decision.reason is full.reason and decision.chosen is full.chosen
-        seen["decisions"] += 1
+        seen["selections"] += 1
         return decision
 
     def fifo(pending):
-        return same(pending, select_request_fifo(pending), select_request_fifo(all_pending()))
+        return heads(pending, select_request_fifo(pending))
 
-    def ca(trust, trainer_attached, pending, cfg):
-        seen["restricted"] += trust.classified_low_at is not None and not trainer_attached
-        seen["training"] += trainer_attached
-        return same(
-            pending,
-            select_request_ca(trust, trainer_attached, pending, cfg),
-            select_request_ca(trust, trainer_attached, all_pending(), cfg),
-        )
+    def ca(trust, trainer_attached, pending, cfg, eligible=None):
+        return heads(pending, select_request_ca(trust, trainer_attached, pending, cfg, eligible))
+
+    decide = sim._handle_nurse_decide
+
+    def checked_decide(nurse, make_idle):
+        if nurse.busy and not make_idle:
+            return decide(nurse, make_idle)
+        if sim._fifo:
+            full = select_request_fifo(all_pending())
+        else:
+            full = select_request_ca(nurse.trust, nurse.trainer_attached, all_pending(), cfg)
+        seen["restricted"] += nurse.trust.classified_low_at is not None and not nurse.trainer_attached
+        seen["training"] += nurse.trainer_attached
+        counts = dict(nurse.decisions)
+        actor, obj = decide(nurse, make_idle)
+        assert [reason for reason in Reason if nurse.decisions[reason] != counts[reason]] == [full.reason]
+        assert nurse.current_request is full.chosen and obj == ("" if full.chosen is None else full.chosen.id)
+        seen["decisions"] += 1
+        return actor, obj
 
     monkeypatch.setattr(engine, "select_request_fifo", fifo)
     monkeypatch.setattr(engine, "select_request_ca", ca)
+    sim._handle_nurse_decide = checked_decide
     result = sim.run()
 
     assert seen["decisions"] == sum(sum(n.decisions.values()) for n in result.nurses.values())
     assert seen["max_backlog"] > 10 * len(LEVELS)
+    if combo == "baseline-fifo":
+        assert seen["selections"] == seen["decisions"]
+    else:
+        # Declines that went around the selector were compared all the same.
+        assert 0 < seen["selections"] < seen["decisions"]
     if combo in ("baseline-ca", "replacement-ca"):
         assert seen["restricted"] > 0
     if combo == "training-ca":

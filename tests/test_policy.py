@@ -7,7 +7,7 @@ import pytest
 
 from edsim.behavior import training_bonus_chance
 from edsim.domain import NurseQuality, validate_config
-from edsim.policy import Reason, TrustState, select_request_ca, select_request_fifo, update_trust
+from edsim.policy import Reason, TrustState, eligible_levels, select_request_ca, select_request_fifo, update_trust
 
 
 @dataclass(frozen=True)
@@ -299,6 +299,9 @@ def test_selectors_match_reference_implementations():
         decision = select_request_ca(trust, trainer_attached, pending, cfg)
         want_chosen, want_reason = reference_ca(trust, trainer_attached, pending, cfg)
         assert decision.chosen is want_chosen and decision.reason is want_reason
+        # A caller that keeps the nurse's eligible levels gets the same decision.
+        kept = eligible_levels(trust, trainer_attached, cfg)
+        assert select_request_ca(trust, trainer_attached, pending, cfg, kept) == decision
         reasons.add(want_reason)
         if not trainer_attached:
             ca_reasons["restricted" if classified_at is not None else "unrestricted"].add(want_reason)

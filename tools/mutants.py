@@ -73,13 +73,13 @@ MUTANTS = (
            "    if sum_sq < r * (q + 1) ** 2 + (k - r) * q * q:",
            ("tests/test_stats.py::test_chi2_balanced_counts_draw_nothing",)),
     Mutant("response-on-every-update", "engine.py",
-           "            if classified_before is None and nurse.trust.classified_low_at is not None:",
-           "            if nurse.trust.classified_low_at is not None:",
+           "            if before.classified_low_at is None and after.classified_low_at is not None:",
+           "            if after.classified_low_at is not None:",
            ("tests/test_engine.py::test_trainer_attaches_observes_nine_and_exits",
             "tests/test_engine.py::test_scenario_response_follows_the_latch")),
     Mutant("response-reattaches-only-trainer", "engine.py",
-           "            if classified_before is None and nurse.trust.classified_low_at is not None:",
-           "            if nurse.trust.classified_low_at is not None and (classified_before is None or self._training):",
+           "            if before.classified_low_at is None and after.classified_low_at is not None:",
+           "            if after.classified_low_at is not None and (before.classified_low_at is None or self._training):",
            ("tests/test_engine.py::test_trainer_attaches_observes_nine_and_exits",
             "tests/test_engine.py::test_scenario_response_follows_the_latch")),
     Mutant("stalled-at-never-set", "engine.py",
@@ -158,9 +158,30 @@ MUTANTS = (
            "    if n >= 5:",
            ("tests/test_stats.py::test_shapiro_matches_scipy",)),
     Mutant("threshold-inclusive", "policy.py",
-           "        if not trainer_attached and (level > cap or w < threshold):",
-           "        if not trainer_attached and (level > cap or w <= threshold):",
+           "    return tuple([level for level in LEVELS[:cap] if weights[level - 1] >= threshold])",
+           "    return tuple([level for level in LEVELS[:cap] if weights[level - 1] > threshold])",
            ("tests/test_policy.py::test_selectors_match_reference_implementations",)),
+    # The invariant checker compares each nurse's cached levels and queues with
+    # the eligibility rule after every event, so it sees a stale cache at once;
+    # the full-rescan oracle and the digests see it only once a decision differs.
+    Mutant("latch-keeps-queues", "engine.py",
+           "                nurse.levels, nurse.queues = self._eligible(after, nurse.trainer_attached)",
+           "                pass",
+           ("tests/test_engine.py::test_invariants_hold_after_every_event[long-horizon-baseline-ca]",)),
+    Mutant("trainer-exit-keeps-queues", "engine.py",
+           "        nurse.levels, nurse.queues = self._eligible(nurse.trust, False)",
+           "        pass",
+           ("tests/test_engine.py::test_invariants_hold_after_every_event[long-horizon-training-ca]",)),
+    # The log shows a decline alike whatever its reason, so only the decision
+    # counts, compared decision by decision with a full rescan, see this one.
+    Mutant("shortcut-declines-none-eligible", "engine.py",
+           "            nurse.decisions[_NONE_ELIGIBLE if any(self._pending) else _QUEUE_EMPTY] += 1",
+           "            nurse.decisions[_NONE_ELIGIBLE] += 1",
+           ("tests/test_engine.py::test_decisions_match_full_rescan[baseline-ca]",)),
+    Mutant("crossing-at-unrestricted-threshold", "engine.py",
+           "                threshold = cfg.accept_threshold if after.classified_low_at is None else cfg.restricted_accept_threshold",
+           "                threshold = cfg.accept_threshold",
+           ("tests/test_engine.py::test_invariants_hold_after_every_event[all-low-replacement-ca]",)),
     Mutant("success-strict", "behavior.py",
            "    success = actual <= requested_duration",
            "    success = actual < requested_duration",
