@@ -9,10 +9,10 @@ Pending requests wait in one FIFO queue per requested level.  Requests are
 issued in (issued_at, id) order, because the clock never goes back and ids only
 increase, so each queue stays sorted by the selectors' tie-break.  Eligibility
 and trust weight depend only on the requested level, so each level's best
-candidate is its queue's head.  A nurse keeps the levels it may take
-(`policy.eligible_levels`) and their queues, rebuilt only when that set can
-change.  A decision whose queues are all empty declines without selecting; any
-other hands the selector their heads and the levels, and claims the winner with
+candidate is its queue's head.  A nurse keeps the queues it may take from: all
+of them under FIFO or while a trainer is attached, else those of its
+`TrustState.levels`.  A decision whose queues are all empty declines without
+selecting; any other hands the selector their heads and claims the winner with
 `popleft`.  Either way it costs O(levels), however long the queues grow.
 
 A request is a queue item: its id, its patient, the requested level, when it
@@ -57,7 +57,7 @@ from typing import Optional
 
 from .behavior import TaskOutcome, evaluate_performance_level, get_task_duration, judge_outcome, training_bonus_chance
 from .domain import LEVELS, EvaluationStyle, NurseQuality, Policy, Role, Scenario, SimConfig, sample_true_level
-from .policy import Reason, TrustState, eligible_levels, select_request_ca, select_request_fifo, update_trust
+from .policy import Reason, TrustState, select_request_ca, select_request_fifo, update_trust
 
 PATIENT_SPAWN = "patient_spawn"
 EXAM_COMPLETE = "exam_complete"
@@ -117,18 +117,17 @@ class TaskRequest:
 
 
 class NurseRuntime:
-    """One nurse: its trust state, the levels it may take, the request in its hands, and its totals."""
+    """One nurse: its trust state, the queues it may take from, the request in its hands, and its totals."""
 
-    __slots__ = ("id", "quality", "role", "trust", "levels", "queues", "observed_tasks", "busy", "trainer_attached",
+    __slots__ = ("id", "quality", "role", "trust", "queues", "observed_tasks", "busy", "trainer_attached",
                  "current_request", "decisions", "tasks_success", "tasks_failed", "utility", "time_damage")
 
-    def __init__(self, id: int, quality: NurseQuality, role: Role, trust: TrustState, levels: tuple, queues: tuple):
+    def __init__(self, id: int, quality: NurseQuality, role: Role, trust: TrustState, queues: tuple):
         self.id = id
         self.quality = quality
         self.role = role
         self.trust = trust
-        self.levels = levels  # what `eligible_levels` gives for its trust and trainer, ascending
-        self.queues = queues  # the pending queues of those levels
+        self.queues = queues  # the pending queues of the levels it may take, ascending
         self.observed_tasks = 0
         self.busy = False
         self.trainer_attached = False
@@ -160,9 +159,9 @@ class Shift:
             self.doctors[doctor_id] = DoctorRuntime(doctor_id, style, beds)
         # Pending requests by requested level (index level - 1), oldest first.
         self._pending: tuple[deque, ...] = tuple(deque() for _ in LEVELS)
-        # Fresh nurses, replacements included, share one trust state, levels and queues (all of them under FIFO).
+        # Fresh nurses, replacements included, share one trust state and its queues (all of them under FIFO).
         fresh = TrustState.fresh(cfg)
-        self._fresh = (fresh, LEVELS, self._pending) if self._fifo else (fresh, *self._eligible(fresh, False))
+        self._fresh = (fresh, self._pending if self._fifo else self._queues(fresh.levels))
         self.nurses: dict[int, NurseRuntime] = {
             nurse_id: NurseRuntime(nurse_id, quality, Role.REGULAR, *self._fresh) for nurse_id, quality in cfg.nurses
         }
@@ -180,9 +179,8 @@ class Shift:
     def _schedule(self, time: float, kind: str, args: tuple = ()) -> None:
         heapq.heappush(self._heap, (time, next(self._seq), kind, args))
 
-    def _eligible(self, trust: TrustState, trainer_attached: bool) -> tuple:
-        levels = eligible_levels(trust, trainer_attached, self.cfg)
-        return levels, tuple([self._pending[level - 1] for level in levels])
+    def _queues(self, levels: tuple) -> tuple:
+        return tuple([self._pending[level - 1] for level in levels])
 
     # -- event handlers -----------------------------------------------------
 
@@ -228,7 +226,7 @@ class Shift:
             nurse.busy = False
         if nurse.busy:
             return nurse.id, ""
-        if not (self._fifo or any(nurse.queues)):
+        if not any(nurse.queues):
             # No queue the nurse may take from holds a request: it declines without selecting.
             nurse.decisions[_NONE_ELIGIBLE if any(self._pending) else _QUEUE_EMPTY] += 1
             return nurse.id, ""
@@ -236,10 +234,8 @@ class Shift:
         if self._fifo:
             request, reason = select_request_fifo(pending)
         else:
-            request, reason = select_request_ca(nurse.trust, nurse.trainer_attached, pending, self.cfg, nurse.levels)
+            request, reason = select_request_ca(nurse.trust, pending)
         nurse.decisions[reason] += 1
-        if request is None:
-            return nurse.id, ""
         head = self._pending[request.requested_level - 1].popleft()
         assert head is request
         nurse.busy = True
@@ -293,22 +289,19 @@ class Shift:
         self._fold_outcome(nurse, request, outcome)
 
         if not self._fifo:
-            cfg, before = self.cfg, nurse.trust
-            nurse.trust = after = update_trust(before, request.requested_level, outcome.success, cfg, self.now)
+            before = nurse.trust
+            nurse.trust = after = update_trust(before, request.requested_level, outcome.success, self.cfg, self.now)
+            # A nurse with a trainer attached takes from every queue, whatever its levels.
+            if after.levels is not before.levels and not nurse.trainer_attached:
+                nurse.queues = self._queues(after.levels)
             # The scenario responds once, when the nurse first classifies itself low.
             if before.classified_low_at is None and after.classified_low_at is not None:
-                if cfg.scenario is Scenario.REPLACEMENT:
+                if self.cfg.scenario is Scenario.REPLACEMENT:
                     self._spawn_replacement()
                 elif self._training:
                     nurse.trainer_attached = True
                     nurse.role = Role.TRAINEE
-                nurse.levels, nurse.queues = self._eligible(after, nurse.trainer_attached)
-            elif not nurse.trainer_attached:
-                # Otherwise the levels change only when the one weight that moved crosses the nurse's threshold.
-                idx = request.requested_level - 1
-                threshold = cfg.accept_threshold if after.classified_low_at is None else cfg.restricted_accept_threshold
-                if (before.weights[idx] >= threshold) != (after.weights[idx] >= threshold):
-                    nurse.levels, nurse.queues = self._eligible(after, False)
+                    nurse.queues = self._pending
 
         if observed:
             nurse.observed_tasks += 1
@@ -330,7 +323,7 @@ class Shift:
 
     def _handle_trainer_exit(self, nurse: NurseRuntime) -> tuple:
         nurse.trainer_attached = False
-        nurse.levels, nurse.queues = self._eligible(nurse.trust, False)
+        nurse.queues = self._queues(nurse.trust.levels)
         return nurse.id, ""
 
     # -- main loop ----------------------------------------------------------

@@ -108,7 +108,7 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
     shift's `trace` is a list that updates the ledger and the set of started
     requests as each entry is appended; the engine's queues, the nurses'
     hands, the beds and the doctors are compared with them, and each nurse's
-    cached levels and queues with the eligibility rule, after every `every`-th
+    kept levels and queues with the eligibility rule, after every `every`-th
     event and after the last.  Returns the finished shift after checking that
     no request was started twice and that the census counts every started
     request.
@@ -150,11 +150,12 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
         preparing = {args[0] for _, _, kind, args in sim._heap if kind == NURSE_DECIDE and args[1]}
         in_hand = dict(claims)
         for nurse in sim.nurses.values():
-            # A nurse's cached levels are those it may take now: every level
-            # under FIFO, else what the eligibility rule gives; its cached
-            # queues are those levels' queues.
-            levels = LEVELS if sim._fifo else eligible_levels(nurse.trust, nurse.trainer_attached, cfg)
-            assert nurse.levels == levels
+            # A nurse's kept levels are what the eligibility rule gives for its
+            # trust, and its queues are those of the levels it may take now:
+            # every level under FIFO or while a trainer is attached, else its
+            # kept levels.
+            assert nurse.trust.levels == eligible_levels(nurse.trust, cfg)
+            levels = LEVELS if sim._fifo or nurse.trainer_attached else nurse.trust.levels
             assert list(map(id, nurse.queues)) == [id(sim._pending[level - 1]) for level in levels]
             if nurse.current_request is None:
                 assert nurse.busy == (nurse in preparing)

@@ -8,7 +8,7 @@ import edsim.engine as engine
 from edsim.domain import LEVELS, NurseQuality, Role
 from edsim.engine import Shift, run_shift
 from edsim.metrics import render_trace, run_rows, write_csvs
-from edsim.policy import Reason, select_request_ca, select_request_fifo
+from edsim.policy import Reason, eligible_levels, select_request_ca, select_request_fifo
 
 from conftest import COMBOS, SEED_BASES, CountingRandom, census, make_config, record_requests, run_with_invariant_checks
 
@@ -325,10 +325,10 @@ STATES = {
 
 @pytest.mark.parametrize("combo", list(COMBOS))
 def test_decisions_match_full_rescan(combo, monkeypatch):
-    # A selector sees only the heads of the queues the nurse may take from, and
-    # a CA nurse whose queues are all empty declines without selecting.  Every
-    # decision, those declines included, must be what the selector picks from
-    # every pending request of the shift.
+    # A selector sees only the non-empty heads of the queues the nurse may take
+    # from, and a nurse whose queues are all empty declines without selecting.
+    # Every decision, those declines included, must be what the eligibility
+    # rule and the selector give over every pending request of the shift.
     scenario, policy = COMBOS[combo]
     issued = record_requests(monkeypatch)
     cfg = make_config(scenario=scenario, policy=policy, seed=3, **LARGE_ROSTER)
@@ -346,31 +346,37 @@ def test_decisions_match_full_rescan(combo, monkeypatch):
         return pending
 
     def heads(pending, decision):
-        assert len(pending) <= len(LEVELS)
+        assert 1 <= len(pending) <= len(LEVELS)
         seen["selections"] += 1
         return decision
 
     def fifo(pending):
         return heads(pending, select_request_fifo(pending))
 
-    def ca(trust, trainer_attached, pending, cfg, eligible=None):
-        return heads(pending, select_request_ca(trust, trainer_attached, pending, cfg, eligible))
+    def ca(trust, pending):
+        return heads(pending, select_request_ca(trust, pending))
+
+    def full_rescan(nurse):
+        pending = eligible = all_pending()
+        if not sim._fifo and not nurse.trainer_attached:
+            levels = eligible_levels(nurse.trust, cfg)
+            eligible = [r for r in pending if r.requested_level in levels]
+        if eligible:
+            return select_request_fifo(eligible) if sim._fifo else select_request_ca(nurse.trust, eligible)
+        return None, Reason.NONE_ELIGIBLE if pending else Reason.QUEUE_EMPTY
 
     decide = sim._handle_nurse_decide
 
     def checked_decide(nurse, make_idle):
         if nurse.busy and not make_idle:
             return decide(nurse, make_idle)
-        if sim._fifo:
-            full = select_request_fifo(all_pending())
-        else:
-            full = select_request_ca(nurse.trust, nurse.trainer_attached, all_pending(), cfg)
+        chosen, reason = full_rescan(nurse)
         seen["restricted"] += nurse.trust.classified_low_at is not None and not nurse.trainer_attached
         seen["training"] += nurse.trainer_attached
         counts = dict(nurse.decisions)
         actor, obj = decide(nurse, make_idle)
-        assert [reason for reason in Reason if nurse.decisions[reason] != counts[reason]] == [full.reason]
-        assert nurse.current_request is full.chosen and obj == ("" if full.chosen is None else full.chosen.id)
+        assert [r for r in Reason if nurse.decisions[r] != counts[r]] == [reason]
+        assert nurse.current_request is chosen and obj == ("" if chosen is None else chosen.id)
         seen["decisions"] += 1
         return actor, obj
 
@@ -381,11 +387,8 @@ def test_decisions_match_full_rescan(combo, monkeypatch):
 
     assert seen["decisions"] == sum(sum(n.decisions.values()) for n in result.nurses.values())
     assert seen["max_backlog"] > 10 * len(LEVELS)
-    if combo == "baseline-fifo":
-        assert seen["selections"] == seen["decisions"]
-    else:
-        # Declines that went around the selector were compared all the same.
-        assert 0 < seen["selections"] < seen["decisions"]
+    # Declines that went around the selector were compared all the same.
+    assert 0 < seen["selections"] < seen["decisions"]
     if combo in ("baseline-ca", "replacement-ca"):
         assert seen["restricted"] > 0
     if combo == "training-ca":

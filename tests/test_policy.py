@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import pytest
 
 from edsim.behavior import training_bonus_chance
-from edsim.domain import NurseQuality, validate_config
+from edsim.domain import LEVELS, NurseQuality, Role, validate_config
+from edsim.engine import run_shift
 from edsim.policy import Reason, TrustState, eligible_levels, select_request_ca, select_request_fifo, update_trust
 
 
@@ -21,16 +22,33 @@ def fresh_trust(cfg):
     return TrustState.fresh(cfg)
 
 
+def trust_state(weights, reliability, classified_low_at, cfg):
+    """A trust state whose kept levels are what the eligibility rule gives for the rest."""
+    trust = TrustState(tuple(weights), reliability, classified_low_at, ())
+    return trust._replace(levels=eligible_levels(trust, cfg))
+
+
 def trust_with(cfg, **weights):
     base = list(fresh_trust(cfg).weights)
     for key, value in weights.items():
         base[int(key[1:]) - 1] = value
-    return TrustState(weights=tuple(base), reliability=1.0)
+    return trust_state(base, 1.0, None, cfg)
 
 
-def classified(trust, at=1.0):
+def classified(trust, cfg, at=1.0):
     """The same trust state after the nurse classified itself low at `at`."""
-    return trust._replace(classified_low_at=at)
+    return trust_state(trust.weights, trust.reliability, at, cfg)
+
+
+def decide(trust, trainer_attached, pending, cfg):
+    """What the engine decides: the pending requests of the nurse's eligible
+    levels (every level while a trainer is attached), ranked by the selector;
+    with none left, the decline reason."""
+    levels = LEVELS if trainer_attached else eligible_levels(trust, cfg)
+    eligible = [r for r in pending if r.requested_level in levels]
+    if eligible:
+        return tuple(select_request_ca(trust, eligible))
+    return None, Reason.NONE_ELIGIBLE if pending else Reason.QUEUE_EMPTY
 
 
 CFG = validate_config({})
@@ -41,12 +59,6 @@ def test_fifo_earliest_first():
     decision = select_request_fifo([r2, r1])
     assert decision.reason is Reason.ACCEPTED
     assert decision.chosen is r1
-
-
-def test_fifo_empty_queue():
-    decision = select_request_fifo([])
-    assert decision.reason is Reason.QUEUE_EMPTY
-    assert decision.chosen is None
 
 
 def test_fifo_tie_breaks_exhaustively():
@@ -66,53 +78,68 @@ def test_fifo_ignores_trust_weights():
 
 def test_ca_equal_weights_picks_earlier_issue():
     pending = [Req(1, 10.0, 2), Req(2, 11.0, 5)]
-    decision = select_request_ca(fresh_trust(CFG), False, pending, CFG)
-    assert decision.chosen.id == 1
+    decision = select_request_ca(fresh_trust(CFG), pending)
+    assert decision.reason is Reason.ACCEPTED and decision.chosen.id == 1
 
 
 def test_ca_prefers_higher_weight():
     trust = trust_with(CFG, w4=0.9)
     pending = [Req(1, 10.0, 2), Req(2, 11.0, 4)]
-    assert select_request_ca(trust, False, pending, CFG).chosen.id == 2
+    assert select_request_ca(trust, pending).chosen.id == 2
 
 
 def test_ca_threshold_excludes_low_weight_levels():
-    trust = trust_with(CFG, w2=0.49)
-    pending = [Req(1, 10.0, 2)]
-    decision = select_request_ca(trust, False, pending, CFG)
-    assert decision.reason is Reason.NONE_ELIGIBLE
+    # Only level 2 misses the accept threshold; the threshold itself is eligible.
+    assert eligible_levels(trust_with(CFG, w2=0.49), CFG) == (1, 3, 4, 5)
+    assert eligible_levels(trust_with(CFG, w2=0.5), CFG) == LEVELS
 
 
 def test_restricted_easy_task_allowed():
-    trust = trust_with(CFG, w1=0.3)
     cfg = validate_config({"restrictedAcceptThreshold": "0.2"})
+    trust = trust_with(cfg, w1=0.3)
+    assert eligible_levels(trust, cfg) == (2, 3, 4, 5)
+    assert eligible_levels(classified(trust, cfg), cfg) == (1, 2)
     pending = [Req(1, 10.0, 1), Req(2, 10.0, 4)]
-    assert select_request_ca(trust, False, pending, cfg).chosen.id == 2
-    assert select_request_ca(classified(trust), False, pending, cfg).chosen.id == 1
+    assert decide(trust, False, pending, cfg)[0].id == 2
+    assert decide(classified(trust, cfg), False, pending, cfg)[0].id == 1
 
 
 def test_restricted_rejects_levels_above_cap():
-    pending = [Req(1, 10.0, 3)]
-    decision = select_request_ca(classified(fresh_trust(CFG)), False, pending, CFG)
-    assert decision.reason is Reason.NONE_ELIGIBLE
+    levels = eligible_levels(classified(fresh_trust(CFG), CFG), CFG)
+    assert levels == tuple(range(1, CFG.easy_level_cap + 1))
+    assert 3 not in levels
 
 
 def test_restricted_never_returns_barred_requests():
     rng = random.Random(42)
     for _ in range(500):
-        trust = TrustState(tuple(rng.random() for _ in range(5)), 1.0, classified_low_at=rng.random() * 100)
-        pending = [Req(i, rng.random() * 100, rng.randint(1, 5)) for i in range(1, 6)]
-        decision = select_request_ca(trust, False, pending, CFG)
-        if decision.reason is Reason.ACCEPTED:
-            assert decision.chosen.requested_level <= CFG.easy_level_cap
-            assert trust.weights[decision.chosen.requested_level - 1] >= CFG.restricted_accept_threshold
+        trust = TrustState(tuple(rng.random() for _ in range(5)), 1.0, rng.random() * 100, ())
+        for level in eligible_levels(trust, CFG):
+            assert level <= CFG.easy_level_cap
+            assert trust.weights[level - 1] >= CFG.restricted_accept_threshold
 
 
 def test_training_bypasses_all_gates():
-    trust = TrustState(weights=(0.0,) * 5, reliability=0.1, classified_low_at=5.0)
-    pending = [Req(1, 10.0, 5)]
-    decision = select_request_ca(trust, True, pending, CFG)
-    assert decision.chosen.id == 1
+    # Every patient needs level 5, above the easy cap.  The low nurse fails
+    # each task; starting from full trust with a low accept threshold, it
+    # still takes level 5 until its third failure latches, and then no level-5
+    # request is eligible.  Under training the trainer that attaches at that
+    # moment lets it claim them all the same; under baseline it never claims again.
+    claims_after_latch = {}
+    for scenario in ("training", "baseline"):
+        cfg = validate_config({
+            "scenario": scenario, "doctors": "1:correct", "nurses": "1:low", "bedsPerDoctor": "1",
+            "bedCount": "1", "trueLevelDistribution": "0, 0, 0, 0, 1", "trustInit": "1",
+            "acceptThreshold": "0.3", "seed": "5",
+        })
+        result = run_shift(cfg)
+        nurse = result.nurses[1]
+        latched = nurse.trust.classified_low_at
+        assert latched is not None and 5 not in nurse.trust.levels
+        claims = [t for t, _, k, _, o in result.trace if k == "nurse_decide" and o != ""]
+        claims_after_latch[scenario] = sum(t > latched for t in claims)
+        assert nurse.role is (Role.TRAINEE if scenario == "training" else Role.REGULAR)
+    assert claims_after_latch["training"] > 0 and claims_after_latch["baseline"] == 0
 
 
 def test_update_trust_ema_arithmetic():
@@ -226,8 +253,7 @@ def test_reliability_needs_three_consecutive_failures_from_full_trust():
 # (filter, then a keyed `min`; a per-call `dataclasses.replace`), kept to check
 # the single-pass rewrites against.
 def reference_fifo(pending):
-    best = min(pending, key=lambda r: (r.issued_at, r.id), default=None)
-    return (None, Reason.QUEUE_EMPTY) if best is None else (best, Reason.ACCEPTED)
+    return min(pending, key=lambda r: (r.issued_at, r.id)), Reason.ACCEPTED
 
 
 def reference_ca(trust, trainer_attached, pending, cfg):
@@ -293,22 +319,19 @@ def test_selectors_match_reference_implementations():
         cfg = rng.choice(DIFF_CFGS)
         # The restriction comes from the latch: unset, or set at some time.
         classified_at = rng.choice((0.0, 5.0, 30.0)) if rng.random() < 0.4 else None
-        trust = TrustState(tuple(rng.choice(TIE_WEIGHTS) for _ in range(5)), 1.0, classified_at)
+        trust = trust_state((rng.choice(TIE_WEIGHTS) for _ in range(5)), 1.0, classified_at, cfg)
         trainer_attached = rng.random() < 0.2
         pending = random_pending(rng)
-        decision = select_request_ca(trust, trainer_attached, pending, cfg)
+        chosen, reason = decide(trust, trainer_attached, pending, cfg)
         want_chosen, want_reason = reference_ca(trust, trainer_attached, pending, cfg)
-        assert decision.chosen is want_chosen and decision.reason is want_reason
-        # A caller that keeps the nurse's eligible levels gets the same decision.
-        kept = eligible_levels(trust, trainer_attached, cfg)
-        assert select_request_ca(trust, trainer_attached, pending, cfg, kept) == decision
+        assert chosen is want_chosen and reason is want_reason
         reasons.add(want_reason)
         if not trainer_attached:
             ca_reasons["restricted" if classified_at is not None else "unrestricted"].add(want_reason)
-        decision = select_request_fifo(pending)
-        want_chosen, want_reason = reference_fifo(pending)
-        assert decision.chosen is want_chosen and decision.reason is want_reason
-        reasons.add(want_reason)
+        if pending:
+            decision = select_request_fifo(pending)
+            want_chosen, want_reason = reference_fifo(pending)
+            assert decision.chosen is want_chosen and decision.reason is want_reason
     assert reasons == set(Reason)
     assert ca_reasons == {"restricted": set(Reason), "unrestricted": set(Reason)}
 
@@ -318,17 +341,33 @@ def test_update_trust_matches_reference_bit_for_bit(scenario):
     # The scenario does not enter the trust model: every scenario latches alike.
     rng = random.Random(99)
     cfg = validate_config({"scenario": scenario})
-    latches = 0
+    latches = crossings = 0
     for _ in range(300):
-        trust = TrustState(
-            weights=tuple(rng.choice((rng.random(),) + TIE_WEIGHTS) for _ in range(5)),
-            reliability=rng.random(),
-            classified_low_at=rng.choice((None, None, 3.0)),
+        trust = trust_state(
+            (rng.choice((rng.random(),) + TIE_WEIGHTS) for _ in range(5)),
+            rng.random(),
+            rng.choice((None, None, 3.0)),
+            cfg,
         )
         for step in range(20):
             level, success, now = rng.randint(1, 5), rng.random() < 0.6, float(step)
             updated = update_trust(trust, level, success, cfg, now)
-            assert bits(updated) == bits(TrustState(*reference_update_trust(trust, level, success, cfg, now)))
-            latches += trust.classified_low_at is None and updated.classified_low_at is not None
+            assert bits(updated) == bits(trust_state(*reference_update_trust(trust, level, success, cfg, now), cfg))
+            # The kept levels are the rule's, and the same tuple unless the
+            # latch set or the moved weight crossed the nurse's threshold;
+            # without the latch, a new tuple means a changed set.
+            assert updated.levels == eligible_levels(updated, cfg)
+            latched = trust.classified_low_at is None and updated.classified_low_at is not None
+            if trust.classified_low_at is None:
+                threshold = cfg.accept_threshold
+            else:
+                threshold = cfg.restricted_accept_threshold
+            crossed = (trust.weights[level - 1] >= threshold) != (updated.weights[level - 1] >= threshold)
+            if not (latched or crossed):
+                assert updated.levels is trust.levels
+            if not latched:
+                assert (updated.levels is trust.levels) == (updated.levels == trust.levels)
+            latches += latched
+            crossings += crossed and not latched
             trust = updated
-    assert latches > 0
+    assert latches > 0 and crossings > 0

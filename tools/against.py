@@ -11,7 +11,9 @@ output paths, so that paths echoed on stdout match as well:
 - `experiment --combo all --runs 60 --parallel 2` at seed bases 1000, 20001
   and 77000;
 - `run --trace` on a 20-doctor x 15-nurse, 10 000 s config (seed 7, every
-  third nurse low) that the tool writes itself, for policies ca and fifo;
+  third nurse low) that the tool writes itself: baseline under policies ca
+  and fifo, and ca under the replacement and training scenarios, whose
+  latches spawn replacements and attach trainers while the backlog grows;
 - `run` on a 40-doctor x 30-nurse shift in which no nurse ever accepts work,
   so it stalls at once and its horizon charge is summed over a 10^8 s
   horizon from non-integer issue times;
@@ -54,11 +56,20 @@ CROWDED_SHIFT_S = 10000
 CROWDED_SEED = 7
 
 
-def _crowded_config(policy: str) -> str:
+# Each crowded run's (scenario, policy), by the name of its config and output directory.
+CROWDED_RUNS = {
+    "ca": ("baseline", "ca"),
+    "fifo": ("baseline", "fifo"),
+    "replacement": ("replacement", "ca"),
+    "training": ("training", "ca"),
+}
+
+
+def _crowded_config(scenario: str, policy: str) -> str:
     doctors = ", ".join(f"{i}:correct" for i in range(1, CROWDED_DOCTORS + 1))
     nurses = ", ".join(f"{i}:{'low' if i % 3 == 0 else 'high'}" for i in range(1, CROWDED_NURSES + 1))
     return (
-        f"seed = {CROWDED_SEED}\npolicy = {policy}\ndoctors = {doctors}\nnurses = {nurses}\n"
+        f"seed = {CROWDED_SEED}\nscenario = {scenario}\npolicy = {policy}\ndoctors = {doctors}\nnurses = {nurses}\n"
         f"bedsPerDoctor = 3\nbedCount = {3 * CROWDED_DOCTORS}\nshiftLength = {CROWDED_SHIFT_S}\n"
     )
 
@@ -75,14 +86,14 @@ STALLED_CONFIG = (
 )
 
 # Config files written into each side's working directory before any command runs.
-INPUTS = {f"crowded-{policy}.cfg": _crowded_config(policy) for policy in ("ca", "fifo")}
+INPUTS = {f"crowded-{name}.cfg": _crowded_config(*combo) for name, combo in CROWDED_RUNS.items()}
 INPUTS["stalled.cfg"] = STALLED_CONFIG
 
 # Each command's arguments to `python -m edsim`, in run order: an analyze reads a grid written before it.
 COMMANDS = (
     [["experiment", "--combo", "all", "--runs", str(GRID_RUNS), "--parallel", "2", "--seed-base", str(base),
       "--out", f"grid-{base}"] for base in SEED_BASES]
-    + [["run", f"crowded-{policy}.cfg", "--trace", "--out", f"crowded-{policy}"] for policy in ("ca", "fifo")]
+    + [["run", f"crowded-{name}.cfg", "--trace", "--out", f"crowded-{name}"] for name in CROWDED_RUNS]
     + [["run", "stalled.cfg", "--out", "stalled"]]
     + [["analyze", f"grid-{base}/{a}", f"grid-{base}/{b}", "--out", f"analyze-{base}/{a}-vs-{b}"]
        for base in SEED_BASES for a, b in ANALYZE_PAIRS]

@@ -161,15 +161,41 @@ MUTANTS = (
            "    return tuple([level for level in LEVELS[:cap] if weights[level - 1] >= threshold])",
            "    return tuple([level for level in LEVELS[:cap] if weights[level - 1] > threshold])",
            ("tests/test_policy.py::test_selectors_match_reference_implementations",)),
-    # The invariant checker compares each nurse's cached levels and queues with
-    # the eligibility rule after every event, so it sees a stale cache at once;
+    # The invariant checker compares each nurse's kept levels and queues with
+    # the eligibility rule after every event, so it sees a stale one at once;
     # the full-rescan oracle and the digests see it only once a decision differs.
-    Mutant("latch-keeps-queues", "engine.py",
-           "                nurse.levels, nurse.queues = self._eligible(after, nurse.trainer_attached)",
+    Mutant("latch-keeps-queues", "policy.py",
+           "        classified_at = now",
+           "        return TrustState(weights, reliability, now, trust.levels)",
+           ("tests/test_engine.py::test_invariants_hold_after_every_event[long-horizon-baseline-ca]",)),
+    Mutant("crossing-keeps-levels", "policy.py",
+           "        if idx >= cap or (trust.weights[idx] >= threshold) == (weights[idx] >= threshold):",
+           "        if True:",
+           ("tests/test_engine.py::test_invariants_hold_after_every_event[long-horizon-baseline-ca]",)),
+    # Recomputing an unchanged set changes no decision, only the tuple's identity.
+    Mutant("crossing-above-the-cap-recomputes", "policy.py",
+           "        if idx >= cap or (trust.weights[idx] >= threshold) == (weights[idx] >= threshold):",
+           "        if (trust.weights[idx] >= threshold) == (weights[idx] >= threshold):",
+           ("tests/test_policy.py::test_update_trust_matches_reference_bit_for_bit",)),
+    Mutant("crossing-at-unrestricted-threshold", "policy.py",
+           "        cap, threshold = _gate(classified_at, cfg)",
+           "        cap, threshold = _gate(classified_at, cfg)[0], cfg.accept_threshold",
+           ("tests/test_engine.py::test_invariants_hold_after_every_event[all-low-replacement-ca]",)),
+    Mutant("levels-change-keeps-queues", "engine.py",
+           "                nurse.queues = self._queues(after.levels)",
            "                pass",
            ("tests/test_engine.py::test_invariants_hold_after_every_event[long-horizon-baseline-ca]",)),
+    Mutant("trainee-crossing-narrows-queues", "engine.py",
+           "            if after.levels is not before.levels and not nurse.trainer_attached:",
+           "            if after.levels is not before.levels:",
+           ("tests/test_engine.py::test_trainer_attaches_observes_nine_and_exits",
+            "tests/test_engine.py::test_invariants_hold_after_every_event[all-low-training-ca]")),
+    Mutant("trainer-attach-keeps-queues", "engine.py",
+           "                    nurse.queues = self._pending",
+           "                    pass",
+           ("tests/test_engine.py::test_invariants_hold_after_every_event[long-horizon-training-ca]",)),
     Mutant("trainer-exit-keeps-queues", "engine.py",
-           "        nurse.levels, nurse.queues = self._eligible(nurse.trust, False)",
+           "        nurse.queues = self._queues(nurse.trust.levels)",
            "        pass",
            ("tests/test_engine.py::test_invariants_hold_after_every_event[long-horizon-training-ca]",)),
     # The log shows a decline alike whatever its reason, so only the decision
@@ -178,10 +204,6 @@ MUTANTS = (
            "            nurse.decisions[_NONE_ELIGIBLE if any(self._pending) else _QUEUE_EMPTY] += 1",
            "            nurse.decisions[_NONE_ELIGIBLE] += 1",
            ("tests/test_engine.py::test_decisions_match_full_rescan[baseline-ca]",)),
-    Mutant("crossing-at-unrestricted-threshold", "engine.py",
-           "                threshold = cfg.accept_threshold if after.classified_low_at is None else cfg.restricted_accept_threshold",
-           "                threshold = cfg.accept_threshold",
-           ("tests/test_engine.py::test_invariants_hold_after_every_event[all-low-replacement-ca]",)),
     Mutant("success-strict", "behavior.py",
            "    success = actual <= requested_duration",
            "    success = actual < requested_duration",
