@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -599,8 +600,8 @@ def test_experiment_shares_one_pool_across_combos(tmp_path, forks):
     args = ["experiment", "--runs", "5", "--seed-base", "4", "--combo", "all"]
     assert main(args + ["--out", str(serial)]) == EXIT_OK
     assert forks == []
-    # 5 runs x 4 combos over 3 workers: slices of 6, 7 and 7 runs, two of
-    # which span a combo boundary.
+    # 5 runs x 4 combos over 3 workers, which claim the 20 runs one at a
+    # time, so most workers run runs of more than one combo.
     assert main(args + ["--out", str(parallel), "--parallel", "3"]) == EXIT_OK
     assert len(forks) == 3
     assert tree_bytes(serial) == tree_bytes(parallel)
@@ -695,20 +696,22 @@ def test_workers_send_only_plain_text(tmp_path, monkeypatch, forks):
         _NoGlobals(io.BytesIO(pickle.dumps(Scenario.BASELINE))).load()
     payloads = []
 
-    def load_plain(file):
-        payloads.append(_NoGlobals(file).load())
+    def loads_plain(data):
+        payloads.append(_NoGlobals(io.BytesIO(data)).load())
         return payloads[-1]
 
-    # The parent reads each worker's pipe through pickle.load.
-    monkeypatch.setattr(pickle, "load", load_plain)
+    # The parent reads each frame of the workers' stores through pickle.loads.
+    monkeypatch.setattr(pickle, "loads", loads_plain)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     args = ["experiment", "--runs", "3", "--seed-base", "5", "--combo", "all"]
     assert main(args + ["--out", str(parallel), "--parallel", "2"]) == EXIT_OK
-    assert len(payloads) == len(forks) == 2
-    for rows, error in payloads:
+    assert len(forks) == 2
+    # One frame per run: its index, its rows (a list of one run_rows tuple) and no error.
+    assert sorted(index for index, _, _ in payloads) == list(range(3 * len(COMBOS)))
+    for _, rows, error in payloads:
         assert error is None
+        assert len(rows) == 1
         assert all(type(text) is str for row in rows for text in row)
-    assert sum(len(rows) for rows, _ in payloads) == 3 * len(COMBOS)
     assert main(args + ["--out", str(serial)]) == EXIT_OK
     assert tree_bytes(serial) == tree_bytes(parallel)
     assert_no_children()
@@ -800,8 +803,9 @@ def _die_in_training(cfg):
     [
         pytest.param("1", _explode_in_training, "boom", id="serial"),
         pytest.param("2", _explode_in_training, "boom", id="fork"),
-        # 16 runs over 4 workers: the last worker's slice is training-ca's four runs.
-        pytest.param("4", _die_in_training, "worker 4 of 4 exited without sending its results", id="killed"),
+        # 16 runs over 4 workers: whichever workers claim training-ca's four
+        # runs die, and the twelve runs before them are kept.
+        pytest.param("4", _die_in_training, "worker [1-4] of 4 exited without sending its results", id="killed"),
     ],
 )
 def test_experiment_failure_in_last_combo_keeps_earlier_combos(tmp_path, capsys, monkeypatch, parallel, explode, message):
@@ -815,7 +819,7 @@ def test_experiment_failure_in_last_combo_keeps_earlier_combos(tmp_path, capsys,
     capsys.readouterr()
     assert main(args + ["--out", str(failed)]) == EXIT_RUN_FAILED
     captured = capsys.readouterr()
-    assert captured.err == f"combo training-ca aborted: {message}\n"
+    assert re.fullmatch(f"combo training-ca aborted: {message}\n", captured.err)
     earlier_combos = ["baseline-ca", "baseline-fifo", "replacement-ca"]
     assert [line.split(":")[0] for line in captured.out.splitlines()] == earlier_combos
     assert sorted(os.listdir(failed)) == earlier_combos
@@ -857,10 +861,122 @@ def test_experiment_failed_run_cancels_queued_runs(tmp_path, capsys, monkeypatch
     assert_no_children()
 
 
+def _timed_run_shift(log, runs, delay, fail=None):
+    """A `run_shift` for an `experiment --combo all --runs <runs> --seed-base 1` grid.
+
+    As each run starts it appends "<index> <pid>" to `log`, the index being
+    the run's place in the grid; run `fail` then raises at once, and every
+    other run sleeps `delay(index)` seconds first.
+    """
+    def timed(cfg):
+        index = list(COMBOS.values()).index((cfg.scenario, cfg.policy)) * runs + cfg.seed - 1
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{index} {os.getpid()}\n")
+        if index == fail:
+            raise RuntimeError("boom")
+        time.sleep(delay(index))
+        return run_shift(cfg)
+
+    return timed
+
+
+def _started(log):
+    """The (index, pid) of every run `_timed_run_shift` started, in start order."""
+    with open(log, encoding="utf-8") as fh:
+        return [tuple(map(int, line.split())) for line in fh]
+
+
+def test_slow_runs_are_shared_between_workers(tmp_path, monkeypatch, forks):
+    import edsim.cli as cli
+
+    args = ["experiment", "--runs", "2", "--seed-base", "1", "--combo", "all"]
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert main(args + ["--out", str(serial)]) == EXIT_OK
+    # Runs 0-3, baseline-ca's and baseline-fifo's, are slow; a worker that
+    # took them as one slice would run all four while the other idles.
+    log = tmp_path / "runs.log"
+    monkeypatch.setattr(cli, "run_shift", _timed_run_shift(log, 2, lambda i: 0.5 if i < 4 else 0.0))
+    assert main(args + ["--out", str(parallel), "--parallel", "2"]) == EXIT_OK
+    ran = dict(_started(log))
+    assert sorted(ran) == list(range(8))
+    assert len(forks) == 2
+    assert {ran[i] for i in range(4)} == set(forks)
+    assert tree_bytes(serial) == tree_bytes(parallel)
+    assert_no_children()
+
+
+@pytest.mark.parametrize(
+    "parallel, delay, fail, aborted",
+    [
+        # Run 0 fails at once while the other worker is in its first 50 ms run.
+        pytest.param(2, lambda i: 0.05, 0, "baseline-ca", id="first"),
+        # Run 2 fails at once while run 0 takes 0.5 s: the parent waits for
+        # run 0, and in that time no worker may start runs 3-7.
+        pytest.param(3, lambda i: 0.5 if i == 0 else 0.05, 2, "baseline-fifo", id="behind-a-slow-run"),
+    ],
+)
+def test_failed_run_stops_new_claims(tmp_path, capsys, monkeypatch, forks, parallel, delay, fail, aborted):
+    import edsim.cli as cli
+
+    args = ["experiment", "--runs", "2", "--seed-base", "1", "--combo", "all"]
+    clean, failed = tmp_path / "clean", tmp_path / "failed"
+    assert main(args + ["--out", str(clean)]) == EXIT_OK
+    capsys.readouterr()
+    log = tmp_path / "runs.log"
+    monkeypatch.setattr(cli, "run_shift", _timed_run_shift(log, 2, delay, fail))
+    assert main(args + ["--out", str(failed), "--parallel", str(parallel)]) == EXIT_RUN_FAILED
+    assert capsys.readouterr().err == f"combo {aborted} aborted: boom\n"
+    assert len(forks) == parallel
+    assert len(_started(log)) <= parallel + 1
+    # The combos before the failed run are complete and written as a clean run writes them.
+    earlier = list(COMBOS)[:list(COMBOS).index(aborted)]
+    assert sorted(os.listdir(failed)) == earlier
+    assert tree_bytes(failed) == {path: data for path, data in tree_bytes(clean).items() if path.split(os.sep)[0] in earlier}
+    assert_no_children()
+
+
+def test_map_runs_claims_chunks_past_2048_jobs(monkeypatch):
+    import edsim.cli as cli
+
+    # 5 000 jobs are claimed 3 consecutive runs at a time, ceil(5000 / 2048),
+    # so the claims still fit one 4 096-byte write; the runs here are stand-ins.
+    def run(cfg):
+        if cfg == 4000:
+            raise RuntimeError("boom")
+        return cfg
+
+    monkeypatch.setattr(cli, "run_shift", run)
+    monkeypatch.setattr(cli, "run_rows", lambda run_id, result: (run_id, str(result)))
+    jobs = [(i, f"run-{i}") for i in range(5000)]
+    # Run 4 000 sits inside a chunk: the runs before it come back in job order.
+    assert cli._map_runs(jobs, 3) == ([(f"run-{i}", str(i)) for i in range(4000)], "boom")
+    jobs[4000] = (4001, "run-4000b")
+    assert cli._map_runs(jobs, 3) == ([(run_id, str(i)) for i, run_id in jobs], None)
+    assert_no_children()
+
+
+def test_experiment_store_that_cannot_open_exits_4(tmp_path, capsys, monkeypatch, forks):
+    import tempfile
+
+    def no_store(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_store)
+    out = tmp_path / "o"
+    args = ["experiment", "--runs", "3", "--combo", "all", "--parallel", "2", "--out", str(out)]
+    assert main(args) == EXIT_RUN_FAILED
+    captured = capsys.readouterr()
+    assert captured.err == f"combo baseline-ca aborted: [Errno {errno.ENOSPC}] No space left on device\n"
+    assert captured.out == ""
+    assert os.listdir(out) == []
+    assert forks == []
+    assert_no_children()
+
+
 IMPORT_PROBE = """
 import json, sys
 MODULES = (
-    "numpy", "concurrent.futures", "multiprocessing", "pickle", "edsim.analysis", "edsim.stats", "statistics",
+    "numpy", "concurrent.futures", "multiprocessing", "pickle", "select", "edsim.analysis", "edsim.stats", "statistics",
     "dataclasses", "inspect",
 )
 loaded = lambda: [m for m in MODULES if m in sys.modules]
@@ -892,9 +1008,9 @@ def test_numpy_and_pool_are_loaded_only_where_used(tmp_path):
     seen = json.loads(done.stdout.splitlines()[-1])
     # numpy imports inspect itself, so analyze may load it; never dataclasses.
     analyze = [m for m in seen.pop("analyze") if m != "inspect"]
-    # Only forked workers need pickle; no command needs a process pool.
-    assert seen == {"import": [], "run": [], "experiment": [], "parallel": ["pickle"]}
-    assert analyze == ["numpy", "pickle", "edsim.analysis", "edsim.stats", "statistics"]
+    # Only forked workers need pickle and select; no command needs a process pool.
+    assert seen == {"import": [], "run": [], "experiment": [], "parallel": ["pickle", "select"]}
+    assert analyze == ["numpy", "pickle", "select", "edsim.analysis", "edsim.stats", "statistics"]
 
 
 def test_out_root_env_default(tmp_path, monkeypatch):

@@ -281,6 +281,22 @@ MUTANTS = (
            "        for start in range(0, draws - draws % _BLOCK or draws, _BLOCK):",
            ("tests/test_stats.py::test_chi2_many_draws_match_one_multinomial",
             "tests/test_stats.py::test_chi2_small_blocks_give_the_one_block_p")),
+    # Parsed store by store, the frames arrive out of job order whenever both
+    # workers took some of the slow runs, so the combos get each other's rows.
+    Mutant("rows-in-arrival-order", "cli.py",
+           "        rows = [row for i in range(missing[0] if missing else first) for row in results[i][0]]",
+           "        rows = [row for i in results if i < (missing[0] if missing else first) for row in results[i][0]]",
+           ("tests/test_cli.py::test_slow_runs_are_shared_between_workers",)),
+    # The parent kills the workers only once the slow run before the failure
+    # is in; until then an undrained pipe lets the others start new runs.
+    Mutant("failed-worker-leaves-claims", "cli.py",
+           "                claims.read(4096)  # every claim left, so no worker starts another run",
+           "                pass",
+           ("tests/test_cli.py::test_failed_run_stops_new_claims[behind-a-slow-run]",)),
+    Mutant("completeness-skips-earlier-runs", "cli.py",
+           "            missing = [i for i in range(first) if i not in results]",
+           "            missing = [i for i in range(first - 1, first) if i not in results]",
+           ("tests/test_cli.py::test_failed_run_stops_new_claims[behind-a-slow-run]",)),
     Mutant("freeze-inside-main", "cli.py",
            "    args = build_parser().parse_args(argv)",
            "    args = build_parser().parse_args(argv); gc.freeze()",
