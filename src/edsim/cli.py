@@ -109,86 +109,16 @@ def _run_slice(jobs: list[tuple[SimConfig, str]]) -> tuple[list[tuple], Optional
     return rows, None
 
 
-def _claim_runs(jobs: list[tuple[SimConfig, str]], chunk: int, claims, store, dumps) -> None:
-    """A worker: run the jobs claimed from `claims`, `chunk` at a time, appending each run's frame to `store`."""
-    while token := claims.read(2):
-        start = int.from_bytes(token, "big") * chunk
-        for index in range(start, min(start + chunk, len(jobs))):
-            rows, error = _run_slice(jobs[index:index + 1])
-            frame = dumps((index, rows, error))
-            store.write(len(frame).to_bytes(4, "big") + frame)  # one frame: a 4-byte length, then the pickle
-            store.flush()
-            if error is not None:
-                claims.read(4096)  # every claim left, so no worker starts another run
-                return
-
-
 def _map_runs(jobs: list[tuple[SimConfig, str]], parallel: int) -> tuple[list[tuple], Optional[str]]:
     """Run `jobs`; returns the rows of the runs before the first failed one and its error text (or None).
 
-    min(parallel, len(jobs)) forked workers claim the jobs one at a time from a
-    pipe filled before the first fork and append each finished run's CSV rows
-    (`metrics.run_rows`), only strings, to their own unlinked file (`_claim_runs`).
-    As each worker exits, killed or not, the parent reads its file; it stops
-    once every job before the first failed one is in, as in a serial run.
-    Whatever happens, every worker is killed and reaped before this returns.
-    With one worker, or without `os.fork`, the jobs run and are formatted here.
+    With one worker, or where processes cannot fork, they run here, else in `workers.map_runs`.
     """
-    workers = min(parallel, len(jobs))
-    if workers <= 1 or not hasattr(os, "fork"):
+    if min(parallel, len(jobs)) <= 1 or not hasattr(os, "fork"):
         return _run_slice(jobs)
-    import pickle
-    import select
-    import signal
-    import tempfile
+    from .workers import map_runs
 
-    chunk = -(-len(jobs) // 2048)  # at most 2048 two-byte claims: one write of at most PIPE_BUF bytes
-    pids, files, exits, poll = [], [], {}, select.poll()  # exits: exit pipe -> worker number, store
-    try:
-        read_fd, write_fd = os.pipe()
-        files.append(claims := os.fdopen(read_fd, "rb", 0))
-        with os.fdopen(write_fd, "wb", 0) as out:
-            out.write(b"".join(k.to_bytes(2, "big") for k in range(-(-len(jobs) // chunk))))
-        for k in range(1, workers + 1):
-            files.append(store := tempfile.TemporaryFile())
-            read_fd, write_fd = os.pipe()
-            files.append(os.fdopen(read_fd, "rb", 0))
-            exits[read_fd] = k, store
-            poll.register(read_fd, select.POLLIN)  # poll, unlike select.select, takes any descriptor
-            with os.fdopen(write_fd, "wb", 0) as done:
-                pid = os.fork()
-                if pid == 0:  # the worker; it never leaves this block
-                    try:
-                        _claim_runs(jobs, chunk, claims, store, pickle.dumps)
-                        done.write(b".")  # a killed worker's exit pipe closes without this mark
-                    finally:
-                        os._exit(0)
-                pids.append(pid)
-        results, lost, missing = {}, 0, [0]  # results: job index -> (rows, error)
-        while missing and exits:
-            for fd, _ in poll.poll():
-                poll.unregister(fd)
-                k, store = exits.pop(fd)
-                if not os.read(fd, 1):  # no exit mark: the worker was killed
-                    lost = lost or k
-                data, at = os.pread(store.fileno(), os.fstat(store.fileno()).st_size, 0), 0
-                # Whole frames only: a killed worker's last one may be cut short.
-                while at + 4 <= len(data) and (end := at + 4 + int.from_bytes(data[at:at + 4], "big")) <= len(data):
-                    index, ran, why = pickle.loads(data[at + 4:end])
-                    results[index], at = (ran, why), end
-            first = min((i for i, (_, error) in results.items() if error is not None), default=len(jobs))
-            missing = [i for i in range(first) if i not in results]
-        error = f"worker {lost} of {workers} exited without sending its results" if missing else None
-        rows = [row for i in range(missing[0] if missing else first) for row in results[i][0]]
-        return rows, error or results.get(first, ([], None))[1]
-    except OSError as exc:  # a pipe, a store or a worker could not be made
-        return [], str(exc)
-    finally:
-        for file in files:
-            file.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    return map_runs(jobs, parallel, _run_slice)
 
 
 def run_experiment(out_dir: str, name: str, jobs: list[tuple[SimConfig, str]], rows: list[tuple]) -> None:

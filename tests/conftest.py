@@ -109,9 +109,12 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
     requests as each entry is appended; the engine's queues, the nurses'
     hands, the beds and the doctors are compared with them, and each nurse's
     kept levels and queues with the eligibility rule, after every `every`-th
-    event and after the last.  Returns the finished shift after checking that
-    no request was started twice and that the census counts every started
-    request.
+    event and after the last.  A nurse's levels and queues are checked again
+    only once its trust, queues or trainer flag is another object than at its
+    last check: the rule is a pure function of the trust, an immutable tuple,
+    and the shift's pending queues are fixed.  Returns the finished shift
+    after checking that no request was started twice and that the census
+    counts every started request.
     """
     issued = record_requests(monkeypatch)
     sim = Shift(cfg)
@@ -119,6 +122,8 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
     claims = {}  # request id -> id of the nurse that claimed it, until the request is done
     started = set()
     recorded = 0
+    pending_queues = sim._pending
+    checked = {}  # nurse id -> its (trust, queues, trainer_attached) at its last levels-and-queues check
 
     def claim(nurse_id, request_id):
         if request_id != "":
@@ -143,7 +148,7 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
         for rid, r in live.items():
             if rid not in claims:
                 pending[r.requested_level - 1].append(r)
-        assert [list(queue) for queue in sim._pending] == pending
+        assert sim._pending is pending_queues and [list(queue) for queue in sim._pending] == pending
         # Each claimed request not yet done is the current request of the
         # nurse that claimed it.  A nurse without one is busy only while it
         # prepares, that is while its post-prep decide is still scheduled.
@@ -154,9 +159,13 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
             # trust, and its queues are those of the levels it may take now:
             # every level under FIFO or while a trainer is attached, else its
             # kept levels.
-            assert nurse.trust.levels == eligible_levels(nurse.trust, cfg)
-            levels = LEVELS if sim._fifo or nurse.trainer_attached else nurse.trust.levels
-            assert list(map(id, nurse.queues)) == [id(sim._pending[level - 1]) for level in levels]
+            last = checked.get(nurse.id)
+            if (last is None or last[0] is not nurse.trust or last[1] is not nurse.queues
+                    or last[2] is not nurse.trainer_attached):
+                assert nurse.trust.levels == eligible_levels(nurse.trust, cfg)
+                levels = LEVELS if sim._fifo or nurse.trainer_attached else nurse.trust.levels
+                assert list(map(id, nurse.queues)) == [id(sim._pending[level - 1]) for level in levels]
+                checked[nurse.id] = (nurse.trust, nurse.queues, nurse.trainer_attached)
             if nurse.current_request is None:
                 assert nurse.busy == (nurse in preparing)
             else:

@@ -586,6 +586,29 @@ def test_experiment_pool_is_bounded_by_runs(tmp_path, forks):
     assert_no_children()
 
 
+LOW_DESCRIPTOR_LIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+import edsim.cli
+sys.exit(edsim.cli.main(sys.argv[1:]))
+"""
+
+
+def test_experiment_many_workers_fit_a_low_descriptor_limit(tmp_path):
+    # 36 workers under a soft limit of 64 open files: the parent holds one
+    # store per worker, the claims pipe and the shared exit pipe's read end.
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    args = ["experiment", "--runs", "10", "--seed-base", "3", "--combo", "all"]
+    assert main(args + ["--out", str(serial)]) == EXIT_OK
+    src = os.path.dirname(os.path.dirname(os.path.abspath(edsim.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", LOW_DESCRIPTOR_LIMIT, *args, "--out", str(parallel), "--parallel", "36"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert tree_bytes(serial) == tree_bytes(parallel)
+
+
 @pytest.mark.parametrize("parallel", ["0", "-2"])
 def test_experiment_parallel_below_one_exits_2(tmp_path, capsys, forks, parallel):
     args = ["experiment", "--runs", "3", "--combo", "baseline-ca", "--parallel", parallel, "--out", str(tmp_path / "o")]
@@ -976,8 +999,8 @@ def test_experiment_store_that_cannot_open_exits_4(tmp_path, capsys, monkeypatch
 IMPORT_PROBE = """
 import json, sys
 MODULES = (
-    "numpy", "concurrent.futures", "multiprocessing", "pickle", "select", "edsim.analysis", "edsim.stats", "statistics",
-    "dataclasses", "inspect",
+    "numpy", "concurrent.futures", "multiprocessing", "pickle", "select", "edsim.workers", "edsim.analysis",
+    "edsim.stats", "statistics", "dataclasses", "inspect",
 )
 loaded = lambda: [m for m in MODULES if m in sys.modules]
 seen = {}
@@ -1008,9 +1031,10 @@ def test_numpy_and_pool_are_loaded_only_where_used(tmp_path):
     seen = json.loads(done.stdout.splitlines()[-1])
     # numpy imports inspect itself, so analyze may load it; never dataclasses.
     analyze = [m for m in seen.pop("analyze") if m != "inspect"]
-    # Only forked workers need pickle and select; no command needs a process pool.
-    assert seen == {"import": [], "run": [], "experiment": [], "parallel": ["pickle", "select"]}
-    assert analyze == ["numpy", "pickle", "select", "edsim.analysis", "edsim.stats", "statistics"]
+    # Only forked workers need edsim.workers and its pickle; no command needs
+    # select or a process pool.
+    assert seen == {"import": [], "run": [], "experiment": [], "parallel": ["pickle", "edsim.workers"]}
+    assert analyze == ["numpy", "pickle", "edsim.workers", "edsim.analysis", "edsim.stats", "statistics"]
 
 
 def test_out_root_env_default(tmp_path, monkeypatch):

@@ -283,20 +283,31 @@ MUTANTS = (
             "tests/test_stats.py::test_chi2_small_blocks_give_the_one_block_p")),
     # Parsed store by store, the frames arrive out of job order whenever both
     # workers took some of the slow runs, so the combos get each other's rows.
-    Mutant("rows-in-arrival-order", "cli.py",
+    Mutant("rows-in-arrival-order", "workers.py",
            "        rows = [row for i in range(missing[0] if missing else first) for row in results[i][0]]",
            "        rows = [row for i in results if i < (missing[0] if missing else first) for row in results[i][0]]",
            ("tests/test_cli.py::test_slow_runs_are_shared_between_workers",)),
     # The parent kills the workers only once the slow run before the failure
     # is in; until then an undrained pipe lets the others start new runs.
-    Mutant("failed-worker-leaves-claims", "cli.py",
+    Mutant("failed-worker-leaves-claims", "workers.py",
            "                claims.read(4096)  # every claim left, so no worker starts another run",
            "                pass",
            ("tests/test_cli.py::test_failed_run_stops_new_claims[behind-a-slow-run]",)),
-    Mutant("completeness-skips-earlier-runs", "cli.py",
+    Mutant("completeness-skips-earlier-runs", "workers.py",
            "            missing = [i for i in range(first) if i not in results]",
            "            missing = [i for i in range(first - 1, first) if i not in results]",
            ("tests/test_cli.py::test_failed_run_stops_new_claims[behind-a-slow-run]",)),
+    # Every mark then names a worker whose file the parent does not hold.
+    Mutant("mark-names-worker-zero", "workers.py",
+           '                        done.write(k.to_bytes(4, "big"))  # one write under PIPE_BUF, so marks never interleave',
+           '                        done.write((0).to_bytes(4, "big"))',
+           ("tests/test_cli.py::test_slow_runs_are_shared_between_workers",)),
+    # Killed workers leave no mark, so only their files hold the runs they
+    # finished; dropping those files aborts at the first run a killed worker ran.
+    Mutant("killed-workers-files-unread", "workers.py",
+           '            for store in map(stores.pop, [int.from_bytes(mark, "big")] if mark else list(stores)):',
+           '            for store in map(stores.pop, [int.from_bytes(mark, "big")] if mark else stores.clear() or []):',
+           ("tests/test_cli.py::test_experiment_failure_in_last_combo_keeps_earlier_combos[killed]",)),
     Mutant("freeze-inside-main", "cli.py",
            "    args = build_parser().parse_args(argv)",
            "    args = build_parser().parse_args(argv); gc.freeze()",
