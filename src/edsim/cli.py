@@ -19,13 +19,17 @@ from .domain import (
     validate_seed,
 )
 from .engine import run_shift
-from .metrics import SchemaError, comparisons_csv, render_trace, run_rows, write_csvs
+from .metrics import SchemaError, comparisons_csv, render_trace, run_rows, write_csvs, write_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_RUN_FAILED = 4
 EXIT_SCHEMA = 5
+
+# `analyze` makes one chi-square test per run of each directory, and its time
+# grows with the draws, so a mistyped count would run for hours unwarned.
+MC_DRAWS_MAX = 1_000_000
 
 COMBOS = {
     "baseline-ca": (Scenario.BASELINE, Policy.CA_TRUST),
@@ -47,11 +51,6 @@ def _manifest(name: str, seeds: list[int]) -> str:
         f"seeds = {seeds[0]}..{seeds[-1]}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def _write_text(out_dir: str, name: str, text: str) -> None:
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
 
 
 def _config_error(exc: ConfigError) -> int:
@@ -78,7 +77,7 @@ def cmd_run(config_path: str, seed: Optional[int], trace: bool, out: Optional[st
     try:
         run_experiment(out_dir, "run", [(cfg, run_id)], [rows])
         if trace:
-            _write_text(out_dir, "trace.csv", render_trace(result.trace))
+            write_text(out_dir, "trace.csv", render_trace(result.trace))
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -132,8 +131,8 @@ def run_experiment(out_dir: str, name: str, jobs: list[tuple[SimConfig, str]], r
     were made.
     """
     write_csvs(rows, out_dir)
-    _write_text(out_dir, "config.echo", config_echo(jobs[0][0]))
-    _write_text(out_dir, "manifest.txt", _manifest(name, [cfg.seed for cfg, _ in jobs]))
+    write_text(out_dir, "config.echo", config_echo(jobs[0][0]))
+    write_text(out_dir, "manifest.txt", _manifest(name, [cfg.seed for cfg, _ in jobs]))
 
 
 def cmd_experiment(
@@ -213,6 +212,9 @@ def cmd_analyze(
     if mc_draws < 1:
         print("config error: --mc-draws must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
+    if mc_draws > MC_DRAWS_MAX:
+        print(f"config error: --mc-draws must be <= {MC_DRAWS_MAX}", file=sys.stderr)
+        return EXIT_CONFIG
     wanted = None if metrics == "all" else [m.strip() for m in metrics.split(",") if m.strip()]
     try:
         rows = compare_experiments(dir_a, dir_b, wanted, mc_draws=mc_draws, mc_seed=mc_seed)
@@ -230,8 +232,8 @@ def cmd_analyze(
     out_dir = out or os.path.join(_default_out_root(), "analysis")
     try:
         os.makedirs(out_dir, exist_ok=True)
-        _write_text(out_dir, "comparisons.csv", comparisons_csv(rows))
-        _write_text(out_dir, "report.txt", report)
+        write_text(out_dir, "comparisons.csv", comparisons_csv(rows))
+        write_text(out_dir, "report.txt", report)
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -262,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("dir_a")
     p_an.add_argument("dir_b")
     p_an.add_argument("--metrics", default="all", help="comma-separated metric names or 'all'")
-    p_an.add_argument("--mc-draws", type=int, default=10000, help="Monte Carlo draws for the chi-square test")
+    p_an.add_argument("--mc-draws", type=int, default=10000, help=f"chi-square Monte Carlo draws, 1 to {MC_DRAWS_MAX}")
     p_an.add_argument("--mc-seed", type=int, default=0, help="seed for the Monte Carlo chi-square test")
     p_an.add_argument("--out", default=None, help="output directory for comparisons.csv and report.txt")
     return parser

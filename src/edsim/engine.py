@@ -9,9 +9,10 @@ Pending requests wait in one FIFO queue per requested level.  Requests are
 issued in (issued_at, id) order, because the clock never goes back and ids only
 increase, so each queue stays sorted by the selectors' tie-break.  Eligibility
 and trust weight depend only on the requested level, so each level's best
-candidate is its queue's head.  A nurse keeps the queues it may take from: all
-of them under FIFO or while a trainer is attached, else those of its
-`TrustState.levels`.  A decision whose queues are all empty declines without
+candidate is its queue's head.  A decision works out the queues the nurse may
+take from where it reads them: all of them under FIFO or while a trainer is
+attached, else those of its `TrustState.levels`, a tuple kept until those levels
+are another object.  A decision whose queues are all empty declines without
 selecting; any other hands the selector their heads and claims the winner with
 `popleft`.  Either way it costs O(levels), however long the queues grow.
 
@@ -117,17 +118,17 @@ class TaskRequest:
 
 
 class NurseRuntime:
-    """One nurse: its trust state, the queues it may take from, the request in its hands, and its totals."""
+    """One nurse: its trust state, the queues it last took from, the request in its hands, and its totals."""
 
-    __slots__ = ("id", "quality", "role", "trust", "queues", "observed_tasks", "busy", "trainer_attached",
+    __slots__ = ("id", "quality", "role", "trust", "queues", "queues_for", "observed_tasks", "busy", "trainer_attached",
                  "current_request", "decisions", "tasks_success", "tasks_failed", "utility", "time_damage")
 
-    def __init__(self, id: int, quality: NurseQuality, role: Role, trust: TrustState, queues: tuple):
+    def __init__(self, id: int, quality: NurseQuality, role: Role, trust: TrustState):
         self.id = id
         self.quality = quality
         self.role = role
         self.trust = trust
-        self.queues = queues  # the pending queues of the levels it may take, ascending
+        self.queues, self.queues_for = (), None  # the pending queues it last decided over, and their levels
         self.observed_tasks = 0
         self.busy = False
         self.trainer_attached = False
@@ -159,11 +160,10 @@ class Shift:
             self.doctors[doctor_id] = DoctorRuntime(doctor_id, style, beds)
         # Pending requests by requested level (index level - 1), oldest first.
         self._pending: tuple[deque, ...] = tuple(deque() for _ in LEVELS)
-        # Fresh nurses, replacements included, share one trust state and its queues (all of them under FIFO).
-        fresh = TrustState.fresh(cfg)
-        self._fresh = (fresh, self._pending if self._fifo else self._queues(fresh.levels))
+        # Fresh nurses, replacements included, share one trust state.
+        self._fresh = TrustState.fresh(cfg)
         self.nurses: dict[int, NurseRuntime] = {
-            nurse_id: NurseRuntime(nurse_id, quality, Role.REGULAR, *self._fresh) for nurse_id, quality in cfg.nurses
+            nurse_id: NurseRuntime(nurse_id, quality, Role.REGULAR, self._fresh) for nurse_id, quality in cfg.nurses
         }
         self.time_damage = 0.0
         self.delay = 0.0
@@ -178,9 +178,6 @@ class Shift:
 
     def _schedule(self, time: float, kind: str, args: tuple = ()) -> None:
         heapq.heappush(self._heap, (time, next(self._seq), kind, args))
-
-    def _queues(self, levels: tuple) -> tuple:
-        return tuple([self._pending[level - 1] for level in levels])
 
     # -- event handlers -----------------------------------------------------
 
@@ -226,6 +223,10 @@ class Shift:
             nurse.busy = False
         if nurse.busy:
             return nurse.id, ""
+        # A nurse takes from every queue under FIFO or while a trainer is attached, else from its levels'.
+        levels = LEVELS if self._fifo or nurse.trainer_attached else nurse.trust.levels
+        if levels is not nurse.queues_for:
+            nurse.queues_for, nurse.queues = levels, tuple([self._pending[level - 1] for level in levels])
         if not any(nurse.queues):
             # No queue the nurse may take from holds a request: it declines without selecting.
             nurse.decisions[_NONE_ELIGIBLE if any(self._pending) else _QUEUE_EMPTY] += 1
@@ -279,7 +280,7 @@ class Shift:
             doctor.eval_hits += 1
 
     def _spawn_replacement(self) -> None:
-        nurse = NurseRuntime(max(self.nurses) + 1, NurseQuality.HIGH, Role.REPLACEMENT, *self._fresh)
+        nurse = NurseRuntime(max(self.nurses) + 1, NurseQuality.HIGH, Role.REPLACEMENT, self._fresh)
         self.nurses[nurse.id] = nurse
         self._schedule(self.now, NURSE_DECIDE, (nurse, 0))
 
@@ -291,9 +292,6 @@ class Shift:
         if not self._fifo:
             before = nurse.trust
             nurse.trust = after = update_trust(before, request.requested_level, outcome.success, self.cfg, self.now)
-            # A nurse with a trainer attached takes from every queue, whatever its levels.
-            if after.levels is not before.levels and not nurse.trainer_attached:
-                nurse.queues = self._queues(after.levels)
             # The scenario responds once, when the nurse first classifies itself low.
             if before.classified_low_at is None and after.classified_low_at is not None:
                 if self.cfg.scenario is Scenario.REPLACEMENT:
@@ -301,7 +299,6 @@ class Shift:
                 elif self._training:
                     nurse.trainer_attached = True
                     nurse.role = Role.TRAINEE
-                    nurse.queues = self._pending
 
         if observed:
             nurse.observed_tasks += 1
@@ -323,7 +320,6 @@ class Shift:
 
     def _handle_trainer_exit(self, nurse: NurseRuntime) -> tuple:
         nurse.trainer_attached = False
-        nurse.queues = self._queues(nurse.trust.levels)
         return nurse.id, ""
 
     # -- main loop ----------------------------------------------------------

@@ -2,9 +2,10 @@
 
 A finished run's `engine.Shift` becomes text once, in `run_rows`, wherever it
 ran: a forked `experiment` worker formats its own runs and sends only those
-strings back.  `write_csvs` writes the runs/doctors/nurses triplet; it orders
-the rows and adds the headers, so the files are the same bytes however the
-runs were spread over processes.  `comparisons_csv` formats `analyze`'s table
+strings back.  `write_text` writes each output file, as UTF-8 with \\n
+line ends.  `write_csvs` writes the runs/doctors/nurses triplet through it; it
+orders the rows and adds the headers, so the files are the same bytes however
+the runs were spread over processes.  `comparisons_csv` formats `analyze`'s table
 with the same `_row`, and `render_trace` formats a shift's event log as
 `run --trace`'s `trace.csv`.  The reader rejects cells edsim never writes: a cell
 must be the text its value writes back to, and an enum cell (scenario, policy,
@@ -170,13 +171,18 @@ def write_csvs(rows: list[tuple[str, str, str, str]], out_dir: str) -> dict[str,
     """
     os.makedirs(out_dir, exist_ok=True)
     ordered = sorted(rows, key=lambda r: r[0])
-    paths = {}
-    for k, (name, columns) in enumerate(_TABLES, 1):
-        path = os.path.join(out_dir, f"{name}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_header(columns) + "\n" + "".join(r[k] for r in ordered))
-        paths[name] = path
-    return paths
+    return {
+        name: write_text(out_dir, f"{name}.csv", _header(columns) + "\n" + "".join(r[k] for r in ordered))
+        for k, (name, columns) in enumerate(_TABLES, 1)
+    }
+
+
+def write_text(out_dir: str, name: str, text: str) -> str:
+    """Write `text` as UTF-8 with \\n line ends to the file `name` in `out_dir`; returns its path."""
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return path
 
 
 def comparisons_csv(rows: list) -> str:

@@ -46,6 +46,7 @@ class SelectionDecision(NamedTuple):
 # the class (`Reason.ACCEPTED`) on a slow path; the selectors run once per
 # accepted decision, so they use this module constant.
 _ACCEPTED = Reason.ACCEPTED
+_UNWEIGHTED = TrustState((1.0,) * len(LEVELS), RELIABILITY_INIT, None, LEVELS)  # FIFO's: every level weighs the same
 
 
 def _gate(classified_low_at: Optional[float], cfg: SimConfig) -> tuple[int, float]:
@@ -68,14 +69,11 @@ def eligible_levels(trust: TrustState, cfg: SimConfig) -> tuple[int, ...]:
 def select_request_fifo(pending: Iterable) -> SelectionDecision:
     """Take the earliest request of a non-empty `pending`; ties break on the smaller request id.
 
-    `pending` may be every pending request or only the oldest one of each
-    requested level: the earliest of those heads is the earliest of all.
+    That is `select_request_ca` with one weight for every level.  `pending` may
+    be every pending request or only each requested level's oldest: the
+    earliest of those heads is the earliest of all.
     """
-    best = None
-    for r in pending:
-        if best is None or (r.issued_at, r.id) < (best.issued_at, best.id):
-            best = r
-    return SelectionDecision(best, _ACCEPTED)
+    return select_request_ca(_UNWEIGHTED, pending)
 
 
 def select_request_ca(trust: TrustState, pending: Iterable) -> SelectionDecision:

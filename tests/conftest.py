@@ -108,13 +108,14 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
     shift's `trace` is a list that updates the ledger and the set of started
     requests as each entry is appended; the engine's queues, the nurses'
     hands, the beds and the doctors are compared with them, and each nurse's
-    kept levels and queues with the eligibility rule, after every `every`-th
-    event and after the last.  A nurse's levels and queues are checked again
-    only once its trust, queues or trainer flag is another object than at its
-    last check: the rule is a pure function of the trust, an immutable tuple,
-    and the shift's pending queues are fixed.  Returns the finished shift
-    after checking that no request was started twice and that the census
-    counts every started request.
+    kept levels with the eligibility rule, after every `every`-th event and
+    after the last.  At each decide entry of the log in which the nurse was
+    free to decide, the queues it read are compared with the rule's.  The rule
+    is worked out again for a nurse only once its trust or trainer flag is
+    another object than at its last check: it is a pure function of the two,
+    the trust an immutable tuple, and the shift's pending queues are fixed.
+    Returns the finished shift after checking that no request was started
+    twice and that the census counts every started request.
     """
     issued = record_requests(monkeypatch)
     sim = Shift(cfg)
@@ -123,9 +124,28 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
     started = set()
     recorded = 0
     pending_queues = sim._pending
-    checked = {}  # nurse id -> its (trust, queues, trainer_attached) at its last levels-and-queues check
+    rules = {}  # nurse id -> its (trust, trainer_attached, ids of the queues the rule gives) at its last check
+
+    def rule(nurse):
+        """The ids of the pending queues `nurse` may take from now, checking its kept levels on the way.
+
+        Its kept levels are what the eligibility rule gives for its trust, and
+        it may take from every level under FIFO or while a trainer is
+        attached, else from its kept levels.
+        """
+        last = rules.get(nurse.id)
+        if last is None or last[0] is not nurse.trust or last[1] is not nurse.trainer_attached:
+            assert nurse.trust.levels == eligible_levels(nurse.trust, cfg)
+            levels = LEVELS if sim._fifo or nurse.trainer_attached else nurse.trust.levels
+            last = rules[nurse.id] = (nurse.trust, nurse.trainer_attached, [id(pending_queues[i - 1]) for i in levels])
+        return last[2]
 
     def claim(nurse_id, request_id):
+        nurse = sim.nurses[nurse_id]
+        # A nurse still busy after a decide that claimed nothing was busy on
+        # entry and read no queue; any other decide read the nurse's queues.
+        if request_id != "" or not nurse.busy:
+            assert list(map(id, nurse.queues)) == rule(nurse)
         if request_id != "":
             # A request is claimed once, while it waits.
             assert request_id in live and request_id not in claims
@@ -155,17 +175,7 @@ def run_with_invariant_checks(cfg, monkeypatch, every=1):
         preparing = {args[0] for _, _, kind, args in sim._heap if kind == NURSE_DECIDE and args[1]}
         in_hand = dict(claims)
         for nurse in sim.nurses.values():
-            # A nurse's kept levels are what the eligibility rule gives for its
-            # trust, and its queues are those of the levels it may take now:
-            # every level under FIFO or while a trainer is attached, else its
-            # kept levels.
-            last = checked.get(nurse.id)
-            if (last is None or last[0] is not nurse.trust or last[1] is not nurse.queues
-                    or last[2] is not nurse.trainer_attached):
-                assert nurse.trust.levels == eligible_levels(nurse.trust, cfg)
-                levels = LEVELS if sim._fifo or nurse.trainer_attached else nurse.trust.levels
-                assert list(map(id, nurse.queues)) == [id(sim._pending[level - 1]) for level in levels]
-                checked[nurse.id] = (nurse.trust, nurse.queues, nurse.trainer_attached)
+            rule(nurse)
             if nurse.current_request is None:
                 assert nurse.busy == (nurse in preparing)
             else:

@@ -233,6 +233,17 @@ def test_analyze_mc_draws_below_one_exits_2(tmp_path, capsys):
     assert "--mc-draws" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("draws", ["1000001", "100000000000"])
+def test_analyze_mc_draws_above_a_million_exits_2_before_reading(draws, tmp_path, capsys):
+    # Neither directory exists, so the bound is checked before any input is read.
+    missing = str(tmp_path / "missing")
+    assert main(["analyze", missing, missing, "--mc-draws", draws, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: --mc-draws must be <= 1000000\n"
+    assert not (tmp_path / "x").exists()
+    # A million draws is in range: the same call goes on to read its input.
+    assert main(["analyze", missing, missing, "--mc-draws", "1000000", "--out", str(tmp_path / "x")]) == EXIT_IO
+
+
 def test_analyze_legacy_echo_with_mc_draws_exits_5(tmp_path, capsys):
     # Echoes once carried an unused mcDraws key; edsim no longer writes it, so
     # the echo is invalid and the message names the key.

@@ -328,12 +328,15 @@ def test_decisions_match_full_rescan(combo, monkeypatch):
     # A selector sees only the non-empty heads of the queues the nurse may take
     # from, and a nurse whose queues are all empty declines without selecting.
     # Every decision, those declines included, must be what the eligibility
-    # rule and the selector give over every pending request of the shift.
+    # rule and the selector give over every pending request of the shift,
+    # among them each nurse's first decision after its levels change, after
+    # its trainer attaches and after its trainer leaves.
     scenario, policy = COMBOS[combo]
     issued = record_requests(monkeypatch)
     cfg = make_config(scenario=scenario, policy=policy, seed=3, **LARGE_ROSTER)
     sim = Shift(cfg)
     seen = Counter()
+    last_state = {}  # nurse id -> its (levels, trainer_attached) at its last decision
     claimed, logged = set(), 0
 
     def all_pending():
@@ -373,6 +376,11 @@ def test_decisions_match_full_rescan(combo, monkeypatch):
         chosen, reason = full_rescan(nurse)
         seen["restricted"] += nurse.trust.classified_low_at is not None and not nurse.trainer_attached
         seen["training"] += nurse.trainer_attached
+        levels, attached = last_state.get(nurse.id, (nurse.trust.levels, nurse.trainer_attached))
+        seen["after_crossing"] += levels is not nurse.trust.levels and not nurse.trainer_attached
+        seen["after_attach"] += nurse.trainer_attached and not attached
+        seen["after_exit"] += attached and not nurse.trainer_attached
+        last_state[nurse.id] = nurse.trust.levels, nurse.trainer_attached
         counts = dict(nurse.decisions)
         actor, obj = decide(nurse, make_idle)
         assert [r for r in Reason if nurse.decisions[r] != counts[r]] == [reason]
@@ -391,8 +399,10 @@ def test_decisions_match_full_rescan(combo, monkeypatch):
     assert 0 < seen["selections"] < seen["decisions"]
     if combo in ("baseline-ca", "replacement-ca"):
         assert seen["restricted"] > 0
+    if combo != "baseline-fifo":
+        assert seen["after_crossing"] > 0
     if combo == "training-ca":
-        assert seen["training"] > 0
+        assert seen["training"] > 0 and seen["after_attach"] > 0 and seen["after_exit"] > 0
 
 
 @pytest.mark.parametrize("combo", list(COMBOS))

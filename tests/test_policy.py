@@ -76,6 +76,23 @@ def test_fifo_ignores_trust_weights():
     assert select_request_fifo([a, b]).chosen is a
 
 
+def test_fifo_is_ca_at_equal_weights():
+    # FIFO ranks by the trust-based selection's tie-break alone, so over any
+    # set of queue heads it picks what CA picks when every level weighs the same.
+    rng = random.Random(38)
+    ties = 0
+    for _ in range(2000):
+        levels = rng.sample(LEVELS, rng.randint(1, len(LEVELS)))
+        heads = [Req(i, rng.choice((0.0, 5.0, 5.0, 10.0)), level)
+                 for i, level in zip(rng.sample(range(1, 50), len(levels)), levels)]
+        weight = rng.choice(TIE_WEIGHTS)
+        trust = trust_state((weight,) * len(LEVELS), 1.0, None, CFG)
+        fifo, ca = select_request_fifo(heads), select_request_ca(trust, heads)
+        assert fifo.chosen is ca.chosen and fifo.reason is ca.reason is Reason.ACCEPTED
+        ties += len({r.issued_at for r in heads}) < len(heads)
+    assert ties > 500
+
+
 def test_ca_equal_weights_picks_earlier_issue():
     pending = [Req(1, 10.0, 2), Req(2, 11.0, 5)]
     decision = select_request_ca(fresh_trust(CFG), pending)

@@ -42,8 +42,10 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("fifo-ties-larger-id", "policy.py",
-           "        if best is None or (r.issued_at, r.id) < (best.issued_at, best.id):",
-           "        if best is None or (r.issued_at, -r.id) < (best.issued_at, -best.id):",
+           "        if best is None or w > best_w"
+           " or (w == best_w and (r.issued_at, r.id) < (best.issued_at, best.id)):",
+           "        if best is None or w > best_w"
+           " or (w == best_w and (r.issued_at, -r.id) < (best.issued_at, -best.id)):",
            ("tests/test_policy.py::test_fifo_tie_breaks_exhaustively",)),
     Mutant("exams-served-lifo", "engine.py",
            "            self._begin_exam(doctor.exams[0])",
@@ -161,9 +163,9 @@ MUTANTS = (
            "    return tuple([level for level in LEVELS[:cap] if weights[level - 1] >= threshold])",
            "    return tuple([level for level in LEVELS[:cap] if weights[level - 1] > threshold])",
            ("tests/test_policy.py::test_selectors_match_reference_implementations",)),
-    # The invariant checker compares each nurse's kept levels and queues with
-    # the eligibility rule after every event, so it sees a stale one at once;
-    # the full-rescan oracle and the digests see it only once a decision differs.
+    # The invariant checker compares each nurse's kept levels with the
+    # eligibility rule after every event, so it sees a stale one at once; the
+    # full-rescan oracle and the digests see it only once a decision differs.
     Mutant("latch-keeps-queues", "policy.py",
            "        classified_at = now",
            "        return TrustState(weights, reliability, now, trust.levels)",
@@ -181,23 +183,18 @@ MUTANTS = (
            "        cap, threshold = _gate(classified_at, cfg)",
            "        cap, threshold = _gate(classified_at, cfg)[0], cfg.accept_threshold",
            ("tests/test_engine.py::test_invariants_hold_after_every_event[all-low-replacement-ca]",)),
-    Mutant("levels-change-keeps-queues", "engine.py",
-           "                nurse.queues = self._queues(after.levels)",
-           "                pass",
-           ("tests/test_engine.py::test_invariants_hold_after_every_event[long-horizon-baseline-ca]",)),
-    Mutant("trainee-crossing-narrows-queues", "engine.py",
-           "            if after.levels is not before.levels and not nurse.trainer_attached:",
-           "            if after.levels is not before.levels:",
-           ("tests/test_engine.py::test_trainer_attaches_observes_nine_and_exits",
-            "tests/test_engine.py::test_invariants_hold_after_every_event[all-low-training-ca]")),
-    Mutant("trainer-attach-keeps-queues", "engine.py",
-           "                    nurse.queues = self._pending",
-           "                    pass",
-           ("tests/test_engine.py::test_invariants_hold_after_every_event[long-horizon-training-ca]",)),
-    Mutant("trainer-exit-keeps-queues", "engine.py",
-           "        nurse.queues = self._queues(nurse.trust.levels)",
-           "        pass",
-           ("tests/test_engine.py::test_invariants_hold_after_every_event[long-horizon-training-ca]",)),
+    # The invariant checker compares the queues a decide read with the rule
+    # for the nurse's state at that decide.
+    Mutant("decide-queues-ignore-trainer", "engine.py",
+           "        levels = LEVELS if self._fifo or nurse.trainer_attached else nurse.trust.levels",
+           "        levels = LEVELS if self._fifo else nurse.trust.levels",
+           ("tests/test_engine.py::test_invariants_hold_after_every_event[long-horizon-training-ca]",
+            "tests/test_engine.py::test_decisions_match_full_rescan[training-ca]")),
+    Mutant("decide-queues-never-rebuilt", "engine.py",
+           "        if levels is not nurse.queues_for:",
+           "        if nurse.queues_for is None:",
+           ("tests/test_engine.py::test_invariants_hold_after_every_event[long-horizon-baseline-ca]",
+            "tests/test_engine.py::test_decisions_match_full_rescan[baseline-ca]")),
     # The log shows a decline alike whatever its reason, so only the decision
     # counts, compared decision by decision with a full rescan, see this one.
     Mutant("shortcut-declines-none-eligible", "engine.py",
